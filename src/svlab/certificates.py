@@ -46,10 +46,10 @@ CERT_SLACK = 1e-9
 class CertificateReport:
     """Outcome of the small-column certificate at cutoff tau.
 
-    certified_upper = min(minor_op_norm, minor_smin); valid means the
-    certificate is sound against the observed smallest singular value up
-    to CERT_SLACK * s_top. With no qualifying columns the bound is vacuous
-    (+inf) and valid is False.
+    minor_op_norm and minor_smin come from one verified full_svd of X_J
+    (the column length when |J| = 1); certified_upper is their min. valid
+    means it is sound against the observed s_min up to CERT_SLACK * s_top;
+    with no qualifying columns the bound is vacuous (+inf), valid False.
     """
 
     tau: float
@@ -125,9 +125,10 @@ def upper_certificate(
 ) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    observed, if given, is (s_min, s_top) from an already computed
-    decomposition; otherwise a full SVD is run here. Soundness condition
-    checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
+    Both extremes of X_J come from one verified full_svd; no power
+    iteration runs. observed, if given, is (s_min, s_top) of X from an
+    already computed decomposition; otherwise X is decomposed here too.
+    Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = small_column_set(x, tau)
@@ -151,11 +152,11 @@ def upper_certificate(
         )
 
     minor = column_minor(x, cols)
-    norm_xj = operator_norm(minor)
-    if cols.size == 1:
-        smin_xj = norm_xj  # single column: both extremes equal its length
+    if cols.size == 1:  # single column: both extremes equal its length
+        norm_xj = smin_xj = float(np.linalg.norm(minor))
     else:
-        smin_xj = full_svd(minor, k_bottom=1).s_min
+        res_j = full_svd(minor, k_bottom=1)
+        norm_xj, smin_xj = res_j.s_top, res_j.s_min
     upper = min(norm_xj, smin_xj)
     valid = upper >= observed_smin - CERT_SLACK * s_top
     return CertificateReport(

@@ -18,7 +18,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +31,7 @@ from . import __version__
 from .certificates import default_tau, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
-from .spectra import SpectralError, full_svd
+from .spectra import full_svd
 
 __all__ = [
     "SweepConfig",
@@ -261,8 +263,9 @@ def _trial_task(args: tuple[SweepConfig, float, int, int]):
     config, alpha, n, trial_index = args
     try:
         return ("ok", run_trial(config, alpha, n, trial_index))
-    except SpectralError as exc:
-        return ("fail", {"alpha": alpha, "n": n, "trial_index": trial_index, "message": str(exc)})
+    except Exception as exc:  # one bad trial must not abort the sweep
+        where = {"alpha": alpha, "n": n, "trial_index": trial_index}
+        return ("fail", where | {"message": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()})
 
 
 def run_sweep(
@@ -271,8 +274,8 @@ def run_sweep(
     """Run the whole grid. Returns (records, failures, elapsed_seconds).
 
     Records come back sorted by (alpha, n, trial_index) regardless of
-    completion order or worker count; numerical failures are collected,
-    not raised.
+    completion order or worker count; a trial raising any exception is
+    collected as a failure ("Type: message" plus its traceback), not raised.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -486,6 +489,10 @@ def write_manifest(
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "blas_threads": {
+            k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "record_count": len(records),
         "failures": failures,
         "elapsed_seconds": elapsed,

@@ -125,15 +125,14 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) 
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
     s1 = float(s[0])
-    bottom = np.empty((k_bottom, n), dtype=np.float64)
-    for k in range(1, k_bottom + 1):
-        bottom[k - 1] = _fix_sign(vt[n - k])
+    pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
+    bottom = np.array([_fix_sign(vt[i]) for i in pos])
     top = _fix_sign(vt[0])
 
-    gram = x.T @ x
     stacked = np.vstack([bottom, top[None, :]])
-    svals = np.concatenate([s[n - np.arange(1, k_bottom + 1)], s[:1]])
-    residuals = np.linalg.norm(gram @ stacked.T - stacked.T * svals**2, axis=0)
+    svals = np.concatenate([s[pos], s[:1]])
+    # X^T(X V) costs 4Nn(k+1) flops; forming the Gram X^T X would cost 2Nn^2.
+    residuals = np.linalg.norm(x.T @ (x @ stacked.T) - stacked.T * svals**2, axis=0)
     worst = float(residuals.max())
     if worst > tolerance * s1 * s1:
         raise SpectralError(
@@ -152,16 +151,9 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) 
             worst_residual=worst,
         )
 
-    flags: list[bool] = []
-    gap_tol = DEGENERATE_GAP_TOL * s1
-    for k in range(1, k_bottom + 1):
-        i = n - k  # position of the k-th smallest in descending order
-        gaps = []
-        if i + 1 < n:
-            gaps.append(abs(float(s[i]) - float(s[i + 1])))
-        if i - 1 >= 0:
-            gaps.append(abs(float(s[i - 1]) - float(s[i])))
-        flags.append(bool(gaps and min(gaps) < gap_tol))
+    # Each bottom value's distance to its nearer spectral neighbour.
+    gaps = np.concatenate([[math.inf], np.abs(np.diff(s)), [math.inf]])
+    flags = (np.minimum(gaps[pos], gaps[pos + 1]) < DEGENERATE_GAP_TOL * s1).tolist()
 
     return SpectralResult(
         singular_values=s.copy(),

@@ -103,6 +103,26 @@ class TestUpperCertificate:
         assert rep.columns == [0]
         assert rep.minor_smin == rep.minor_op_norm == pytest.approx(3.0, rel=1e-12)
 
+    def test_minor_extremes_from_one_svd(self):
+        x = _heavy(120, 3.0, seed=21)
+        tau = float(x.shape[0]) ** 0.4  # census cutoff, as the sweep uses above alpha = 2
+        rep = upper_certificate(x, tau)
+        assert rep.column_count >= 0.7 * x.shape[1]  # near-full minor
+        ref = float(np.linalg.norm(x[:, rep.columns], 2))
+        assert rep.minor_op_norm == pytest.approx(ref, rel=1e-12)
+        assert rep.minor_smin <= rep.minor_op_norm
+
+    def test_power_iteration_not_reached(self, monkeypatch):
+        import svlab.certificates as certificates
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("operator_norm called from upper_certificate")
+
+        monkeypatch.setattr(certificates, "operator_norm", unreachable)
+        x = np.array([[1.0, 10.0, 3.0], [2.0, 10.0, -4.0], [2.0, -10.0, 1.0], [0.5, 1.0, 2.0]])
+        assert upper_certificate(x, 2.0).column_count == 1
+        assert upper_certificate(x, 20.0).column_count == 3
+
 
 class TestHeavyCensus:
     def test_hand_case(self):

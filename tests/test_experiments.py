@@ -209,6 +209,21 @@ class TestRunSweep:
         assert all("non-convergence" in f["message"] for f in fails)
         assert len(recs) == 2 * 3  # n=24 cells survive
 
+    def test_any_exception_is_a_trial_failure(self, monkeypatch):
+        real = ex.upper_certificate
+
+        def broken(x, tau, observed=None):
+            if x.shape[1] == 24:
+                raise ValueError("synthetic unit-norm check")
+            return real(x, tau, observed=observed)
+
+        monkeypatch.setattr(ex, "upper_certificate", broken)
+        recs, fails, _ = run_sweep(SMALL, workers=1)
+        assert len(fails) == 2 * 3  # both alphas at n=24
+        assert all(f["message"] == "ValueError: synthetic unit-norm check" for f in fails)
+        assert all("in broken" in f["traceback"] for f in fails)
+        assert len(recs) == 2 * 3 and all(r.n == 16 for r in recs)  # n=16 cells survive
+
     def test_round_trip_records(self, tmp_path):
         recs, _, _ = run_sweep(SMALL, workers=1)
         p = tmp_path / "records.jsonl"
@@ -248,6 +263,16 @@ class TestWriters:
         assert man["config"]["base_seed"] == 99
         assert len(man["config_sha256"]) == 64
         assert man["failures"][0]["n"] == 16
+        assert set(man["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert man["usable_cores"] >= 1
+
+    def test_manifest_blas_threads_as_set(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
+        man = json.loads((tmp_path / "m.json").read_text())
+        assert man["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert man["blas_threads"]["MKL_NUM_THREADS"] is None
 
 
 class TestFitScaling:

@@ -157,6 +157,21 @@ class TestDegenerateFlags:
         res = full_svd(x, k_bottom=1)
         assert res.degenerate_flags == [True]
 
+    def test_matches_neighbour_loop_reference(self):
+        mats = _random_matrices(6) + [
+            np.vstack([np.diag([4.0, 2.0, 2.0 + 1e-8, 1.0, 1.0]), np.zeros((2, 5))])
+        ]
+        for x in mats:
+            n = x.shape[1]
+            res = full_svd(x, k_bottom=n)
+            s, tol = res.singular_values, 1e-8 * res.s_top
+            want = []
+            for k in range(1, n + 1):
+                i = n - k
+                gaps = [abs(s[j] - s[j + 1]) for j in (i - 1, i) if 0 <= j < n - 1]
+                want.append(min(gaps) < tol)
+            assert res.degenerate_flags == want
+
 
 class TestValidation:
     def test_wide_rejected(self):
@@ -179,6 +194,24 @@ class TestValidation:
             full_svd(x, k_bottom=0)
         with pytest.raises(ValueError):
             full_svd(x, k_bottom=3)
+
+    def test_perturbed_bottom_vector_fails_residual(self, monkeypatch):
+        # Rotate the bottom vector slightly toward its neighbour: still unit
+        # norm and orthogonal to the top vector, so only the residual catches it.
+        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
+        real_svd = np.linalg.svd
+
+        def perturbed(a, full_matrices=True):
+            u, s, vt = real_svd(a, full_matrices=full_matrices)
+            theta = 1e-3
+            vt = vt.copy()
+            vt[-1] = math.cos(theta) * vt[-1] + math.sin(theta) * vt[-2]
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        with pytest.raises(SpectralError, match="residual") as info:
+            full_svd(x)
+        assert info.value.worst_residual > 1e-10 * 25.0
 
     def test_spectral_error_has_residual_field(self):
         err = SpectralError("boom", worst_residual=3.5)
