@@ -14,7 +14,6 @@ from .ensemble import (  # noqa: E402,F401
     TailBounds,
     TailLaw,
     derive_stream,
-    sample_entry,
     sample_matrix,
 )
 from .matrixio import (  # noqa: E402,F401
@@ -25,19 +24,14 @@ from .matrixio import (  # noqa: E402,F401
     save_matrix_csv,
 )
 from .spectra import (  # noqa: E402,F401
-    MinorSpec,
     SpectralError,
     SpectralResult,
     full_svd,
-    kth_smallest,
     operator_norm,
-    smallest_singular_value,
-    take_minor,
 )
 from .localization import (  # noqa: E402,F401
     LocalizationReport,
     cardinality_bound,
-    complement_witness,
     ipr,
     localization_report,
     min_mass_profile,
@@ -47,18 +41,10 @@ from .localization import (  # noqa: E402,F401
 )
 from .certificates import (  # noqa: E402,F401
     CertificateReport,
-    WindowSplit,
     default_tau,
-    empirical_concentration,
-    epsilon_from_log_target,
     heavy_census,
-    minimal_window_bound,
-    seginer_diagnostic,
     small_column_set,
-    sparse_norm_diagnostic,
-    truncate_recenter,
     upper_certificate,
-    window_split,
 )
 from .svgplot import (  # noqa: E402,F401
     bar_chart,

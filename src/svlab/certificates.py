@@ -1,4 +1,4 @@
-"""Constructive bounds and diagnostics for the smallest singular value.
+"""Constructive upper bounds for the smallest singular value.
 
 The main tool: columns whose entries all stay below a cutoff tau form a
 submatrix X_J, and by interlacing
@@ -17,26 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TailLaw
-from .spectra import column_minor, full_svd, operator_norm
+from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
 
 __all__ = [
     "CertificateReport",
-    "WindowSplit",
-    "SparseNormDiagnostic",
-    "SeginerDiagnostic",
     "default_tau",
     "default_tau_for_rows",
     "small_column_set",
     "upper_certificate",
     "heavy_census",
-    "minimal_window_bound",
-    "window_split",
-    "epsilon_from_log_target",
-    "sparse_norm_diagnostic",
-    "seginer_diagnostic",
-    "truncate_recenter",
-    "empirical_concentration",
 ]
 
 CERT_SLACK = 1e-9
@@ -125,9 +114,9 @@ def upper_certificate(
 ) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    Both extremes of X_J come from one verified full_svd; no power
-    iteration runs. observed, if given, is (s_min, s_top) of X from an
-    already computed decomposition; otherwise X is decomposed here too.
+    Both extremes of X_J come from one verified full_svd. observed, if
+    given, is (s_min, s_top) of X from an already computed decomposition;
+    otherwise X is decomposed here too.
     Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -151,7 +140,7 @@ def upper_certificate(
             note="no columns below tau; certificate vacuous",
         )
 
-    minor = column_minor(x, cols)
+    minor = x[:, cols]  # cols is sorted, unique and in range
     if cols.size == 1:  # single column: both extremes equal its length
         norm_xj = smin_xj = float(np.linalg.norm(minor))
     else:
@@ -181,179 +170,3 @@ def heavy_census(x: np.ndarray, c: float = 0.1) -> int:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     threshold = float(x.shape[0]) ** (0.5 - c)
     return int(np.count_nonzero(np.abs(x) > threshold))
-
-
-@dataclass
-class WindowSplit:
-    """Entrywise split of the rescaled matrix by magnitude window.
-
-    x_scaled = N**(-1/alpha + epsilon_n) * X. x_window keeps entries with
-    |entry| <= 1 or 2 < |entry| <= window_max; x_tail holds the rest, and
-    x_scaled == x_window + x_tail exactly (entrywise copy or zero).
-    """
-
-    alpha: float
-    epsilon_n: float
-    window_max: float
-    x_scaled: np.ndarray
-    x_window: np.ndarray
-    x_tail: np.ndarray
-    window_norm: float
-
-
-def minimal_window_bound(alpha: float, c_lower: float = 1.0, c_upper: float = 1.0) -> float:
-    """Smallest admissible window edge M solving c_lower/2**(alpha+1) = c_upper/M**alpha."""
-    if alpha <= 0 or c_lower <= 0 or c_upper <= 0:
-        raise ValueError("alpha, c_lower, c_upper must all be > 0")
-    return (2.0 ** (alpha + 1.0) * c_upper / c_lower) ** (1.0 / alpha)
-
-
-def window_split(
-    x: np.ndarray,
-    alpha: float,
-    epsilon_n: float,
-    window_max: float = 5.0,
-    c_lower: float = 1.0,
-    c_upper: float = 1.0,
-) -> WindowSplit:
-    """Split N**(-1/alpha+epsilon_n) * X into window and tail parts.
-
-    The window is [-1,1] plus the annulus 2 < |entry| <= window_max.
-    window_max must satisfy c_lower / 2**(alpha+1) > c_upper /
-    window_max**alpha (the annulus must be reachable from the inner
-    band), otherwise a ValueError reports the minimal admissible value.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not (0.0 < epsilon_n < 1.0 / alpha):
-        raise ValueError(f"epsilon_n must be in (0, 1/alpha) = (0, {1.0 / alpha:.4g}), got {epsilon_n}")
-    m_min = minimal_window_bound(alpha, c_lower, c_upper)
-    if not (window_max > 2.0) or c_lower / 2.0 ** (alpha + 1.0) <= c_upper / window_max**alpha:
-        raise ValueError(
-            f"window_max {window_max} inadmissible; need window_max > {max(m_min, 2.0):.6g}"
-        )
-    n_rows = x.shape[0]
-    scaled = float(n_rows) ** (-1.0 / alpha + epsilon_n) * x
-    mag = np.abs(scaled)
-    mask = (mag <= 1.0) | ((mag > 2.0) & (mag <= window_max))
-    x_window = np.where(mask, scaled, 0.0)
-    x_tail = scaled - x_window  # exact: entries are copied or zeroed
-    return WindowSplit(
-        alpha=float(alpha),
-        epsilon_n=float(epsilon_n),
-        window_max=float(window_max),
-        x_scaled=scaled,
-        x_window=x_window,
-        x_tail=x_tail,
-        window_norm=float(operator_norm(x_window)),
-    )
-
-
-def epsilon_from_log_target(n_rows: int, alpha: float, c_prime: float = 1.0) -> float:
-    """epsilon_n solving N**(alpha * epsilon_n) = c_prime * ln N."""
-    if not isinstance(n_rows, int) or n_rows < 3:
-        raise ValueError(f"n_rows must be an integer >= 3, got {n_rows!r}")
-    if alpha <= 0 or c_prime <= 0:
-        raise ValueError("alpha and c_prime must be > 0")
-    target = c_prime * math.log(n_rows)
-    if target <= 1.0:
-        raise ValueError(f"c_prime * ln(n_rows) = {target:.4g} <= 1; epsilon_n would not be positive")
-    eps = math.log(target) / (alpha * math.log(n_rows))
-    if eps >= 1.0 / alpha:
-        raise ValueError("log target too aggressive: epsilon_n >= 1/alpha")
-    return eps
-
-
-@dataclass
-class SparseNormDiagnostic:
-    window_norm: float
-    reference_scale: float
-    ratio: float
-    in_regime: bool
-
-
-def sparse_norm_diagnostic(split: WindowSplit, c_prime: float = 1.0) -> SparseNormDiagnostic:
-    """Ratio of the window-part norm to its sparse-regime scale N**(alpha*eps/2).
-
-    in_regime is False (the ratio is then only indicative) when the split's
-    epsilon_n sits below the log-density threshold N**(alpha*eps) >= c_prime*ln N.
-    """
-    n_rows = split.x_scaled.shape[0]
-    if c_prime <= 0:
-        raise ValueError("c_prime must be > 0")
-    reference = float(n_rows) ** (split.alpha * split.epsilon_n / 2.0)
-    density = float(n_rows) ** (split.alpha * split.epsilon_n)
-    in_regime = density >= c_prime * math.log(n_rows)
-    return SparseNormDiagnostic(
-        window_norm=split.window_norm,
-        reference_scale=reference,
-        ratio=split.window_norm / reference,
-        in_regime=bool(in_regime),
-    )
-
-
-@dataclass
-class SeginerDiagnostic:
-    op_norm: float
-    max_row_norm: float
-    max_col_norm: float
-    ratio: float
-
-
-def seginer_diagnostic(x: np.ndarray) -> SeginerDiagnostic:
-    """Operator norm against the max row/column Euclidean norm.
-
-    The ratio ||X|| / max(row, col norms) is >= 1 always; values near 1
-    say the norm is carried by a single heavy row or column.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
-    row = float(np.max(np.linalg.norm(x, axis=1)))
-    col = float(np.max(np.linalg.norm(x, axis=0)))
-    op = operator_norm(x)
-    denom = max(row, col)
-    ratio = op / denom if denom > 0 else 1.0  # zero matrix: bound is tight trivially
-    return SeginerDiagnostic(op_norm=op, max_row_norm=row, max_col_norm=col, ratio=ratio)
-
-
-def truncate_recenter(x: np.ndarray, cutoff: float, law: TailLaw) -> tuple[np.ndarray, float]:
-    """Entrywise truncation at |entry| <= cutoff minus the law's truncated mean.
-
-    Returns (truncated matrix, second moment of the removed-and-recentred
-    remainder). For the symmetric laws here the truncated mean is zero and
-    the remainder moment is law.tail_second_moment(cutoff). Entries of the
-    output are bounded by 2 * cutoff in magnitude.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
-    if not (cutoff > 0 and math.isfinite(cutoff)):
-        raise ValueError(f"cutoff must be finite and > 0, got {cutoff}")
-    shift = law.truncated_mean(cutoff)
-    kept = np.where(np.abs(x) <= cutoff, x, 0.0) - shift
-    return kept, law.tail_second_moment(cutoff)
-
-
-def empirical_concentration(sample: np.ndarray, t: float) -> float:
-    """Estimated max probability of a radius-t ball, centers at sample points.
-
-    Q_hat(t) = max_j #{i : |x_i - x_j| <= t} / m. Matches the scalar
-    concentration function up to sampling error; a point mass gives 1 for
-    every t > 0. Computed in O(m log m) by sorting.
-    """
-    sample = np.asarray(sample, dtype=np.float64).ravel()
-    m = sample.size
-    if m < 100:
-        raise ValueError(f"need at least 100 samples, got {m}")
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and > 0, got {t}")
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("sample entries must all be finite")
-    xs = np.sort(sample)
-    hi = np.searchsorted(xs, xs + t, side="right")
-    lo = np.searchsorted(xs, xs - t, side="left")
-    return float((hi - lo).max()) / m

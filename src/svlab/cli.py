@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .certificates import default_tau_for_rows, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix

@@ -25,7 +25,6 @@ __all__ = [
     "TailLaw",
     "EnsembleConfig",
     "derive_stream",
-    "sample_entry",
     "sample_matrix",
 ]
 
@@ -115,9 +114,7 @@ class TailLaw:
             return 1.0
         if self.alpha <= 2.0:
             return math.inf
-        if self.kind is LawKind.SYMMETRIC_PARETO:
-            return self.alpha / (self.alpha - 2.0)
-        # Student t with nu > 2 degrees of freedom.
+        # Unit Pareto and Student t with nu = alpha share alpha / (alpha - 2).
         return self.alpha / (self.alpha - 2.0)
 
     @property
@@ -169,43 +166,6 @@ class TailLaw:
         from scipy.stats import t as student_t
 
         return float(2.0 * student_t.sf(t / m, df=self.alpha))
-
-    def truncated_mean(self, cutoff: float) -> float:
-        """E[x * 1{|x| <= cutoff}]; zero for these symmetric laws."""
-        if cutoff <= 0:
-            raise ValueError("cutoff must be > 0")
-        return 0.0
-
-    def tail_second_moment(self, cutoff: float) -> float:
-        """E[x^2 * 1{|x| > cutoff}].
-
-        This is the second moment of the recentred remainder produced by
-        ``certificates.truncate_recenter`` (the truncated mean vanishes by
-        symmetry). Infinite when alpha <= 2.
-        """
-        if cutoff <= 0:
-            raise ValueError("cutoff must be > 0")
-        m = self.multiplier
-        u = cutoff / m
-        if self.kind is LawKind.SYMMETRIC_PARETO:
-            if self.alpha <= 2.0:
-                return math.inf
-            full = self.alpha / (self.alpha - 2.0)
-            if u <= 1.0:
-                return m**2 * full
-            return m**2 * full * u ** (2.0 - self.alpha)
-        if self.kind is LawKind.GAUSSIAN:
-            from scipy.stats import norm
-
-            # E[Z^2 1{|Z|>u}] = 2*(u*phi(u) + sf(u)) for standard normal Z.
-            return m**2 * float(2.0 * (u * norm.pdf(u) + norm.sf(u)))
-        if self.alpha <= 2.0:
-            return math.inf
-        from scipy.integrate import quad
-        from scipy.stats import t as student_t
-
-        val, _ = quad(lambda s: 2.0 * s * s * student_t.pdf(s, df=self.alpha), u, math.inf)
-        return m**2 * float(val)
 
     def sample(self, stream: Generator, size: tuple[int, ...] | int) -> np.ndarray:
         """Draw samples, consuming the stream deterministically.
@@ -261,11 +221,6 @@ def derive_stream(seed: int, trial_index: int) -> Generator:
         raise ValueError("trial_index must be in [0, 2**64)")
     key = np.array([seed, trial_index], dtype=np.uint64)
     return Generator(Philox(key=key))
-
-
-def sample_entry(law: TailLaw, stream: Generator) -> float:
-    """Single draw; consumes the stream exactly like one entry of sample()."""
-    return float(law.sample(stream, 1)[0])
 
 
 def sample_matrix(config: EnsembleConfig) -> np.ndarray:

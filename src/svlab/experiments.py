@@ -22,7 +22,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from . import __version__
 from .certificates import default_tau, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
+from .matrixio import MatrixFormatError
 from .spectra import full_svd
 
 __all__ = [
@@ -317,11 +318,16 @@ def write_records(records: list[TrialRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[TrialRecord]:
+    """Inverse of write_records; a malformed line raises MatrixFormatError naming path:line."""
     out: list[TrialRecord] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
+    with open(path, "rb") as fh:  # bytes, so an undecodable line is named too
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 out.append(TrialRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise MatrixFormatError(f"{path}:{lineno}: not a trial record: {exc}") from exc
     return out
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "cardinality_bound",
     "min_mass_profile",
     "top_mass",
-    "complement_witness",
     "ipr",
     "localization_report",
 ]
@@ -123,27 +122,6 @@ def top_mass(u: np.ndarray, m: int) -> float:
     kept = np.sort(order[n - m :])
     mass = subset_mass(u, kept)
     return mass * mass
-
-
-def complement_witness(u: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-    """Largest low-mass coordinate set: the maximal J (by greedy smallest
-    magnitudes, ties by index) with ||u_J||_2^2 strictly below delta.
-
-    Returns (J sorted ascending, ||u_J||_2^2).
-    """
-    u = _check_unit(u)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    n = u.size
-    order = np.lexsort((np.arange(n), np.abs(u)))
-    sq = u[order] ** 2
-    running = np.cumsum(sq)
-    take = int(np.searchsorted(running, delta, side="left"))
-    # running[take-1] < delta <= running[take]; greedy order is optimal since
-    # any other set of the same size has at least this mass.
-    kept = np.sort(order[:take])
-    mass_sq = float(running[take - 1]) if take > 0 else 0.0
-    return kept, mass_sq
 
 
 def ipr(u: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 The factorization itself is delegated to LAPACK; this module owns the
 contracts around it: residual verification against the normal equations,
-a deterministic sign convention, near-degeneracy flags, and minors.
+a deterministic sign convention, near-degeneracy flags, and the operator
+norm.
 
 Conventions. Singular values are reported in descending order
 s_1 >= ... >= s_n for an N x n matrix with N >= n >= 2. "Bottom vector k"
@@ -19,13 +20,8 @@ import numpy as np
 __all__ = [
     "SpectralError",
     "SpectralResult",
-    "MinorSpec",
     "full_svd",
-    "smallest_singular_value",
-    "kth_smallest",
-    "take_minor",
     "operator_norm",
-    "column_minor",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -68,23 +64,6 @@ class SpectralResult:
     @property
     def s_top(self) -> float:
         return float(self.singular_values[0])
-
-
-@dataclass(frozen=True)
-class MinorSpec:
-    """Kept index sets for a submatrix; both must be sorted, unique, nonempty."""
-
-    kept_rows: tuple[int, ...]
-    kept_cols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name, idx in (("kept_rows", self.kept_rows), ("kept_cols", self.kept_cols)):
-            if len(idx) == 0:
-                raise ValueError(f"{name} must be nonempty")
-            if any(not isinstance(i, int) or i < 0 for i in idx):
-                raise ValueError(f"{name} must contain nonnegative integers")
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
 
 
 def _validate_tall(x: np.ndarray) -> np.ndarray:
@@ -165,107 +144,11 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) 
     )
 
 
-def smallest_singular_value(x: np.ndarray) -> float:
-    """s_min(X) = min over unit u of ||X u||_2."""
-    return full_svd(x, k_bottom=1).s_min
-
-
-def kth_smallest(x: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """(k-th smallest singular value, its right singular vector).
-
-    k = 1 reproduces smallest_singular_value exactly (same code path).
-    """
-    res = full_svd(x, k_bottom=k)
-    return float(res.singular_values[res.singular_values.shape[0] - k]), res.bottom_right_vectors[k - 1]
-
-
-def take_minor(x: np.ndarray, spec: MinorSpec) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    rows, cols = x.shape
-    if spec.kept_rows[-1] >= rows or spec.kept_cols[-1] >= cols:
-        raise ValueError(
-            f"minor indices out of range for shape {x.shape}: "
-            f"rows up to {spec.kept_rows[-1]}, cols up to {spec.kept_cols[-1]}"
-        )
-    return x[np.ix_(spec.kept_rows, spec.kept_cols)]
-
-
-def operator_norm(
-    x: np.ndarray,
-    tolerance: float = 1e-10,
-    max_iterations: int = 50000,
-) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Deterministic. Starts from the all-ones vector; since an unlucky start
-    can sit in an invariant subspace below the top (or in the kernel), a
-    converged value smaller than the max column norm triggers a restart
-    from the basis vector of the largest column. The Rayleigh quotient is
-    monotone under power iteration and that restart begins at the max
-    column norm squared, so it cannot land below the certified lower
-    bound. If the iteration cap is hit without a certified value, the
-    bracket [max column norm, sqrt(cols) * max column norm] is used and
-    its midpoint returned.
-    """
+def operator_norm(x: np.ndarray) -> float:
+    """Largest singular value ||X||_2 of any nonempty finite matrix."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ValueError(f"expected a nonempty 2-D array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix entries must all be finite")
-    rows, cols = x.shape
-    # Iterate on the smaller side; the nonzero spectrum of X^T X and X X^T agree.
-    a = x if cols <= rows else x.T
-    dim = a.shape[1]
-
-    col_sq = np.einsum("ij,ij->j", a, a)
-    max_col_sq = float(col_sq.max())
-    if max_col_sq == 0.0:
-        return 0.0
-
-    def gram(v: np.ndarray) -> np.ndarray:
-        return a.T @ (a @ v)
-
-    def iterate(v0: np.ndarray) -> tuple[float, bool]:
-        """Returns (best Rayleigh quotient, certified?)."""
-        w = gram(v0)
-        lam = 0.0
-        if float(np.linalg.norm(w)) == 0.0:
-            return 0.0, False  # start in the kernel
-        for _ in range(max_iterations):
-            v = w / float(np.linalg.norm(w))
-            w = gram(v)
-            lam = float(v @ w)
-            resid = float(np.linalg.norm(w - lam * v))
-            if resid <= tolerance * lam:
-                return lam, True
-        return lam, False
-
-    e_top = np.zeros(dim)
-    e_top[int(np.argmax(col_sq))] = 1.0
-    starts = [np.full(dim, 1.0 / math.sqrt(dim)), e_top]
-
-    best = 0.0
-    for v0 in starts:
-        lam, certified = iterate(v0)
-        best = max(best, lam)
-        if certified and best >= max_col_sq * (1.0 - 1e-9):
-            return math.sqrt(best)
-        if not certified and lam > 0.0:
-            break  # cap hit, do not burn another full iteration budget
-    lo = max(math.sqrt(max_col_sq), math.sqrt(best))
-    hi = math.sqrt(dim * max_col_sq)
-    return 0.5 * (lo + hi)
-
-
-def column_minor(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Submatrix keeping the given columns (sorted unique indices)."""
-    cols = np.asarray(cols, dtype=np.intp)
-    if cols.size == 0:
-        raise ValueError("cols must be nonempty")
-    if np.any(cols < 0) or np.any(cols >= x.shape[1]):
-        raise ValueError("column indices out of range")
-    if np.any(np.diff(cols) <= 0):
-        raise ValueError("column indices must be strictly increasing")
-    return x[:, cols]
+    return float(np.linalg.svd(x, compute_uv=False)[0])

@@ -1,4 +1,4 @@
-"""Certificate soundness, cutoff algebra, window split, diagnostics."""
+"""Certificate soundness, cutoff algebra, heavy-entry census."""
 import math
 
 import numpy as np
@@ -7,16 +7,9 @@ import pytest
 from svlab.certificates import (
     default_tau,
     default_tau_for_rows,
-    empirical_concentration,
-    epsilon_from_log_target,
     heavy_census,
-    minimal_window_bound,
-    seginer_diagnostic,
     small_column_set,
-    sparse_norm_diagnostic,
-    truncate_recenter,
     upper_certificate,
-    window_split,
 )
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.spectra import full_svd
@@ -140,126 +133,3 @@ class TestHeavyCensus:
     def test_c_range(self):
         with pytest.raises(ValueError):
             heavy_census(np.ones((2, 2)), 0.5)
-
-
-class TestWindowSplit:
-    def test_membership_hand_case(self):
-        # scale chosen so x_scaled entries are exactly the values below
-        alpha, eps_n = 1.0, 0.25
-        n_rows = 4
-        factor = float(n_rows) ** (-1.0 / alpha + eps_n)
-        vals = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 7.0, -3.0])
-        x = (vals / factor).reshape(n_rows, 2)
-        ws = window_split(x, alpha, eps_n, window_max=5.0)
-        got = ws.x_window.ravel()
-        want = np.array([0.5, 1.0, 0.0, 0.0, 2.5, 5.0, 0.0, -3.0])
-        assert np.allclose(got, want, atol=1e-12)
-        assert np.array_equal(ws.x_window + ws.x_tail, ws.x_scaled)  # exact partition
-
-    def test_minimal_window_bound_values(self):
-        assert minimal_window_bound(1.0) == pytest.approx(4.0, rel=1e-14)
-        # alpha=1.5, c_upper/c_lower = 2: (2^2.5 * 2)^(1/1.5)
-        assert minimal_window_bound(1.5, 1.0, 2.0) == pytest.approx(
-            (2**2.5 * 2) ** (1 / 1.5), rel=1e-14
-        )
-
-    def test_inadmissible_window_reports_minimum(self):
-        x = np.ones((4, 2))
-        with pytest.raises(ValueError, match="need window_max > 4"):
-            window_split(x, 1.0, 0.5, window_max=3.0)
-        # equality is still inadmissible (strict inequality required)
-        with pytest.raises(ValueError):
-            window_split(x, 1.0, 0.5, window_max=4.0)
-        ws = window_split(x, 1.0, 0.5, window_max=5.0)  # spec default is fine
-        assert ws.window_max == 5.0
-
-    def test_epsilon_range(self):
-        x = np.ones((4, 2))
-        with pytest.raises(ValueError):
-            window_split(x, 2.0, 0.6, window_max=50.0)  # eps >= 1/alpha
-
-
-class TestEpsilonFromLogTarget:
-    def test_equality_route(self):
-        for n_rows, alpha, cp in [(200, 1.2, 1.0), (5000, 0.8, 2.0)]:
-            eps = epsilon_from_log_target(n_rows, alpha, cp)
-            assert n_rows ** (alpha * eps) == pytest.approx(cp * math.log(n_rows), rel=1e-12)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            epsilon_from_log_target(100, 1.0, 0.1)  # 0.1 * ln(100) < 1
-        with pytest.raises(ValueError):
-            epsilon_from_log_target(2, 1.0, 1.0)
-
-
-class TestSparseNormDiagnostic:
-    def test_reference_scale(self):
-        x = _heavy(40, 1.2, seed=8)
-        eps = epsilon_from_log_target(80, 1.2)
-        ws = window_split(x, 1.2, eps, 5.0)
-        d = sparse_norm_diagnostic(ws)
-        assert d.reference_scale == pytest.approx(80 ** (1.2 * eps / 2), rel=1e-12)
-        assert d.ratio == pytest.approx(d.window_norm / d.reference_scale, rel=1e-12)
-        assert d.in_regime
-
-    def test_out_of_regime_flag(self):
-        x = _heavy(40, 1.2, seed=8)
-        ws = window_split(x, 1.2, 0.01, 5.0)  # tiny eps: density below log target
-        assert not sparse_norm_diagnostic(ws, c_prime=1.0).in_regime
-
-
-class TestSeginer:
-    def test_single_heavy_column(self):
-        x = np.zeros((5, 3))
-        x[:, 1] = 2.0
-        d = seginer_diagnostic(x)
-        assert d.max_col_norm == pytest.approx(2 * math.sqrt(5), rel=1e-12)
-        assert d.ratio == pytest.approx(1.0, rel=1e-10)
-
-    def test_ratio_at_least_one(self):
-        for seed in range(5):
-            x = _heavy(30, 1.0, seed=seed)
-            assert seginer_diagnostic(x).ratio >= 1 - 1e-9
-
-
-class TestTruncateRecenter:
-    def test_bounded_entries_and_moment(self):
-        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=3.0)
-        x = sample_matrix(EnsembleConfig(n=50, aspect=2.0, law=law, seed=21))
-        xt, theta2 = truncate_recenter(x, 2.0, law)
-        assert float(np.abs(xt).max()) <= 2.0
-        assert theta2 == pytest.approx(1.5, rel=1e-12)  # closed form for this law
-        # zeroed entries are exactly the ones above the cutoff
-        assert np.array_equal(xt == 0.0, np.abs(x) > 2.0)
-
-    def test_infinite_moment_below_two(self):
-        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=1.5)
-        _, theta2 = truncate_recenter(np.ones((3, 2)), 5.0, law)
-        assert math.isinf(theta2)
-
-
-class TestEmpiricalConcentration:
-    def test_point_mass(self):
-        assert empirical_concentration(np.zeros(500), 0.1) == 1.0
-
-    def test_two_atoms(self):
-        s = np.array([-1.0, 1.0] * 200)
-        assert empirical_concentration(s, 0.5) == 0.5
-        assert empirical_concentration(s, 2.5) == 1.0
-
-    def test_uniform_window(self):
-        rng = np.random.default_rng(15)
-        s = rng.uniform(0, 1, 20_000)
-        q = empirical_concentration(s, 0.05)
-        assert 0.09 <= q <= 0.13  # window width 0.1, plus max bias
-
-    def test_matches_quadratic_oracle(self):
-        rng = np.random.default_rng(16)
-        s = rng.standard_normal(300)
-        t = 0.3
-        brute = max(np.sum(np.abs(s - c) <= t) for c in s) / s.size
-        assert empirical_concentration(s, t) == brute
-
-    def test_sample_size_guard(self):
-        with pytest.raises(ValueError):
-            empirical_concentration(np.zeros(99), 0.1)

@@ -2,7 +2,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from svlab.cli import main
@@ -309,6 +308,24 @@ class TestReport:
         path.write_text("")
         assert main(["report", "--records", str(path), "--kind", "kth",
                      "--out-dir", str(tmp_path / "rep")]) == 1
+
+    @pytest.mark.parametrize("bad", [b"{not json\n", b'{"alpha": "\xc3\n'])
+    def test_bad_json_line_is_io(self, sweep_records, tmp_path, capsys, bad):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(sweep_records.read_bytes() + bad)
+        lineno = path.read_bytes().count(b"\n")
+        assert main(["report", "--records", str(path), "--kind", "kth",
+                     "--out-dir", str(tmp_path / "rep")]) == 3
+        assert f"i/o error: {path}:{lineno}:" in capsys.readouterr().err
+
+    def test_missing_fields_is_io(self, sweep_records, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"alpha": 1.2, "n": 24}\n' + sweep_records.read_text())
+        assert main(["report", "--records", str(path), "--kind", "kth",
+                     "--out-dir", str(tmp_path / "rep")]) == 3
+        err = capsys.readouterr().err
+        assert f"i/o error: {path}:1:" in err
+        assert "Traceback" not in err
 
 
 class TestPlot:

@@ -10,7 +10,6 @@ from svlab.ensemble import (
     LawKind,
     TailLaw,
     derive_stream,
-    sample_entry,
     sample_matrix,
 )
 
@@ -173,31 +172,6 @@ class TestVarianceNormalization:
             TailLaw(LawKind.STUDENT_T, alpha=2.0, normalize_variance=True)
 
 
-class TestTailSecondMoment:
-    def test_pareto_closed_form(self):
-        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=3.0)
-        # integral of 3 t^-2 from 2 to inf = 3/2
-        assert law.tail_second_moment(2.0) == pytest.approx(1.5, rel=1e-14)
-        assert law.tail_second_moment(0.5) == 3.0  # cutoff below support keeps everything
-        assert math.isinf(TailLaw(LawKind.SYMMETRIC_PARETO, alpha=1.5).tail_second_moment(2.0))
-
-    def test_gaussian_matches_quadrature(self):
-        from scipy.integrate import quad
-
-        law = TailLaw(LawKind.GAUSSIAN)
-        want, _ = quad(lambda s: 2 * s * s * norm.pdf(s), 1.0, np.inf)
-        assert law.tail_second_moment(1.0) == pytest.approx(want, rel=1e-10)
-
-    def test_student_matches_sampling(self):
-        law = TailLaw(LawKind.STUDENT_T, alpha=5.0)
-        s = law.sample(derive_stream(77, 0), 400_000)
-        emp = float(np.mean(np.where(np.abs(s) > 2.0, s**2, 0.0)))
-        assert law.tail_second_moment(2.0) == pytest.approx(emp, rel=0.1)
-
-    def test_truncated_mean_is_zero(self):
-        assert PARETO_15.truncated_mean(3.0) == 0.0
-
-
 class TestValidation:
     def test_alpha_positive(self):
         with pytest.raises(ValueError):
@@ -245,11 +219,11 @@ class TestSampleMatrix:
         assert float(x[4, 2]) == 1.4747257378320833
 
     def test_entry_stream_consistency(self):
-        # sample_entry consumes the stream exactly like the first matrix entry
+        # a single draw consumes the stream exactly like the first matrix entry
         cfg = EnsembleConfig(n=5, aspect=2.0, law=PARETO_15, seed=99)
         x = sample_matrix(cfg)
-        e = sample_entry(PARETO_15, derive_stream(99, 0))
-        assert e == float(x[0, 0])
+        e = PARETO_15.sample(derive_stream(99, 0), 1)[0]
+        assert e == x[0, 0]
 
     def test_seed_changes_matrix(self):
         a = sample_matrix(EnsembleConfig(n=5, aspect=2.0, law=PARETO_15, seed=1))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import random_unit
 from svlab.localization import (
     cardinality_bound,
-    complement_witness,
     ipr,
     localization_report,
     min_mass_profile,
@@ -49,12 +48,6 @@ class TestHandValues:
     def test_cardinality_bound_value(self):
         assert cardinality_bound(1.0, 100) == pytest.approx(100 / math.log(100), rel=1e-14)
         assert cardinality_bound(4.0, 100) == pytest.approx(25 / math.log(100), rel=1e-14)
-
-    def test_complement_witness_uniform(self):
-        u = np.full(100, 0.1)
-        kept, mass_sq = complement_witness(u, 0.25)
-        assert kept.size == 24
-        assert mass_sq == pytest.approx(0.24, rel=1e-12)
 
     def test_ipr_extremes(self):
         assert ipr(np.full(100, 0.1)) == pytest.approx(0.01, rel=1e-12)
@@ -107,21 +100,6 @@ class TestBruteForceOracle:
                     for comb in itertools.combinations(range(n), m)
                 )
                 assert mass == brute  # same float, same summation primitive
-
-    def test_complement_witness_maximal(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            n = int(rng.integers(4, 12))
-            u = random_unit(rng, n)
-            delta = float(rng.uniform(0.05, 0.95))
-            kept, mass_sq = complement_witness(u, delta)
-            assert mass_sq < delta
-            # maximality: adding the next-smallest coordinate reaches delta
-            rest = np.setdiff1d(np.arange(n), kept)
-            if rest.size and kept.size < n:
-                nxt = rest[np.argmin(np.abs(u[rest]))]
-                grown = np.sort(np.append(kept, nxt))
-                assert subset_mass(u, grown) ** 2 >= delta
 
 
 class TestInvariants:

@@ -1,19 +1,11 @@
-"""Spectral contracts: residuals, ordering, sign convention, minors, norms."""
+"""Spectral contracts: residuals, ordering, sign convention, norms."""
 import math
 
 import numpy as np
 import pytest
 
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
-from svlab.spectra import (
-    MinorSpec,
-    SpectralError,
-    full_svd,
-    kth_smallest,
-    operator_norm,
-    smallest_singular_value,
-    take_minor,
-)
+from svlab.spectra import SpectralError, full_svd, operator_norm
 
 
 def _random_matrices(count=20, seed=5150):
@@ -46,17 +38,18 @@ class TestHandExamples:
 
     def test_diagonal(self):
         x = np.vstack([np.diag([3.0, 1.0]), np.zeros((2, 2))])
-        val, vec = kth_smallest(x, 1)
-        assert val == 1.0
-        assert np.allclose(vec, [0.0, 1.0], atol=1e-14)
-        val2, vec2 = kth_smallest(x, 2)
-        assert val2 == 3.0
-        assert np.allclose(vec2, [1.0, 0.0], atol=1e-14)
+        res = full_svd(x, k_bottom=2)
+        assert res.singular_values[-1] == 1.0
+        assert np.allclose(res.bottom_right_vectors[0], [0.0, 1.0], atol=1e-14)
+        assert res.singular_values[-2] == 3.0
+        assert np.allclose(res.bottom_right_vectors[1], [1.0, 0.0], atol=1e-14)
 
     def test_smallest_equals_k1(self):
+        # s_min and the bottom vector do not depend on how many vectors are kept.
         for x in _random_matrices(6):
-            v1, _ = kth_smallest(x, 1)
-            assert v1 == smallest_singular_value(x)
+            one, two = full_svd(x, k_bottom=1), full_svd(x, k_bottom=2)
+            assert one.s_min == two.s_min
+            assert np.array_equal(one.bottom_right_vectors[0], two.bottom_right_vectors[0])
 
     def test_zero_matrix(self):
         res = full_svd(np.zeros((4, 3)), k_bottom=3)
@@ -91,7 +84,7 @@ class TestContracts:
             EnsembleConfig(n=8, aspect=2.0, law=TailLaw(LawKind.GAUSSIAN), seed=77)
         )
         for k in (1, 2, 3):
-            val, _ = kth_smallest(x, k)
+            val = full_svd(x, k_bottom=k).singular_values[-k]
             best = 0.0
             for _ in range(2000):
                 q, _ = np.linalg.qr(rng.standard_normal((8, 8 - k + 1)))
@@ -216,28 +209,6 @@ class TestValidation:
     def test_spectral_error_has_residual_field(self):
         err = SpectralError("boom", worst_residual=3.5)
         assert err.worst_residual == 3.5
-
-
-class TestMinor:
-    def test_hand_minor(self):
-        x = np.arange(12.0).reshape(4, 3)
-        m = take_minor(x, MinorSpec(kept_rows=(0, 2), kept_cols=(1, 2)))
-        assert np.array_equal(m, [[1.0, 2.0], [7.0, 8.0]])
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MinorSpec(kept_rows=(), kept_cols=(0,))
-        with pytest.raises(ValueError):
-            MinorSpec(kept_rows=(2, 1), kept_cols=(0,))
-        with pytest.raises(ValueError):
-            MinorSpec(kept_rows=(0, 0), kept_cols=(0,))
-        with pytest.raises(ValueError):
-            MinorSpec(kept_rows=(-1,), kept_cols=(0,))
-
-    def test_out_of_range(self):
-        x = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            take_minor(x, MinorSpec(kept_rows=(0, 3), kept_cols=(0,)))
 
 
 class TestOperatorNorm:
