@@ -172,6 +172,28 @@ class TestVarianceNormalization:
             TailLaw(LawKind.STUDENT_T, alpha=2.0, normalize_variance=True)
 
 
+class TestTailSecondMoment:
+    # The tail above a cutoff below the support is the whole second moment.
+    def test_pareto_closed_form(self):
+        # integral of alpha t^(1 - alpha) from 1 to inf = alpha / (alpha - 2)
+        assert TailLaw(LawKind.SYMMETRIC_PARETO, alpha=3.0).second_moment() == 3.0
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=5.0, scale=2.0)
+        assert law.second_moment() == pytest.approx(4.0 * 5.0 / 3.0, rel=1e-14)
+        assert math.isinf(PARETO_15.second_moment())
+
+    def test_gaussian_matches_quadrature(self):
+        from scipy.integrate import quad
+
+        law = TailLaw(LawKind.GAUSSIAN)
+        want, _ = quad(lambda s: 2 * s * s * norm.pdf(s), 0.0, np.inf)
+        assert law.second_moment() == pytest.approx(want, rel=1e-10)
+
+    def test_student_matches_sampling(self):
+        law = TailLaw(LawKind.STUDENT_T, alpha=5.0)
+        s = law.sample(derive_stream(77, 0), 400_000)
+        assert law.second_moment() == pytest.approx(float(np.mean(s**2)), rel=0.1)
+
+
 class TestValidation:
     def test_alpha_positive(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Spectral contracts: residuals, ordering, sign convention, norms."""
+"""Spectral contracts: residuals, ordering, sign convention, minors, norms."""
 import math
 
 import numpy as np
 import pytest
 
+from svlab.certificates import upper_certificate
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.spectra import SpectralError, full_svd, operator_norm
 
@@ -209,6 +210,17 @@ class TestValidation:
     def test_spectral_error_has_residual_field(self):
         err = SpectralError("boom", worst_residual=3.5)
         assert err.worst_residual == 3.5
+
+
+class TestMinor:
+    def test_hand_minor(self):
+        # Columns 0 and 1 stay below tau = 5; their minor is diag(3, 4) padded.
+        x = np.array([[3.0, 0.0, 9.0], [0.0, 4.0, 9.0], [0.0, 0.0, 9.0], [0.0, 0.0, 9.0]])
+        rep = upper_certificate(x, 5.0)
+        assert rep.columns == [0, 1]
+        assert rep.minor_op_norm == 4.0
+        assert rep.minor_smin == 3.0
+        assert rep.certified_upper == 3.0
 
 
 class TestOperatorNorm:
