@@ -21,7 +21,9 @@ from . import __version__
 from .certificates import default_tau_for_rows, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .experiments import (
+    KthVectorRow,
     SweepConfig,
+    TransitionRow,
     baiyin_check,
     bracket_check,
     fit_scaling,
@@ -29,6 +31,7 @@ from .experiments import (
     read_records,
     run_sweep,
     transition_scan,
+    write_csv,
     write_fits,
     write_manifest,
     write_records,
@@ -56,21 +59,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, kind: type = float) -> list:
     try:
-        vals = [float(p) for p in text.split(",") if p.strip() != ""]
+        vals = [kind(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}") from exc
-    if not vals:
-        raise UsageError(f"empty list: {text!r}")
-    return vals
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        vals = [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated int list, got {text!r}") from exc
+        raise UsageError(f"expected a comma-separated {kind.__name__} list, got {text!r}") from exc
     if not vals:
         raise UsageError(f"empty list: {text!r}")
     return vals
@@ -150,8 +143,8 @@ def cmd_spectra(args) -> int:
 
 def cmd_localize(args) -> int:
     x = load_matrix(args.input)
-    c_grid = _float_list(args.c_grid)
-    epsilons = _float_list(args.epsilons)
+    c_grid = _number_list(args.c_grid)
+    epsilons = _number_list(args.epsilons)
     res = full_svd(x, k_bottom=args.k)
     config = {
         "command": "localize",
@@ -218,7 +211,7 @@ def cmd_certify(args) -> int:
 def _config_from_file(path: str, args) -> SweepConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MatrixFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: sweep config must be a JSON object")
@@ -227,22 +220,12 @@ def _config_from_file(path: str, args) -> SweepConfig:
     if unknown:
         raise UsageError(f"unknown sweep config keys: {', '.join(unknown)}")
     # Flags win over file values.
-    overrides = {
-        "alphas": tuple(args.alphas) if args.alphas else None,
-        "ns": tuple(args.ns) if args.ns else None,
-        "aspect": args.aspect,
-        "trials_per_cell": args.trials_per_cell,
-        "base_seed": args.base_seed,
-        "k_vectors": args.k_vectors,
-        "law_kind": _LAW_NAMES[args.law].value if args.law else None,
-    }
     merged = dict(raw)
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
-    for key in ("alphas", "ns", "c_grid", "epsilons", "tau_params"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
+    for key in ("alphas", "ns", "aspect", "trials_per_cell", "base_seed", "k_vectors"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    if args.law:
+        merged["law_kind"] = _LAW_NAMES[args.law].value
     try:
         return SweepConfig(**merged)
     except TypeError as exc:
@@ -278,15 +261,6 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def cmd_report(args) -> int:
     records = read_records(args.records)
     if not records:
@@ -308,13 +282,10 @@ def cmd_report(args) -> int:
 
     if args.kind == "transition":
         table = transition_scan(records, args.c, args.epsilon, args.delta)
-        _write_csv(
+        write_csv(
             out_dir / "transition.csv",
-            ["alpha", "n", "trials", "used", "median_threshold_mass", "median_min_mass",
-             "theorem_mass_fraction", "median_ipr"],
-            [[repr(r.alpha), r.n, r.trials, r.used, repr(r.median_threshold_mass),
-              repr(r.median_min_mass), repr(r.theorem_mass_fraction), repr(r.median_ipr)]
-             for r in table.rows],
+            [f.name for f in dataclasses.fields(TransitionRow)],
+            [dataclasses.astuple(r) for r in table.rows],
         )
         n_star = max(r.n for r in table.rows)
         rows = sorted([r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)],
@@ -347,17 +318,17 @@ def cmd_report(args) -> int:
             "slope_corrected": fit.slope_corrected,
             "residual_sse": fit.residual_sse,
         }
-        rows = [[n, repr(m)] for n, m in zip(fit.ns, fit.medians)]
+        rows = [[n, m] for n, m in zip(fit.ns, fit.medians)]
         if 0 < fit.alpha < 2:
             bracket = bracket_check(fit, floor_coeff=args.floor, slack=args.slack)
             summary["bracket"] = dataclasses.asdict(bracket)
             ratio_by_n = dict(bracket.envelope_ratios)
             for row in rows:
-                row.append(repr(ratio_by_n[row[0]]))
+                row.append(ratio_by_n[row[0]])
             header = ["n", "median_s_min", "envelope_ratio"]
         else:
             header = ["n", "median_s_min"]
-        _write_csv(out_dir / "scaling.csv", header, rows)
+        write_csv(out_dir / "scaling.csv", header, rows)
         fit_ys = [math.exp(fit.intercept) * n**fit.slope for n in fit.ns]
         svg = line_chart(
             [
@@ -374,10 +345,10 @@ def cmd_report(args) -> int:
     elif args.kind == "baiyin":
         rep = baiyin_check(records)
         summary = dataclasses.asdict(rep)
-        _write_csv(
+        write_csv(
             out_dir / "baiyin.csv",
             ["n", "mean_ratio", "limit"],
-            [[n, repr(v), repr(rep.limit)] for n, v in rep.per_n],
+            [[n, v, rep.limit] for n, v in rep.per_n],
         )
         if len(rep.per_n) >= 2:
             svg = line_chart(
@@ -393,13 +364,10 @@ def cmd_report(args) -> int:
             (out_dir / "baiyin.svg").write_text(svg, encoding="ascii")
     elif args.kind == "kth":
         rows = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
-        _write_csv(
+        write_csv(
             out_dir / "kth.csv",
-            ["alpha", "n", "k", "in_regime", "used", "degenerate", "median_value",
-             "median_threshold_mass", "median_min_mass", "median_ipr"],
-            [[repr(r.alpha), r.n, r.k, r.in_regime, r.used, r.degenerate, repr(r.median_value),
-              repr(r.median_threshold_mass), repr(r.median_min_mass), repr(r.median_ipr)]
-             for r in rows],
+            [f.name for f in dataclasses.fields(KthVectorRow)],
+            [dataclasses.astuple(r) for r in rows],
         )
         summary = {"rows": len(rows)}
     else:  # pragma: no cover - argparse choices guard this
@@ -466,8 +434,9 @@ def build_parser() -> _Parser:
     w.add_argument("--config", required=True, help="JSON file with SweepConfig fields")
     w.add_argument("--out-dir", required=True)
     w.add_argument("--workers", type=int, default=1)
-    w.add_argument("--alphas", type=_float_list, default=None, help="override, comma separated")
-    w.add_argument("--ns", type=_int_list, default=None, help="override, comma separated")
+    w.add_argument("--alphas", type=_number_list, default=None, help="override, comma separated")
+    w.add_argument("--ns", type=lambda text: _number_list(text, int), default=None,
+                   help="override, comma separated")
     w.add_argument("--aspect", type=float, default=None)
     w.add_argument("--trials-per-cell", type=int, default=None)
     w.add_argument("--base-seed", type=int, default=None)

@@ -51,6 +51,7 @@ __all__ = [
     "write_summary",
     "write_fits",
     "write_manifest",
+    "write_csv",
     "fit_scaling",
     "bracket_check",
     "transition_scan",
@@ -88,7 +89,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "law_kind", LawKind(self.law_kind))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "ns", tuple(self.ns))
+        if type(self.aspect) is int:  # trial seeds key on repr(aspect): 2 must read as 2.0
+            object.__setattr__(self, "aspect", float(self.aspect))
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "tau_params", tuple(float(t) for t in self.tau_params))
@@ -109,19 +112,8 @@ class SweepConfig:
             errs.append("alphas must be distinct")
         if not self.ns:
             errs.append("ns must be nonempty")
-        for n in self.ns:
-            if n < 2:
-                errs.append(f"n {n} must be >= 2")
-        if len(set(self.ns)) != len(self.ns):
-            errs.append("ns must be distinct")
         if not (self.aspect > 1.0 and math.isfinite(self.aspect)):
             errs.append(f"aspect {self.aspect} must be finite and > 1")
-        if self.trials_per_cell < 1:
-            errs.append("trials_per_cell must be >= 1")
-        if not (0 <= self.base_seed < 2**64):
-            errs.append("base_seed must be in [0, 2**64)")
-        if self.ns and not (1 <= self.k_vectors <= min(self.ns)):
-            errs.append(f"k_vectors must be in [1, min(ns)={min(self.ns)}]")
         if not self.c_grid or any(c <= 0 or not math.isfinite(c) for c in self.c_grid):
             errs.append("c_grid must be nonempty with finite positive entries")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
@@ -130,6 +122,24 @@ class SweepConfig:
             errs.append("tau_params must be two positive numbers (b_frak, a_frak)")
         if not (0.0 < self.census_c < 0.5):
             errs.append("census_c must be in (0, 1/2)")
+        names = ("trials_per_cell", "base_seed", "k_vectors", "max_trials")
+        integers = [(name, getattr(self, name)) for name in names]
+        integers += [("n", n) for n in self.ns]
+        # An exact type test, since bool is a subclass of int.
+        not_int = [f"{name} {v!r} must be an integer" for name, v in integers if type(v) is not int]
+        if not_int:
+            return errs + not_int  # the range checks below compare these as integers
+        for n in self.ns:
+            if n < 2:
+                errs.append(f"n {n} must be >= 2")
+        if len(set(self.ns)) != len(self.ns):
+            errs.append("ns must be distinct")
+        if self.trials_per_cell < 1:
+            errs.append("trials_per_cell must be >= 1")
+        if not (0 <= self.base_seed < 2**64):
+            errs.append("base_seed must be in [0, 2**64)")
+        if self.ns and not (1 <= self.k_vectors <= min(self.ns)):
+            errs.append(f"k_vectors must be in [1, min(ns)={min(self.ns)}]")
         if self.max_trials < 1:
             errs.append("max_trials must be >= 1")
         total = len(self.alphas) * len(self.ns) * max(self.trials_per_cell, 0)
@@ -146,8 +156,6 @@ class SweepConfig:
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["law_kind"] = self.law_kind.value
-        for key in ("alphas", "ns", "c_grid", "epsilons", "tau_params"):
-            d[key] = list(d[key])
         return d
 
 
@@ -331,8 +339,12 @@ def read_records(path: str | Path) -> list[TrialRecord]:
     return out
 
 
-def _cell_key(rec: TrialRecord) -> tuple[float, int]:
-    return (rec.alpha, rec.n)
+def _by_cell(records: list[TrialRecord]) -> dict[tuple[float, int], list[TrialRecord]]:
+    """Records grouped by their (alpha, n) cell, in input order within a cell."""
+    cells: dict[tuple[float, int], list[TrialRecord]] = {}
+    for rec in records:
+        cells.setdefault((rec.alpha, rec.n), []).append(rec)
+    return cells
 
 
 def _loc_entry(rec: TrialRecord, k: int, c: float) -> dict:
@@ -349,58 +361,60 @@ def _profile_value(entry: dict, epsilon: float) -> float:
     raise KeyError(f"epsilon {epsilon} not in stored profile")
 
 
-def write_summary(records: list[TrialRecord], path: str | Path) -> None:
-    """Long-format CSV: one row per cell per statistic."""
-    cells: dict[tuple[float, int], list[TrialRecord]] = {}
-    for rec in records:
-        cells.setdefault(_cell_key(rec), []).append(rec)
-
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """One header line, then one line per row; csv writes floats as their shortest repr."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["alpha", "n", "aspect", "statistic", "value"])
-        for (alpha, n) in sorted(cells):
-            recs = cells[(alpha, n)]
-            aspect = recs[0].aspect
-            rows: list[tuple[str, float]] = [
-                ("trials", float(len(recs))),
-                ("median_s_min", float(np.median([r.s_min for r in recs]))),
-                ("median_s_top", float(np.median([r.s_top for r in recs]))),
-                ("median_heavy_count", float(np.median([r.heavy_count for r in recs]))),
-                (
-                    "degenerate_fraction",
-                    float(np.mean([r.degenerate_flags[0] for r in recs])),
-                ),
-                (
-                    "certificate_valid_fraction",
-                    float(np.mean([r.certificate["valid"] for r in recs])),
-                ),
-            ]
-            finite_uppers = [
-                r.certificate["certified_upper"]
-                for r in recs
-                if math.isfinite(r.certificate["certified_upper"])
-            ]
-            if finite_uppers:
-                rows.append(("median_certified_upper", float(np.median(finite_uppers))))
-            k_vectors = len(recs[0].kth_values)
-            for k in range(2, k_vectors + 1):
-                rows.append(
-                    (f"median_s_bottom_{k}", float(np.median([r.kth_values[k - 1] for r in recs])))
-                )
-            first = recs[0].localization
-            cs = sorted({e["c"] for e in first if e["k"] == 1})
-            epss = [eps for eps, _ in first[0]["min_mass_profile"]]
-            for c in cs:
-                vals = [_loc_entry(r, 1, c)["threshold_mass"] for r in recs]
-                rows.append((f"median_threshold_mass_c={c:g}", float(np.median(vals))))
-            for eps in epss:
-                vals = [_profile_value(_loc_entry(r, 1, cs[0]), eps) for r in recs]
-                rows.append((f"median_min_mass_eps={eps:g}", float(np.median(vals))))
-            rows.append(
-                ("median_ipr", float(np.median([_loc_entry(r, 1, cs[0])["ipr"] for r in recs])))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary(records: list[TrialRecord], path: str | Path) -> None:
+    """Long-format CSV: one row per cell per statistic."""
+    cells = _by_cell(records)
+    rows: list[list] = []
+    for (alpha, n) in sorted(cells):
+        recs = cells[(alpha, n)]
+        stats: list[tuple[str, float]] = [
+            ("trials", float(len(recs))),
+            ("median_s_min", float(np.median([r.s_min for r in recs]))),
+            ("median_s_top", float(np.median([r.s_top for r in recs]))),
+            ("median_heavy_count", float(np.median([r.heavy_count for r in recs]))),
+            (
+                "degenerate_fraction",
+                float(np.mean([r.degenerate_flags[0] for r in recs])),
+            ),
+            (
+                "certificate_valid_fraction",
+                float(np.mean([r.certificate["valid"] for r in recs])),
+            ),
+        ]
+        finite_uppers = [
+            r.certificate["certified_upper"]
+            for r in recs
+            if math.isfinite(r.certificate["certified_upper"])
+        ]
+        if finite_uppers:
+            stats.append(("median_certified_upper", float(np.median(finite_uppers))))
+        k_vectors = len(recs[0].kth_values)
+        for k in range(2, k_vectors + 1):
+            stats.append(
+                (f"median_s_bottom_{k}", float(np.median([r.kth_values[k - 1] for r in recs])))
             )
-            for stat, value in rows:
-                writer.writerow([repr(alpha), n, repr(aspect), stat, repr(value)])
+        first = recs[0].localization
+        cs = sorted({e["c"] for e in first if e["k"] == 1})
+        epss = [eps for eps, _ in first[0]["min_mass_profile"]]
+        for c in cs:
+            vals = [_loc_entry(r, 1, c)["threshold_mass"] for r in recs]
+            stats.append((f"median_threshold_mass_c={c:g}", float(np.median(vals))))
+        for eps in epss:
+            vals = [_profile_value(_loc_entry(r, 1, cs[0]), eps) for r in recs]
+            stats.append((f"median_min_mass_eps={eps:g}", float(np.median(vals))))
+        stats.append(
+            ("median_ipr", float(np.median([_loc_entry(r, 1, cs[0])["ipr"] for r in recs])))
+        )
+        rows.extend([alpha, n, recs[0].aspect, stat, value] for stat, value in stats)
+    write_csv(path, ["alpha", "n", "aspect", "statistic", "value"], rows)
 
 
 @dataclass
@@ -417,7 +431,11 @@ class ScalingFit:
     residual_sse: float
 
 
-def fit_scaling(records: list[TrialRecord], alpha: float, min_points: int = 3, min_trials: int = 5) -> ScalingFit:
+FIT_MIN_POINTS = 3  # distinct n a scaling fit needs
+FIT_MIN_TRIALS = 5  # trials per n behind each median
+
+
+def fit_scaling(records: list[TrialRecord], alpha: float) -> ScalingFit:
     """Fit median s_min ~ n**slope for one alpha across the swept n.
 
     slope_corrected refits after dividing the medians by
@@ -430,11 +448,11 @@ def fit_scaling(records: list[TrialRecord], alpha: float, min_points: int = 3, m
         if rec.alpha == alpha:
             by_n.setdefault(rec.n, []).append(rec.s_min)
     ns = sorted(by_n)
-    if len(ns) < min_points:
-        raise ValueError(f"need at least {min_points} distinct n for alpha={alpha}, got {len(ns)}")
+    if len(ns) < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} distinct n for alpha={alpha}, got {len(ns)}")
     for n in ns:
-        if len(by_n[n]) < min_trials:
-            raise ValueError(f"need at least {min_trials} trials per n, got {len(by_n[n])} at n={n}")
+        if len(by_n[n]) < FIT_MIN_TRIALS:
+            raise ValueError(f"need at least {FIT_MIN_TRIALS} trials per n, got {len(by_n[n])} at n={n}")
     medians = [float(np.median(by_n[n])) for n in ns]
     if any(m <= 0 for m in medians):
         raise ValueError("nonpositive median smallest singular value; log fit undefined")
@@ -460,22 +478,12 @@ def fit_scaling(records: list[TrialRecord], alpha: float, min_points: int = 3, m
 
 
 def write_fits(fits: list[ScalingFit], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "n_points", "slope", "intercept", "slope_corrected", "residual_sse"]
-        )
-        for f in fits:
-            writer.writerow(
-                [
-                    repr(f.alpha),
-                    len(f.ns),
-                    repr(f.slope),
-                    repr(f.intercept),
-                    "" if f.slope_corrected is None else repr(f.slope_corrected),
-                    repr(f.residual_sse),
-                ]
-            )
+    """One row per fit; a missing slope_corrected is an empty field."""
+    write_csv(
+        path,
+        ["alpha", "n_points", "slope", "intercept", "slope_corrected", "residual_sse"],
+        [[f.alpha, len(f.ns), f.slope, f.intercept, f.slope_corrected, f.residual_sse] for f in fits],
+    )
 
 
 def write_manifest(
@@ -587,21 +595,18 @@ def transition_scan(
     c: float,
     epsilon: float,
     delta: float,
-    midpoint: float | None = None,
 ) -> TransitionTable:
     """Localization statistics of the bottom vector per (alpha, n) cell.
 
     Degenerate-gap flagged vectors are excluded from medians (their
     individual coordinates are not well defined) but counted in trials.
     crossing_alpha is the first grid alpha (ascending, at the largest n)
-    whose median min-mass reaches the midpoint, default halfway between
-    the extremes of the observed medians.
+    whose median min-mass reaches the midpoint, halfway between the
+    extremes of the observed medians.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    cells: dict[tuple[float, int], list[TrialRecord]] = {}
-    for rec in records:
-        cells.setdefault(_cell_key(rec), []).append(rec)
+    cells = _by_cell(records)
     rows: list[TransitionRow] = []
     for (alpha, n) in sorted(cells):
         recs = cells[(alpha, n)]
@@ -624,12 +629,10 @@ def transition_scan(
         )
     n_star = max(r.n for r in rows) if rows else 0
     scan_rows = sorted((r for r in rows if r.n == n_star), key=lambda r: r.alpha)
-    crossing = None
-    mid = midpoint
+    crossing = mid = None
     if len(scan_rows) >= 2:
         vals = [r.median_min_mass for r in scan_rows]
-        if mid is None:
-            mid = 0.5 * (min(vals) + max(vals))
+        mid = 0.5 * (min(vals) + max(vals))
         for r in scan_rows:
             if r.median_min_mass >= mid:
                 crossing = r.alpha
@@ -712,9 +715,7 @@ def kth_vector_scan(
     """
     if not (0.0 < regime_b < 0.5):
         raise ValueError(f"regime_b must be in (0, 1/2), got {regime_b}")
-    cells: dict[tuple[float, int], list[TrialRecord]] = {}
-    for rec in records:
-        cells.setdefault(_cell_key(rec), []).append(rec)
+    cells = _by_cell(records)
     rows: list[KthVectorRow] = []
     for (alpha, n) in sorted(cells):
         recs = cells[(alpha, n)]

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .matrixio import _check_matrix
+
 __all__ = [
     "SpectralError",
     "SpectralResult",
@@ -67,14 +69,10 @@ class SpectralResult:
 
 
 def _validate_tall(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {x.shape}")
+    x = _check_matrix(x)
     rows, cols = x.shape
     if cols < 2 or rows < cols:
         raise ValueError(f"need rows >= cols >= 2, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix entries must all be finite")
     return x
 
 
@@ -87,11 +85,11 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) -> SpectralResult:
+def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     """Full singular value decomposition, keeping the bottom k right vectors.
 
     Raises SpectralError (with the worst residual attached) if any stored
-    vector violates ||X^T(X u) - s^2 u|| <= tolerance * s_1^2, or if the
+    vector violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, or if the
     backend fails to converge.
     """
     x = _validate_tall(x)
@@ -113,9 +111,9 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) 
     # X^T(X V) costs 4Nn(k+1) flops; forming the Gram X^T X would cost 2Nn^2.
     residuals = np.linalg.norm(x.T @ (x @ stacked.T) - stacked.T * svals**2, axis=0)
     worst = float(residuals.max())
-    if worst > tolerance * s1 * s1:
+    if worst > RESIDUAL_TOL * s1 * s1:
         raise SpectralError(
-            f"residual {worst:.3e} exceeds {tolerance:.1e} * s1^2 = {tolerance * s1 * s1:.3e}",
+            f"residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * s1^2 = {RESIDUAL_TOL * s1 * s1:.3e}",
             worst_residual=worst,
         )
 
@@ -139,16 +137,12 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, tolerance: float = RESIDUAL_TOL) 
         bottom_right_vectors=bottom,
         top_right_vector=top,
         residuals=residuals,
-        tolerance_used=tolerance,
+        tolerance_used=RESIDUAL_TOL,
         degenerate_flags=flags,
     )
 
 
 def operator_norm(x: np.ndarray) -> float:
     """Largest singular value ||X||_2 of any nonempty finite matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError(f"expected a nonempty 2-D array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix entries must all be finite")
+    x = _check_matrix(x)
     return float(np.linalg.svd(x, compute_uv=False)[0])

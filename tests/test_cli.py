@@ -230,6 +230,31 @@ class TestSweep:
         cfg.write_text("{not json")
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 3
 
+    def test_non_utf8_config_is_io(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"alphas": [1.2]\xff}')
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"i/o error: {cfg}:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials_per_cell", 2.5), ("k_vectors", 1.0), ("base_seed", 1.0), ("ns", [20.7]),
+        ("max_trials", 100.0), ("trials_per_cell", True),
+    ])
+    def test_non_integer_field_is_invalid(self, tmp_path, capsys, key, value):
+        cfg = write_sweep_config(tmp_path / "cfg.json", **{key: value})
+        dest = tmp_path / "d"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_integer_aspect_gives_same_records(self, tmp_path, capsys):
+        d_int, d_float = tmp_path / "int", tmp_path / "float"
+        for dest, aspect in ((d_int, 2), (d_float, 2.0)):
+            cfg = write_sweep_config(tmp_path / f"{dest.name}.json", aspect=aspect)
+            assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 0
+        assert (d_int / "records.jsonl").read_bytes() == (d_float / "records.jsonl").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def sweep_records(tmp_path_factory):

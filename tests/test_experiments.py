@@ -119,6 +119,21 @@ class TestConfig:
         msgs = errs.validation_errors()
         assert len(msgs) >= 8
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials_per_cell", 2.5), ("k_vectors", 1.0), ("base_seed", 1.0), ("ns", (20.7,)),
+        ("max_trials", 100.0), ("base_seed", False),
+    ])
+    def test_integer_fields_reject_non_integers(self, key, value):
+        kwargs = dict(alphas=(1.5,), ns=(20,), aspect=2.0, trials_per_cell=2, base_seed=1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig(**(kwargs | {key: value}))
+
+    def test_integer_aspect_is_the_float_aspect(self):
+        a, b = (SweepConfig(alphas=(1.5,), ns=(20,), aspect=asp, trials_per_cell=1, base_seed=1)
+                for asp in (2, 2.0))
+        assert a == b and repr(a.aspect) == "2.0"
+        assert run_trial(a, 1.5, 20, 0).seed == run_trial(b, 1.5, 20, 0).seed
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             SweepConfig(
@@ -197,10 +212,10 @@ class TestRunSweep:
     def test_failures_collected_not_raised(self, monkeypatch):
         real = ex.full_svd
 
-        def flaky(x, k_bottom=1, tolerance=1e-10):
+        def flaky(x, k_bottom=1):
             if x.shape[1] == 16:
                 raise SpectralError("synthetic non-convergence", worst_residual=1.0)
-            return real(x, k_bottom=k_bottom, tolerance=tolerance)
+            return real(x, k_bottom=k_bottom)
 
         monkeypatch.setattr(ex, "full_svd", flaky)
         recs, fails, _ = run_sweep(SMALL, workers=1)
