@@ -190,6 +190,30 @@ class TestRunTrial:
         rec = run_trial(SMALL, 1.2, 16, 0)
         assert "census" not in rec.certificate["note"]
 
+    @pytest.mark.parametrize("law_kind, alpha, n, note", [
+        ("symmetric_pareto", 1.2, 16, ""),  # auto cutoff
+        ("student_t", 1.5, 16, ""),  # auto cutoff with the law's own c_upper
+        ("symmetric_pareto", 3.0, 16, "finite-variance regime: census cutoff"),
+        ("gaussian", 1.5, 16, "finite-variance regime: census cutoff"),  # label only, no tail bounds
+        ("symmetric_pareto", 1.2, 3,  # N = 6: log budget below 1, census tau kept
+         "no columns below tau; certificate vacuous; auto cutoff infeasible (log budget "
+         "b_frak*ln(N)/(a_frak*c_upper) = 0.8958 <= 1 at N=6; increase n or b_frak); census cutoff used"),
+    ])
+    def test_cutoff_branches(self, law_kind, alpha, n, note):
+        cfg = SweepConfig(alphas=(alpha,), ns=(n,), aspect=2.0, trials_per_cell=1, base_seed=99,
+                          law_kind=law_kind)
+        rec = run_trial(cfg, alpha, n, 0)
+        n_rows = 2 * n
+        if note:
+            expected = n_rows ** 0.4  # N**(1/2 - census_c)
+        else:
+            b_frak, a_frak = cfg.tau_params
+            c_upper = cfg.law_for(alpha).tail_bounds.c_upper
+            expected = (n_rows * a_frak * c_upper / (b_frak * math.log(n_rows))) ** (1 / alpha)
+        assert rec.n_rows == n_rows
+        assert rec.certificate["note"] == note
+        assert rec.certificate["tau"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestRunSweep:
     def test_deterministic_across_workers_and_reruns(self, tmp_path):
@@ -388,6 +412,18 @@ class TestTransitionScan:
         assert low.trials == 7 and low.used == 6
         assert low.median_threshold_mass == 0.95  # degenerate record did not dilute
 
+    def test_all_degenerate_cell_uses_every_vector(self):
+        recs = [
+            synth_record(alpha=1.0, n=100, trial=t, threshold_mass=0.1 * (t + 1),
+                         min_mass=0.2 * (t + 1), ipr=0.05 * (t + 1), degenerate=True)
+            for t in range(3)
+        ]
+        row = transition_scan(recs, c=1.0, epsilon=0.1, delta=0.25).rows[0]
+        assert row.trials == row.used == 3
+        assert row.median_threshold_mass == pytest.approx(0.2)
+        assert row.median_min_mass == pytest.approx(0.4)
+        assert row.median_ipr == pytest.approx(0.1)
+
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             transition_scan(self._records(), c=1.0, epsilon=0.1, delta=1.5)
@@ -445,6 +481,19 @@ class TestKthVectorScan:
         ]
         rows = kth_vector_scan(recs, c=1.0, epsilon=0.1)
         assert rows[0].degenerate == 1 and rows[0].used == 3
+
+    def test_all_degenerate_cell_uses_every_vector(self):
+        recs = [
+            synth_record(alpha=1.2, n=100, trial=t, s_min=float(t + 1), k_vectors=2,
+                         threshold_mass=0.1 * (t + 1), min_mass=0.2 * (t + 1), degenerate=True)
+            for t in range(3)
+        ]
+        rows = kth_vector_scan(recs, c=1.0, epsilon=0.1)
+        assert [(r.k, r.used, r.degenerate) for r in rows] == [(1, 3, 3), (2, 3, 3)]
+        assert rows[0].median_value == pytest.approx(2.0)
+        assert rows[1].median_value == pytest.approx(2.2)
+        assert rows[0].median_threshold_mass == pytest.approx(0.2)
+        assert rows[1].median_min_mass == pytest.approx(0.4)
 
     def test_regime_b_validated(self):
         with pytest.raises(ValueError):
