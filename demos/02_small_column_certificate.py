@@ -14,7 +14,7 @@ from svlab import (
     EnsembleConfig,
     LawKind,
     TailLaw,
-    default_tau,
+    default_tau_for_rows,
     full_svd,
     sample_matrix,
     upper_certificate,
@@ -28,7 +28,7 @@ for n in (200, 400, 800):
     x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=100 + n))
     res = full_svd(x)
 
-    tau = default_tau(n, alpha, aspect=2.0)
+    tau = default_tau_for_rows(x.shape[0], alpha)
     report = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
     assert report.valid, report.note
 

@@ -19,7 +19,6 @@ from .ensemble import (  # noqa: E402,F401
 from .matrixio import (  # noqa: E402,F401
     MatrixFormatError,
     load_matrix,
-    load_matrix_csv,
     save_matrix,
     save_matrix_csv,
 )
@@ -41,7 +40,7 @@ from .localization import (  # noqa: E402,F401
 )
 from .certificates import (  # noqa: E402,F401
     CertificateReport,
-    default_tau,
+    default_tau_for_rows,
     heavy_census,
     small_column_set,
     upper_certificate,

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrixio import _check_matrix
 from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
 
 __all__ = [
     "CertificateReport",
-    "default_tau",
+    "census_cutoff",
     "default_tau_for_rows",
     "small_column_set",
     "upper_certificate",
@@ -36,7 +37,7 @@ class CertificateReport:
     """Outcome of the small-column certificate at cutoff tau.
 
     minor_op_norm and minor_smin come from one verified full_svd of X_J
-    (the column length when |J| = 1); certified_upper is their min. valid
+    (the column length when |J| = 1); certified_upper is minor_smin. valid
     means it is sound against the observed s_min up to CERT_SLACK * s_top;
     with no qualifying columns the bound is vacuous (+inf), valid False.
     """
@@ -81,27 +82,14 @@ def default_tau_for_rows(
     return (n_rows * a_frak * c_upper / (b_frak * math.log(n_rows))) ** (1.0 / alpha)
 
 
-def default_tau(
-    n: int,
-    alpha: float,
-    aspect: float,
-    b_frak: float = 0.5,
-    a_frak: float = 1.0001,
-    c_upper: float = 1.0,
-) -> float:
-    """default_tau_for_rows at N = ceil(aspect * n)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not (aspect > 1.0):
-        raise ValueError(f"aspect must be > 1, got {aspect}")
-    return default_tau_for_rows(math.ceil(aspect * n), alpha, b_frak, a_frak, c_upper)
+def census_cutoff(n_rows: int, c: float) -> float:
+    """The census threshold N**(1/2 - c), N = n_rows."""
+    return float(n_rows) ** (0.5 - c)
 
 
 def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
     """Indices of columns whose max |entry| is <= tau, sorted ascending."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
+    x = _check_matrix(x)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     return np.flatnonzero(np.max(np.abs(x), axis=0) <= tau)
@@ -146,15 +134,14 @@ def upper_certificate(
     else:
         res_j = full_svd(minor, k_bottom=1)
         norm_xj, smin_xj = res_j.s_top, res_j.s_min
-    upper = min(norm_xj, smin_xj)
-    valid = upper >= observed_smin - CERT_SLACK * s_top
+    valid = smin_xj >= observed_smin - CERT_SLACK * s_top
     return CertificateReport(
         tau=float(tau),
         columns=[int(c) for c in cols],
         column_count=int(cols.size),
         minor_op_norm=float(norm_xj),
         minor_smin=float(smin_xj),
-        certified_upper=float(upper),
+        certified_upper=float(smin_xj),
         observed_smin=float(observed_smin),
         valid=bool(valid),
         note="",
@@ -162,11 +149,8 @@ def upper_certificate(
 
 
 def heavy_census(x: np.ndarray, c: float = 0.1) -> int:
-    """Count of entries with |x_ij| > N**(1/2 - c), N the row count."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
+    """Count of entries with |x_ij| above census_cutoff(N, c), N the row count."""
+    x = _check_matrix(x)
     if not (0.0 < c < 0.5):
         raise ValueError(f"c must be in (0, 1/2), got {c}")
-    threshold = float(x.shape[0]) ** (0.5 - c)
-    return int(np.count_nonzero(np.abs(x) > threshold))
+    return int(np.count_nonzero(np.abs(x) > census_cutoff(x.shape[0], c)))

@@ -69,12 +69,12 @@ def _number_list(text: str, kind: type = float) -> list:
     return vals
 
 
-def _emit(obj: dict, path: str | None, stream=None) -> None:
+def _emit(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if path:
         Path(path).write_text(text + "\n", encoding="ascii")
     else:
-        print(text, file=stream or sys.stdout)
+        print(text)
 
 
 def _law_from_args(args) -> TailLaw:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import default_tau, heavy_census, upper_certificate
+from .certificates import census_cutoff, default_tau_for_rows, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
 from .matrixio import MatrixFormatError
@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+def _as_float(v):
+    """v as a float when it is a number (an int or float, not a bool), else v unchanged."""
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid description for one sweep.
@@ -69,7 +74,7 @@ class SweepConfig:
     tau_params = (b_frak, a_frak) feed the auto cutoff for alpha < 2 cells;
     cells with alpha >= 2 fall back to the census cutoff N**(1/2 - census_c).
     normalize_variance applies wherever the law has a finite second moment
-    and is ignored elsewhere.
+    and is ignored elsewhere. Float fields take numbers, never bools or strings.
     """
 
     alphas: tuple[float, ...]
@@ -85,22 +90,37 @@ class SweepConfig:
     census_c: float = 0.1
     normalize_variance: bool = True
     max_trials: int = 10000
+    _FLOATS = ("aspect", "census_c")  # class constants, not fields: they carry no annotation
+    _FLOAT_LISTS = ("alphas", "c_grid", "epsilons", "tau_params")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "law_kind", LawKind(self.law_kind))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "ns", tuple(self.ns))
-        if type(self.aspect) is int:  # trial seeds key on repr(aspect): 2 must read as 2.0
-            object.__setattr__(self, "aspect", float(self.aspect))
-        object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "tau_params", tuple(float(t) for t in self.tau_params))
+        # Trial seeds key on repr(aspect), so an aspect of 2 must read as 2.0.
+        for name in self._FLOATS:
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
+        for name in self._FLOAT_LISTS:
+            if isinstance(getattr(self, name), (list, tuple)):
+                object.__setattr__(self, name, tuple(map(_as_float, getattr(self, name))))
         errors = self.validation_errors()
         if errors:
             raise ValueError("invalid sweep config: " + "; ".join(errors))
 
     def validation_errors(self) -> list[str]:
-        errs: list[str] = []
+        values = [(name, getattr(self, name)) for name in self._FLOAT_LISTS]
+        errs = [f"{name} {v!r} must be a list of numbers" for name, v in values
+                if not (isinstance(v, tuple) and all(type(f) is float for f in v))]
+        errs += [f"{name} {getattr(self, name)!r} must be a number"
+                 for name in self._FLOATS if type(getattr(self, name)) is not float]
+        if type(self.normalize_variance) is not bool:
+            errs.append(f"normalize_variance {self.normalize_variance!r} must be true or false")
+        names = ("trials_per_cell", "base_seed", "k_vectors", "max_trials")
+        integers = [(name, getattr(self, name)) for name in names]
+        integers += [("n", n) for n in self.ns]
+        # An exact type test, since bool is a subclass of int.
+        errs += [f"{name} {v!r} must be an integer" for name, v in integers if type(v) is not int]
+        if errs:
+            return errs  # the range checks below compare these fields as numbers
         if not self.alphas:
             errs.append("alphas must be nonempty")
         for a in self.alphas:
@@ -122,13 +142,6 @@ class SweepConfig:
             errs.append("tau_params must be two positive numbers (b_frak, a_frak)")
         if not (0.0 < self.census_c < 0.5):
             errs.append("census_c must be in (0, 1/2)")
-        names = ("trials_per_cell", "base_seed", "k_vectors", "max_trials")
-        integers = [(name, getattr(self, name)) for name in names]
-        integers += [("n", n) for n in self.ns]
-        # An exact type test, since bool is a subclass of int.
-        not_int = [f"{name} {v!r} must be an integer" for name, v in integers if type(v) is not int]
-        if not_int:
-            return errs + not_int  # the range checks below compare these as integers
         for n in self.ns:
             if n < 2:
                 errs.append(f"n {n} must be >= 2")
@@ -229,20 +242,17 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
             )
             reports.append({"k": k, "c": float(c), **dataclasses.asdict(rep)})
 
-    b_frak, a_frak = config.tau_params
-    note = ""
+    # The census threshold is a bounded-column diagnostic, not a theorem
+    # constant; the polynomial-tail cutoff replaces it wherever it exists.
+    tau = census_cutoff(n_rows, config.census_c)
+    note = "finite-variance regime: census cutoff"
     bounds = law.tail_bounds
-    if not math.isinf(alpha) and alpha < 2.0 and bounds is not None:
+    if alpha < 2.0 and bounds is not None:
         try:
-            tau = default_tau(n, alpha, config.aspect, b_frak, a_frak, bounds.c_upper)
+            tau = default_tau_for_rows(n_rows, alpha, *config.tau_params, bounds.c_upper)
+            note = ""
         except ValueError as exc:
-            tau = float(n_rows) ** (0.5 - config.census_c)
             note = f"auto cutoff infeasible ({exc}); census cutoff used"
-    else:
-        # Finite-variance regime: no polynomial-tail cutoff; use the census
-        # threshold as a bounded-column diagnostic, not a theorem constant.
-        tau = float(n_rows) ** (0.5 - config.census_c)
-        note = "finite-variance regime: census cutoff"
     cert = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
     cert_dict = dataclasses.asdict(cert)
     if note:
@@ -352,6 +362,15 @@ def _loc_entry(rec: TrialRecord, k: int, c: float) -> dict:
         if entry["k"] == k and entry["c"] == c:
             return entry
     raise KeyError(f"no localization entry for k={k}, c={c}")
+
+
+def _median_entries(recs: list[TrialRecord], k: int, c: float) -> tuple[list[tuple], int]:
+    """(record, entry) pairs of vector k at threshold c behind a cell's medians, and how
+    many of its vectors are degenerate-flagged. Flagged vectors, whose coordinates are
+    not well defined, are dropped unless all are: such a cell is reported, not hidden."""
+    pairs = [(r, _loc_entry(r, k, c)) for r in recs]
+    live = [(r, e) for r, e in pairs if not e["degenerate"]]
+    return live or pairs, len(pairs) - len(live)
 
 
 def _profile_value(entry: dict, epsilon: float) -> float:
@@ -610,9 +629,7 @@ def transition_scan(
     rows: list[TransitionRow] = []
     for (alpha, n) in sorted(cells):
         recs = cells[(alpha, n)]
-        entries = [_loc_entry(r, 1, c) for r in recs]
-        live = [e for e in entries if not e["degenerate"]]
-        use = live if live else entries  # all-degenerate cell: report, don't hide
+        use = [e for _, e in _median_entries(recs, 1, c)[0]]
         t_mass = [float(e["threshold_mass"]) for e in use]
         m_mass = [_profile_value(e, epsilon) for e in use]
         rows.append(
@@ -721,9 +738,7 @@ def kth_vector_scan(
         recs = cells[(alpha, n)]
         k_max = len(recs[0].kth_values)
         for k in range(1, k_max + 1):
-            entries = [(_loc_entry(r, k, c), r.kth_values[k - 1]) for r in recs]
-            live = [(e, v) for e, v in entries if not e["degenerate"]]
-            used = live if live else entries
+            used, flagged = _median_entries(recs, k, c)
             rows.append(
                 KthVectorRow(
                     alpha=alpha,
@@ -731,11 +746,11 @@ def kth_vector_scan(
                     k=k,
                     in_regime=bool(k <= n ** (1.0 - 2.0 * regime_b)),
                     used=len(used),
-                    degenerate=len(entries) - len(live),
-                    median_value=float(np.median([v for _, v in used])),
-                    median_threshold_mass=float(np.median([e["threshold_mass"] for e, _ in used])),
-                    median_min_mass=float(np.median([_profile_value(e, epsilon) for e, _ in used])),
-                    median_ipr=float(np.median([e["ipr"] for e, _ in used])),
+                    degenerate=flagged,
+                    median_value=float(np.median([r.kth_values[k - 1] for r, _ in used])),
+                    median_threshold_mass=float(np.median([e["threshold_mass"] for _, e in used])),
+                    median_min_mass=float(np.median([_profile_value(e, epsilon) for _, e in used])),
+                    median_ipr=float(np.median([e["ipr"] for _, e in used])),
                 )
             )
     return rows

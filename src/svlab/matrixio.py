@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MatrixFormatError", "save_matrix", "load_matrix", "save_matrix_csv", "load_matrix_csv"]
+__all__ = ["MatrixFormatError", "save_matrix", "load_matrix", "save_matrix_csv"]
 
 MAGIC = b"SVLM"
 VERSION = 1
@@ -72,11 +72,3 @@ def save_matrix_csv(x: np.ndarray, path: str | Path) -> None:
     x = _check_matrix(x)
     # %.17g round-trips doubles exactly through text.
     np.savetxt(path, x, fmt="%.17g", delimiter=",")
-
-
-def load_matrix_csv(path: str | Path) -> np.ndarray:
-    try:
-        x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
-    return _check_matrix(x)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from svlab.certificates import (
-    default_tau,
     default_tau_for_rows,
     heavy_census,
     small_column_set,
@@ -32,7 +31,7 @@ class TestDefaultTau:
             n_rows = math.ceil(aspect * n)
             eps = math.log(b * math.log(n_rows) / (a * cu)) / (alpha * math.log(n_rows))
             route2 = n_rows ** (1.0 / alpha - eps)
-            assert default_tau(n, alpha, aspect, b, a, cu) == pytest.approx(route2, rel=1e-12)
+            assert default_tau_for_rows(n_rows, alpha, b, a, cu) == pytest.approx(route2, rel=1e-12)
 
     def test_exponent_is_positive_in_range(self):
         # the derived eps must satisfy 0 < eps < 1/alpha for the defaults
@@ -67,7 +66,7 @@ class TestUpperCertificate:
     def test_sound_on_heavy_matrices(self):
         for i, alpha in enumerate([0.8, 1.2, 1.5]):
             x = _heavy(60, alpha, seed=400 + i)
-            tau = default_tau(60, alpha, 2.0)
+            tau = default_tau_for_rows(x.shape[0], alpha)
             rep = upper_certificate(x, tau)
             assert rep.valid
             assert rep.certified_upper == min(rep.minor_op_norm, rep.minor_smin)

@@ -248,6 +248,20 @@ class TestSweep:
         assert "must be an integer" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alphas", ["1.5"], "must be a list of numbers"), ("alphas", [True], "must be a list of numbers"),
+        ("alphas", "15", "must be a list of numbers"), ("c_grid", [1, "2"], "must be a list of numbers"),
+        ("census_c", "0.1", "must be a number"), ("aspect", "2", "must be a number"),
+        ("normalize_variance", "no", "must be true or false"),
+    ])
+    def test_non_number_field_is_invalid(self, tmp_path, capsys, key, value, message):
+        cfg = write_sweep_config(tmp_path / "cfg.json", **{key: value})
+        dest = tmp_path / "d"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} " in err and message in err
+        assert not dest.exists()
+
     def test_integer_aspect_gives_same_records(self, tmp_path, capsys):
         d_int, d_float = tmp_path / "int", tmp_path / "float"
         for dest, aspect in ((d_int, 2), (d_float, 2.0)):

@@ -128,6 +128,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             SweepConfig(**(kwargs | {key: value}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("alphas", ("1.5",)), ("alphas", (True,)), ("alphas", "15"), ("c_grid", ("1",)),
+        ("epsilons", (None,)), ("tau_params", (0.5, True)), ("census_c", "0.1"), ("aspect", "2"),
+        ("normalize_variance", "no"),
+    ])
+    def test_float_fields_take_numbers_only(self, key, value):
+        kwargs = dict(alphas=(1.5,), ns=(20,), aspect=2.0, trials_per_cell=2, base_seed=1)
+        with pytest.raises(ValueError, match=f"^invalid sweep config: {key} "):
+            SweepConfig(**(kwargs | {key: value}))
+
+    def test_integer_floats_are_floats(self):
+        kwargs = dict(ns=(20,), aspect=2.0, trials_per_cell=1, base_seed=1)
+        a = SweepConfig(alphas=[3], c_grid=[1, 2], tau_params=(1, 1), **kwargs)
+        b = SweepConfig(alphas=(3.0,), c_grid=(1.0, 2.0), tau_params=(1.0, 1.0), **kwargs)
+        assert a == b
+        assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())  # the manifest's config_sha256 input
+
     def test_integer_aspect_is_the_float_aspect(self):
         a, b = (SweepConfig(alphas=(1.5,), ns=(20,), aspect=asp, trials_per_cell=1, base_seed=1)
                 for asp in (2, 2.0))
