@@ -134,6 +134,7 @@ def cmd_spectra(args) -> int:
         "degenerate_flags": res.degenerate_flags,
         "s_min": res.s_min,
         "s_top": res.s_top,
+        "method": res.method,
     }
     _emit(out, args.out)
     if args.out:

@@ -106,6 +106,7 @@ class TestSpectra:
         assert out["singular_values"] == [float(v) for v in res.singular_values]
         assert out["bottom_right_vectors"][1] == [float(v) for v in res.bottom_right_vectors[1]]
         assert out["residuals"] == [float(v) for v in res.residuals]
+        assert out["method"] == res.method
 
     def test_out_file(self, stored_matrix, tmp_path, capsys):
         dest = tmp_path / "spec.json"

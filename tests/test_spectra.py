@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svlab.certificates import upper_certificate
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
@@ -36,6 +39,7 @@ class TestHandExamples:
         u = res.bottom_right_vectors[0]
         assert np.allclose(np.abs(u), math.sqrt(0.5), atol=1e-12)
         assert u[int(np.argmax(np.abs(u)))] > 0  # sign convention
+        assert res.method == "gesdd"  # lambda_min of X^T X is 0 up to rounding
 
     def test_diagonal(self):
         x = np.vstack([np.diag([3.0, 1.0]), np.zeros((2, 2))])
@@ -55,6 +59,7 @@ class TestHandExamples:
     def test_zero_matrix(self):
         res = full_svd(np.zeros((4, 3)), k_bottom=3)
         assert np.all(res.singular_values == 0.0)
+        assert res.method == "gesdd"
 
 
 class TestContracts:
@@ -189,20 +194,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             full_svd(x, k_bottom=3)
 
-    def test_perturbed_bottom_vector_fails_residual(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["gram", "gesdd"])
+    def test_perturbed_bottom_vector_fails_residual(self, monkeypatch, route):
         # Rotate the bottom vector slightly toward its neighbour: still unit
         # norm and orthogonal to the top vector, so only the residual catches it.
-        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
-        real_svd = np.linalg.svd
+        # s_min = 1e-4 puts kappa^2 beyond what X^T X resolves, forcing gesdd.
+        theta = 1e-3
+        if route == "gram":
+            x = np.vstack([np.diag([5.0, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
+            real_eigh = np.linalg.eigh
 
-        def perturbed(a, full_matrices=True):
-            u, s, vt = real_svd(a, full_matrices=full_matrices)
-            theta = 1e-3
-            vt = vt.copy()
-            vt[-1] = math.cos(theta) * vt[-1] + math.sin(theta) * vt[-2]
-            return u, s, vt
+            def perturbed(a):
+                w, v = real_eigh(a)  # ascending: column 0 is the bottom vector
+                v = v.copy()
+                v[:, 0] = math.cos(theta) * v[:, 0] + math.sin(theta) * v[:, 1]
+                return w, v
 
-        monkeypatch.setattr(np.linalg, "svd", perturbed)
+            monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        else:
+            x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]), np.zeros((2, 4))])
+            real_svd = np.linalg.svd
+
+            def perturbed(a, full_matrices=True):
+                u, s, vt = real_svd(a, full_matrices=full_matrices)
+                vt = vt.copy()
+                vt[-1] = math.cos(theta) * vt[-1] + math.sin(theta) * vt[-2]
+                return u, s, vt
+
+            monkeypatch.setattr(np.linalg, "svd", perturbed)
         with pytest.raises(SpectralError, match="residual") as info:
             full_svd(x)
         assert info.value.worst_residual > 1e-10 * 25.0
@@ -210,6 +229,66 @@ class TestValidation:
     def test_spectral_error_has_residual_field(self):
         err = SpectralError("boom", worst_residual=3.5)
         assert err.worst_residual == 3.5
+
+
+class TestRoute:
+    """Which LAPACK route full_svd takes, and that gesdd is taken only when needed."""
+
+    def test_well_conditioned_takes_gram(self):
+        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
+        assert full_svd(x).method == "gram"
+        x = sample_matrix(EnsembleConfig(n=30, aspect=2.0, law=TailLaw(LawKind.GAUSSIAN), seed=9))
+        assert full_svd(x, k_bottom=2).method == "gram"
+
+    def test_unequal_column_norms_skip_eigh(self, monkeypatch):
+        # diag(X^T X) alone spans 1e10 / 1, which already fails the rule.
+        def no_eigh(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        x = np.vstack([np.diag([1e5, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
+        res = full_svd(x, k_bottom=2)
+        assert res.method == "gesdd"
+        assert res.singular_values.tolist() == pytest.approx([1e5, 3.0, 2.0, 1.0], rel=1e-12)
+
+    def test_equal_column_norms_fall_back_after_eigh(self, monkeypatch):
+        # An orthogonal rotation with +-1/2 entries gives every column the same
+        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))])
+        assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        res = full_svd(x)
+        assert calls == [(4, 4)]
+        assert res.method == "gesdd"
+        assert res.s_min == pytest.approx(1e-4, rel=1e-10)
+
+
+class TestGesvdOracle:
+    @given(
+        alpha=st.floats(0.5, 5.0),
+        n=st.integers(3, 60),
+        aspect=st.floats(1.2, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extremes_match_gesvd(self, alpha, n, aspect, seed):
+        # gesvd is a LAPACK driver that neither route of full_svd calls.
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=aspect, law=law, seed=seed))
+        res = full_svd(x)
+        oracle = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")
+        o_min, o_top = float(oracle[-1]), float(oracle[0])
+        assert abs(res.s_min - o_min) <= 1e-11 * o_top
+        assert abs(res.s_top - o_top) <= 1e-11 * o_top
+        if res.method == "gram":
+            assert res.s_min == pytest.approx(o_min, rel=1e-8)
 
 
 class TestMinor:
