@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from svlab.cli import main
@@ -170,6 +171,38 @@ class TestCertify:
     def test_needs_tau_or_alpha(self, stored_matrix, capsys):
         assert main(["certify", "--in", str(stored_matrix)]) == 1
         assert "--tau or --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau, columns, op_norm, smin, code", [
+        (5.0, [0, 1], 4.0, 3.0, 0),
+        (3.5, [0], 3.0, 3.0, 0),
+        (0.5, [], math.inf, math.inf, 2),
+    ])
+    def test_whole_output_on_exact_spectrum(self, tmp_path, capsys, tau, columns, op_norm, smin, code):
+        # diag(3, 4, 9) over a zero row: every singular value is exact.
+        path = tmp_path / "d.svlm"
+        save_matrix(np.vstack([np.diag([3.0, 4.0, 9.0]), np.zeros((1, 3))]), path)
+        assert main(["certify", "--in", str(path), "--tau", str(tau)]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "certify",
+            "config": {
+                "in": str(path),
+                "tau": tau,
+                "tau_source": "explicit",
+                "alpha": None,
+                "b_frak": 0.5,
+                "a_frak": 1.0001,
+                "c_upper": 1.0,
+            },
+            "tau": tau,
+            "columns": columns,
+            "column_count": len(columns),
+            "minor_op_norm": op_norm,
+            "minor_smin": smin,
+            "certified_upper": smin,
+            "observed_smin": 3.0,
+            "valid": code == 0,
+            "note": "" if columns else "no columns below tau; certificate vacuous",
+        }
 
 
 def write_sweep_config(path, **overrides):
