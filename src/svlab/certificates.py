@@ -37,9 +37,10 @@ class CertificateReport:
     """Outcome of the small-column certificate at cutoff tau.
 
     minor_op_norm and minor_smin come from one verified full_svd of X_J
-    (the column length when |J| = 1); certified_upper is minor_smin. valid
-    means it is sound against the observed s_min up to CERT_SLACK * s_top;
-    with no qualifying columns the bound is vacuous (+inf), valid False.
+    (the column length when |J| = 1); certified_upper is minor_smin.
+    observed_smin is X's s_min as the caller decomposed it. valid means the
+    bound is sound against it up to CERT_SLACK * s_top; with no qualifying
+    columns the bound is vacuous (+inf), valid False.
     """
 
     tau: float
@@ -98,43 +99,25 @@ def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
 def upper_certificate(
     x: np.ndarray,
     tau: float,
-    observed: tuple[float, float] | None = None,
+    observed: tuple[float, float],
 ) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    Both extremes of X_J come from one verified full_svd. observed, if
-    given, is (s_min, s_top) of X from an already computed decomposition;
-    otherwise X is decomposed here too.
+    observed is (s_min, s_top) of X from the caller's own decomposition;
+    X itself is never decomposed here. Both extremes of X_J come from one
+    verified full_svd (the column length when |J| = 1).
     Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = small_column_set(x, tau)
-    if observed is None:
-        res = full_svd(x, k_bottom=1)
-        observed_smin, s_top = res.s_min, res.s_top
-    else:
-        observed_smin, s_top = float(observed[0]), float(observed[1])
-
+    observed_smin, s_top = float(observed[0]), float(observed[1])
     if cols.size == 0:
-        return CertificateReport(
-            tau=float(tau),
-            columns=[],
-            column_count=0,
-            minor_op_norm=math.inf,
-            minor_smin=math.inf,
-            certified_upper=math.inf,
-            observed_smin=observed_smin,
-            valid=False,
-            note="no columns below tau; certificate vacuous",
-        )
-
-    minor = x[:, cols]  # cols is sorted, unique and in range
-    if cols.size == 1:  # single column: both extremes equal its length
-        norm_xj = smin_xj = float(np.linalg.norm(minor))
+        norm_xj = smin_xj = math.inf
+    elif cols.size == 1:  # single column: both extremes equal its length
+        norm_xj = smin_xj = float(np.linalg.norm(x[:, cols]))
     else:
-        res_j = full_svd(minor, k_bottom=1)
+        res_j = full_svd(x[:, cols], k_bottom=1)  # cols is sorted, unique and in range
         norm_xj, smin_xj = res_j.s_top, res_j.s_min
-    valid = smin_xj >= observed_smin - CERT_SLACK * s_top
     return CertificateReport(
         tau=float(tau),
         columns=[int(c) for c in cols],
@@ -142,9 +125,9 @@ def upper_certificate(
         minor_op_norm=float(norm_xj),
         minor_smin=float(smin_xj),
         certified_upper=float(smin_xj),
-        observed_smin=float(observed_smin),
-        valid=bool(valid),
-        note="",
+        observed_smin=observed_smin,
+        valid=bool(cols.size and smin_xj >= observed_smin - CERT_SLACK * s_top),
+        note="" if cols.size else "no columns below tau; certificate vacuous",
     )
 
 

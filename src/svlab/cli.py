@@ -189,7 +189,8 @@ def cmd_certify(args) -> int:
             x.shape[0], args.alpha, b_frak=args.b_frak, a_frak=args.a_frak, c_upper=args.c_upper
         )
         tau_source = "auto"
-    report = upper_certificate(x, tau)
+    res = full_svd(x)
+    report = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
     out = {
         "command": "certify",
         "config": {
@@ -235,6 +236,8 @@ def _config_from_file(path: str, args) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     config = _config_from_file(args.config, args)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(json.dumps({"command": "sweep", "resolved_config": config.as_dict(), "workers": args.workers}))

@@ -304,8 +304,9 @@ def run_sweep(
         for n in config.ns
         for t in range(config.trials_per_cell)
     ]
+    workers = min(workers, len(tasks))  # a pool forks all its workers at the first submit
     start = time.perf_counter()
-    if workers == 1:
+    if workers <= 1:
         outcomes = [_trial_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

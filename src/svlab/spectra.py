@@ -159,7 +159,7 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     # Recomputed from X, not from G, so the gram route is checked against X itself.
     residuals = np.linalg.norm(x.T @ (x @ stacked.T) - stacked.T * svals**2, axis=0)
     worst = float(residuals.max())
-    if worst > RESIDUAL_TOL * s1 * s1:
+    if not worst <= RESIDUAL_TOL * s1 * s1:  # written so that a NaN residual fails
         raise SpectralError(
             f"residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * s1^2 = {RESIDUAL_TOL * s1 * s1:.3e}",
             worst_residual=worst,
@@ -170,7 +170,7 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     block = stacked if k_bottom < n else bottom
     ortho = block @ block.T
     ortho_err = float(np.abs(ortho - np.eye(ortho.shape[0])).max())
-    if ortho_err > ORTHO_TOL:
+    if not ortho_err <= ORTHO_TOL:
         raise SpectralError(
             f"stored vectors deviate from orthonormality by {ortho_err:.3e}",
             worst_residual=worst,

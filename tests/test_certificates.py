@@ -14,6 +14,11 @@ from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.spectra import full_svd
 
 
+def _certify(x, tau):
+    res = full_svd(x)
+    return upper_certificate(x, tau, observed=(res.s_min, res.s_top))
+
+
 def _heavy(n, alpha, seed, aspect=2.0):
     law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
     return sample_matrix(EnsembleConfig(n=n, aspect=aspect, law=law, seed=seed))
@@ -67,23 +72,15 @@ class TestUpperCertificate:
         for i, alpha in enumerate([0.8, 1.2, 1.5]):
             x = _heavy(60, alpha, seed=400 + i)
             tau = default_tau_for_rows(x.shape[0], alpha)
-            rep = upper_certificate(x, tau)
+            rep = _certify(x, tau)
             assert rep.valid
             assert rep.certified_upper == min(rep.minor_op_norm, rep.minor_smin)
             assert rep.certified_upper >= rep.observed_smin - 1e-9 * full_svd(x).s_top
             assert rep.column_count == len(rep.columns)
 
-    def test_observed_passthrough(self):
-        x = _heavy(40, 1.2, seed=9)
-        res = full_svd(x)
-        a = upper_certificate(x, 20.0)
-        b = upper_certificate(x, 20.0, observed=(res.s_min, res.s_top))
-        assert a.observed_smin == b.observed_smin
-        assert a.certified_upper == b.certified_upper
-
     def test_vacuous_when_no_columns(self):
         x = _heavy(20, 1.0, seed=2)
-        rep = upper_certificate(x, 1e-9)
+        rep = _certify(x, 1e-9)
         assert not rep.valid
         assert rep.column_count == 0
         assert math.isinf(rep.certified_upper)
@@ -91,14 +88,14 @@ class TestUpperCertificate:
 
     def test_single_column_minor(self):
         x = np.array([[1.0, 10.0], [2.0, 10.0], [2.0, -10.0]])
-        rep = upper_certificate(x, 2.0)  # only column 0 qualifies
+        rep = _certify(x, 2.0)  # only column 0 qualifies
         assert rep.columns == [0]
         assert rep.minor_smin == rep.minor_op_norm == pytest.approx(3.0, rel=1e-12)
 
     def test_minor_extremes_from_one_svd(self):
         x = _heavy(120, 3.0, seed=21)
         tau = float(x.shape[0]) ** 0.4  # census cutoff, as the sweep uses above alpha = 2
-        rep = upper_certificate(x, tau)
+        rep = _certify(x, tau)
         assert rep.column_count >= 0.7 * x.shape[1]  # near-full minor
         ref = float(np.linalg.norm(x[:, rep.columns], 2))
         assert rep.minor_op_norm == pytest.approx(ref, rel=1e-12)
@@ -112,8 +109,8 @@ class TestUpperCertificate:
 
         monkeypatch.setattr(certificates, "operator_norm", unreachable)
         x = np.array([[1.0, 10.0, 3.0], [2.0, 10.0, -4.0], [2.0, -10.0, 1.0], [0.5, 1.0, 2.0]])
-        assert upper_certificate(x, 2.0).column_count == 1
-        assert upper_certificate(x, 20.0).column_count == 3
+        assert _certify(x, 2.0).column_count == 1
+        assert _certify(x, 20.0).column_count == 3
 
 
 class TestHeavyCensus:

@@ -296,6 +296,15 @@ class TestSweep:
         assert f"{key} " in err and message in err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_is_usage(self, tmp_path, capsys, workers):
+        cfg = write_sweep_config(tmp_path / "cfg.json")
+        dest = tmp_path / "d"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest), "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--workers" in captured.err
+        assert not dest.exists()
+
     def test_integer_aspect_gives_same_records(self, tmp_path, capsys):
         d_int, d_float = tmp_path / "int", tmp_path / "float"
         for dest, aspect in ((d_int, 2), (d_float, 2.0)):

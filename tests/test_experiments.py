@@ -244,6 +244,31 @@ class TestRunSweep:
         write_records(rec3, p3)
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        three = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=3, base_seed=5)
+        one = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=1, base_seed=5)
+        for config, workers, expected in ((three, 64, [3]), (one, 8, [])):
+            sizes.clear()
+            recs, _, _ = run_sweep(config, workers=workers)
+            assert sizes == expected  # one trial takes the serial path, no pool
+            assert recs == run_sweep(config, workers=1)[0]
+
     def test_canonical_order(self):
         recs, _, _ = run_sweep(SMALL, workers=2)
         keys = [(r.alpha, r.n, r.trial_index) for r in recs]
@@ -268,7 +293,7 @@ class TestRunSweep:
     def test_any_exception_is_a_trial_failure(self, monkeypatch):
         real = ex.upper_certificate
 
-        def broken(x, tau, observed=None):
+        def broken(x, tau, observed):
             if x.shape[1] == 24:
                 raise ValueError("synthetic unit-norm check")
             return real(x, tau, observed=observed)

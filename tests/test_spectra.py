@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svlab.certificates import upper_certificate
+from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
+from svlab.matrixio import save_matrix
 from svlab.spectra import SpectralError, full_svd, operator_norm
 
 
@@ -226,6 +228,19 @@ class TestValidation:
             full_svd(x)
         assert info.value.worst_residual > 1e-10 * 25.0
 
+    def test_nan_residual_is_not_verified(self, tmp_path, capsys):
+        # Entries near 1e200 overflow X^T(Xu) and s^2, so the residual is
+        # inf - inf = NaN, which must fail the check rather than pass it.
+        x = np.vstack([np.diag([3e200, 1e199]), np.zeros((1, 2))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralError, match="residual"):
+                full_svd(x)
+            path = tmp_path / "huge.svlm"
+            save_matrix(x, path)
+            assert main(["spectra", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
+
     def test_spectral_error_has_residual_field(self):
         err = SpectralError("boom", worst_residual=3.5)
         assert err.worst_residual == 3.5
@@ -295,7 +310,8 @@ class TestMinor:
     def test_hand_minor(self):
         # Columns 0 and 1 stay below tau = 5; their minor is diag(3, 4) padded.
         x = np.array([[3.0, 0.0, 9.0], [0.0, 4.0, 9.0], [0.0, 0.0, 9.0], [0.0, 0.0, 9.0]])
-        rep = upper_certificate(x, 5.0)
+        res = full_svd(x)
+        rep = upper_certificate(x, 5.0, observed=(res.s_min, res.s_top))
         assert rep.columns == [0, 1]
         assert rep.minor_op_norm == 4.0
         assert rep.minor_smin == 3.0
