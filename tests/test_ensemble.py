@@ -1,4 +1,5 @@
 """Entry law contracts: exact tails, certified constants, stream determinism."""
+import hashlib
 import math
 
 import numpy as np
@@ -257,3 +258,45 @@ class TestSampleMatrix:
             law = TailLaw(kind, alpha=alpha)
             x = sample_matrix(EnsembleConfig(n=30, aspect=1.7, law=law, seed=4))
             assert np.all(np.isfinite(x))
+
+
+# sha256 of the sampled bytes, so any rewrite of a sampler must keep every bit.
+SAMPLE_PINS = [
+    # kind, alpha, scale, normalize, n, aspect, seed, digest
+    (LawKind.SYMMETRIC_PARETO, 0.5, 1.0, False, 3, 2.0, 11,
+     "4ec0a42934ff1805c9de0a7069b5df4ac1ad00cf4013399f2b4eaae0eccd7e1f"),
+    (LawKind.SYMMETRIC_PARETO, 1.0, 1.0, False, 40, 2.0, 12,
+     "0bec422979e57cf7f2c4a2c8eacd5e1b632a05c4c9d942d81c05235a79487a6f"),
+    (LawKind.SYMMETRIC_PARETO, 1.2, 1.0, False, 25, 1.2, 13,
+     "0c0022c2f8fc6e2e27fe7be7bdf123f0d5ee237d8b1cc786b7cfd811fb4008ac"),
+    (LawKind.SYMMETRIC_PARETO, 1.5, 2.5, False, 9, 2.0, 20,
+     "d61c8231c6789368e1ec456d573423e8351f7afdc428c8aedfafdfb20f34c101"),
+    (LawKind.SYMMETRIC_PARETO, 2.0, 1.0, False, 17, 3.0, 14,
+     "4b87785c54ac90e2f54a2fc36021ce0ad04bc757ea600b5a767c1b19deb45a31"),
+    (LawKind.SYMMETRIC_PARETO, 3.0, 1.0, False, 30, 2.0, 15,
+     "0d51da61b9ee1977b46abe559ed56e48fba97802ffa9334e715963c43ceadfc5"),
+    (LawKind.SYMMETRIC_PARETO, 3.0, 1.0, True, 30, 2.0, 15,
+     "4be1d235e8e2daf8acf3502f320a7c111a3e487068554eeae9d656f9d2d792ab"),
+    (LawKind.SYMMETRIC_PARETO, 5.0, 1.0, True, 3, 1.5, 16,
+     "e806065ca1e6d254364fc1fa91f1eb035c2d7c663aeb624258c9a08670787e55"),
+    (LawKind.STUDENT_T, 2.5, 1.0, False, 20, 2.0, 17,
+     "77809f3acdbb251df93a106240da9b02c7655a0297d2758ffffda4667ec803c0"),
+    (LawKind.GAUSSIAN, math.inf, 1.0, True, 20, 2.0, 18,
+     "13f413c9538d593dd76d3a55d888c3a5ff8cb14d1403e5a73795cebb6ae4f31c"),
+]
+
+
+class TestSamplerBytes:
+    @pytest.mark.parametrize("kind, alpha, scale, normalize, n, aspect, seed, digest", SAMPLE_PINS)
+    def test_matrix_bytes_pinned(self, kind, alpha, scale, normalize, n, aspect, seed, digest):
+        law = TailLaw(kind, alpha=alpha, scale=scale, normalize_variance=normalize)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=aspect, law=law, seed=seed))
+        assert x.shape == (math.ceil(aspect * n), n)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    def test_integer_size_bytes_pinned(self):
+        v = PARETO_15.sample(derive_stream(19, 0), 7)
+        assert v.shape == (7,) and v.dtype == np.float64
+        assert hashlib.sha256(v.tobytes()).hexdigest() == (
+            "db4f7ae1ec4223c09466c92ab4073165456202578f21b76b79e9e96bcd4510d8"
+        )
