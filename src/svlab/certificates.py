@@ -37,7 +37,8 @@ class CertificateReport:
     """Outcome of the small-column certificate at cutoff tau.
 
     minor_op_norm and minor_smin come from one verified full_svd of X_J
-    (the column length when |J| = 1); certified_upper is minor_smin.
+    (the column length when |J| = 1, and X's own s_top and s_min when J is
+    every column); certified_upper is minor_smin.
     observed_smin is X's s_min as the caller decomposed it. valid means the
     bound is sound against it up to CERT_SLACK * s_top; with no qualifying
     columns the bound is vacuous (+inf), valid False.
@@ -105,7 +106,8 @@ def upper_certificate(
 
     observed is (s_min, s_top) of X from the caller's own decomposition;
     X itself is never decomposed here. Both extremes of X_J come from one
-    verified full_svd (the column length when |J| = 1).
+    verified full_svd (the column length when |J| = 1, and observed itself
+    when J holds every column, since X_J is then X).
     Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -115,6 +117,8 @@ def upper_certificate(
         norm_xj = smin_xj = math.inf
     elif cols.size == 1:  # single column: both extremes equal its length
         norm_xj = smin_xj = float(np.linalg.norm(x[:, cols]))
+    elif cols.size == x.shape[1]:  # X_J is X, already decomposed by the caller
+        norm_xj, smin_xj = s_top, observed_smin
     else:
         res_j = full_svd(x[:, cols], k_bottom=1)  # cols is sorted, unique and in range
         norm_xj, smin_xj = res_j.s_top, res_j.s_min

@@ -177,9 +177,13 @@ class TailLaw:
         if self.kind is LawKind.SYMMETRIC_PARETO:
             shape = (size,) if isinstance(size, int) else tuple(size)
             u = stream.random(shape + (2,))
-            mag = (1.0 - u[..., 0]) ** (-1.0 / self.alpha)  # in (0,1] -> mag >= 1
-            sign = np.where(u[..., 1] < 0.5, -1.0, 1.0)
-            return m * sign * mag
+            # One output array: 1 - u in (0, 1] -> |x| = m * (1 - u)^(-1/alpha) >= m,
+            # negated where the sign uniform is below 1/2; bitwise what
+            # (m * sign) * mag gives, since negation is exact.
+            x = np.subtract(1.0, u[..., 0])
+            np.power(x, -1.0 / self.alpha, out=x)
+            x *= m
+            return np.negative(x, out=x, where=u[..., 1] < 0.5)
         if self.kind is LawKind.GAUSSIAN:
             return m * stream.standard_normal(size)
         return m * stream.standard_t(self.alpha, size)

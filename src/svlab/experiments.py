@@ -143,8 +143,8 @@ class SweepConfig:
         if not (0.0 < self.census_c < 0.5):
             errs.append("census_c must be in (0, 1/2)")
         for n in self.ns:
-            if n < 2:
-                errs.append(f"n {n} must be >= 2")
+            if n < 3:  # a bottom vector's threshold set needs n >= 3
+                errs.append(f"n {n} must be >= 3")
         if len(set(self.ns)) != len(self.ns):
             errs.append("ns must be distinct")
         if self.trials_per_cell < 1:
@@ -292,9 +292,12 @@ def run_sweep(
 ) -> tuple[list[TrialRecord], list[dict], float]:
     """Run the whole grid. Returns (records, failures, elapsed_seconds).
 
-    Records come back sorted by (alpha, n, trial_index) regardless of
-    completion order or worker count; a trial raising any exception is
-    collected as a failure ("Type: message" plus its traceback), not raised.
+    Trials are handed out largest n first (Graham's longest-processing-time
+    order), so a pool does not end on one big trial while its other workers
+    idle. Records come back sorted by (alpha, n, trial_index) regardless of
+    run order, completion order or worker count; a trial raising any
+    exception is collected as a failure ("Type: message" plus its
+    traceback), not raised.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -304,6 +307,7 @@ def run_sweep(
         for n in config.ns
         for t in range(config.trials_per_cell)
     ]
+    tasks.sort(key=lambda task: -task[2])  # stable: grid order within one n
     workers = min(workers, len(tasks))  # a pool forks all its workers at the first submit
     start = time.perf_counter()
     if workers <= 1:

@@ -5,8 +5,11 @@ Two LAPACK routes produce the factors, and the matrix itself picks one:
 * ``gram``: G = X^T X is formed once and diagonalized by numpy's ``eigh``
   (syevd). s_i = sqrt(lambda_i) in descending order, and V is G's
   eigenvector matrix. The N x n left factor is never built.
-* ``gesdd``: ``np.linalg.svd(X, full_matrices=False)``, for every matrix
-  whose G cannot resolve s_min.
+* ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
+  Householder QR (geqrf), then gesdd of the n x n factor R, which has X's
+  singular values and right vectors (Chan's R-SVD). Neither Q nor the
+  N x n left factor of X is built. For N >= 11n/6 this is the order LAPACK's
+  gesdd itself takes on X, and the results agree bit for bit.
 
 The rule. Forming and diagonalizing G perturbs each eigenvalue by about
 eps * lambda_max, so s_min = sqrt(lambda_min) carries a relative error of
@@ -72,7 +75,7 @@ class SpectralResult:
     whose singular value sits within DEGENERATE_GAP_TOL * s_1 of a
     spectral neighbor, meaning the individual vector (not the subspace)
     is not numerically well defined. method names the route that produced
-    the factors: "gram" (eigh of X^T X) or "gesdd" (LAPACK SVD of X).
+    the factors: "gram" (eigh of X^T X) or "gesdd" (LAPACK SVD of X's R factor).
     """
 
     singular_values: np.ndarray
@@ -123,9 +126,10 @@ def _right_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         if _gram_resolves(w[-1], w[0]):
             return np.sqrt(w[::-1]), v.T[::-1], "gram"
         del w, v
-    # Release G before gesdd allocates its own workspace and the N x n U.
+    # Release G before the QR copy of X. X = QR, so X and R share s and V;
+    # gesdd of the n x n R never builds X's N x n left factor (Chan's R-SVD).
     del g, d
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
     return s, vt, "gesdd"
 
 
@@ -133,8 +137,8 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
     The values and vectors come from eigh of X^T X when the module's
-    GRAM_COND_LIMIT rule says X^T X resolves s_min, and from gesdd on X
-    otherwise; SpectralResult.method records which. Every check below runs
+    GRAM_COND_LIMIT rule says X^T X resolves s_min, and from QR of X then
+    gesdd of R otherwise; SpectralResult.method records which. Every check below runs
     on either route. Raises SpectralError (with the worst residual
     attached) if any stored vector violates
     ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored vectors are

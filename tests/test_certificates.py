@@ -11,6 +11,7 @@ from svlab.certificates import (
     upper_certificate,
 )
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
+from svlab.experiments import SweepConfig, run_trial
 from svlab.spectra import full_svd
 
 
@@ -111,6 +112,44 @@ class TestUpperCertificate:
         x = np.array([[1.0, 10.0, 3.0], [2.0, 10.0, -4.0], [2.0, -10.0, 1.0], [0.5, 1.0, 2.0]])
         assert _certify(x, 2.0).column_count == 1
         assert _certify(x, 20.0).column_count == 3
+
+
+class TestAllColumnsMinor:
+    """When every column is below tau, X_J is X and its caller's spectrum is reused."""
+
+    @pytest.fixture
+    def no_minor_svd(self, monkeypatch):
+        import svlab.certificates as certificates
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("full_svd called on the minor")
+
+        monkeypatch.setattr(certificates, "full_svd", unreachable)
+
+    def test_extremes_are_observed(self, no_minor_svd):
+        x = np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 1.5], [0.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
+        res = full_svd(x)
+        rep = upper_certificate(x, 4.0, observed=(res.s_min, res.s_top))
+        assert rep.columns == [0, 1, 2] and rep.column_count == 3
+        assert rep.minor_smin == rep.certified_upper == rep.observed_smin == res.s_min
+        assert rep.minor_op_norm == res.s_top
+        assert rep.valid and rep.note == ""
+
+    def test_sweep_cell_matches_explicit_minor(self, no_minor_svd):
+        # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff,
+        # trial 0 drops one and so still needs the minor's own decomposition.
+        config = SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=2,
+                             base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
+        rec = run_trial(config, 5.0, 24, 1)
+        cert = rec.certificate
+        assert cert["columns"] == list(range(24))
+        x = sample_matrix(EnsembleConfig(n=24, aspect=2.0, law=config.law_for(5.0), seed=rec.seed))
+        ref = full_svd(x[:, cert["columns"]], k_bottom=1)
+        assert cert["minor_smin"] == cert["certified_upper"] == ref.s_min
+        assert cert["minor_op_norm"] == ref.s_top
+        assert cert["valid"]
+        with pytest.raises(AssertionError, match="minor"):
+            run_trial(config, 5.0, 24, 0)
 
 
 class TestHeavyCensus:

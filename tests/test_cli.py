@@ -296,6 +296,15 @@ class TestSweep:
         assert f"{key} " in err and message in err
         assert not dest.exists()
 
+    def test_n_below_three_is_invalid(self, tmp_path, capsys):
+        # Every trial at n = 2 would fail in threshold_set, so the config is refused.
+        cfg = write_sweep_config(tmp_path / "cfg.json", ns=[2], k_vectors=1)
+        dest = tmp_path / "d"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n 2 must be >= 3" in captured.err
+        assert not dest.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_is_usage(self, tmp_path, capsys, workers):
         cfg = write_sweep_config(tmp_path / "cfg.json")

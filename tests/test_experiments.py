@@ -151,6 +151,14 @@ class TestConfig:
         assert a == b and repr(a.aspect) == "2.0"
         assert run_trial(a, 1.5, 20, 0).seed == run_trial(b, 1.5, 20, 0).seed
 
+    def test_n_below_three_rejected(self):
+        # threshold_set needs n >= 3, so an n = 2 cell could only produce failures.
+        with pytest.raises(ValueError, match="n 2 must be >= 3"):
+            SweepConfig(alphas=(1.5,), ns=(2,), aspect=2.0, trials_per_cell=2, base_seed=1)
+        config = SweepConfig(alphas=(1.5,), ns=(3,), aspect=2.0, trials_per_cell=2, base_seed=1)
+        recs, fails, _ = run_sweep(config)
+        assert len(recs) == 2 and fails == []
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             SweepConfig(
@@ -268,6 +276,34 @@ class TestRunSweep:
             recs, _, _ = run_sweep(config, workers=workers)
             assert sizes == expected  # one trial takes the serial path, no pool
             assert recs == run_sweep(config, workers=1)[0]
+
+    def test_pool_gets_largest_n_first(self, monkeypatch):
+        submitted = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                submitted.extend((alpha, n, t) for _, alpha, n, t in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        config = SweepConfig(alphas=(1.2, 3.0), ns=(12, 24, 16), aspect=2.0,
+                             trials_per_cell=2, base_seed=5)
+        recs, fails, _ = run_sweep(config, workers=2)
+        ns = [n for _, n, _ in submitted]
+        assert ns == sorted(ns, reverse=True) and len(submitted) == 12
+        # Within one n the grid order stays: alpha, then trial index.
+        assert submitted[:4] == [(1.2, 24, 0), (1.2, 24, 1), (3.0, 24, 0), (3.0, 24, 1)]
+        assert fails == [] and recs == run_sweep(config, workers=1)[0]
 
     def test_canonical_order(self):
         recs, _, _ = run_sweep(SMALL, workers=2)

@@ -78,12 +78,11 @@ class TestContracts:
             assert float(res.residuals.max()) <= res.tolerance_used * s1 * s1
 
     def test_against_gram_eigen_oracle(self):
-        # Independent route: eigenvalues of X^T X.
+        # Independent route: gesvd, a LAPACK driver that neither route of full_svd calls.
         for x in _random_matrices(12):
             s = full_svd(x).singular_values
-            lam = np.linalg.eigvalsh(x.T @ x)[::-1]
-            lam[lam < 0] = 0.0
-            assert np.allclose(s, np.sqrt(lam), atol=1e-9 * max(s[0], 1.0))
+            oracle = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")
+            assert np.allclose(s, oracle, atol=1e-9 * max(s[0], 1.0))
 
     def test_min_max_probe_lower_bound(self, rng):
         # Any (n-k)-dim subspace gives min ||Xv|| <= s_{(k-th smallest)}:
@@ -284,6 +283,39 @@ class TestRoute:
         assert calls == [(4, 4)]
         assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
+
+
+class TestGesddFallback:
+    """The gesdd route decomposes X's n x n R factor, never X itself."""
+
+    @pytest.mark.parametrize("aspect", [1.2, 3.0])
+    def test_svd_of_r_only(self, monkeypatch, aspect):
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
+        real_svd = np.linalg.svd
+        for seed in range(3):
+            x = sample_matrix(EnsembleConfig(n=40, aspect=aspect, law=law, seed=seed))
+            shapes = []
+
+            def recording(a, *args, **kwargs):
+                shapes.append(a.shape)
+                return real_svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", recording)
+            res = full_svd(x, k_bottom=3)
+            monkeypatch.setattr(np.linalg, "svd", real_svd)
+            assert res.method == "gesdd" and shapes == [(40, 40)]
+
+            _, s, vt = real_svd(x, full_matrices=False)
+            tol = 1e-12 * s[0]
+            assert np.abs(res.singular_values - s).max() <= tol
+            # Vectors are compared through X: a near-tie lets their entries move
+            # by more than the values do, while ||X (v - v_ref)|| stays at s-level.
+            ref = np.array([vt[39], vt[38], vt[37], vt[0]])
+            ref *= np.sign(ref[np.arange(4), np.abs(ref).argmax(axis=1)])[:, None]
+            got = np.vstack([res.bottom_right_vectors, res.top_right_vector])
+            assert np.linalg.norm(x @ (got - ref).T, axis=0).max() <= tol
+            if aspect >= 11 / 6:  # LAPACK's gesdd runs this QR itself: identical bits
+                assert np.array_equal(res.singular_values, s) and np.array_equal(got, ref)
 
 
 class TestGesvdOracle:
