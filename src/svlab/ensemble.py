@@ -177,9 +177,8 @@ class TailLaw:
         if self.kind is LawKind.SYMMETRIC_PARETO:
             shape = (size,) if isinstance(size, int) else tuple(size)
             u = stream.random(shape + (2,))
-            # One output array: 1 - u in (0, 1] -> |x| = m * (1 - u)^(-1/alpha) >= m,
-            # negated where the sign uniform is below 1/2; bitwise what
-            # (m * sign) * mag gives, since negation is exact.
+            # One output array: m * (1 - u)^(-1/alpha) >= m, negated where the sign
+            # uniform is below 1/2 (negation is exact, so this is (m * sign) * mag).
             x = np.subtract(1.0, u[..., 0])
             np.power(x, -1.0 / self.alpha, out=x)
             x *= m

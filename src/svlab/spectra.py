@@ -8,8 +8,9 @@ Two LAPACK routes produce the factors, and the matrix itself picks one:
 * ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
   Householder QR (geqrf), then gesdd of the n x n factor R, which has X's
   singular values and right vectors (Chan's R-SVD). Neither Q nor the
-  N x n left factor of X is built. For N >= 11n/6 this is the order LAPACK's
-  gesdd itself takes on X, and the results agree bit for bit.
+  N x n left factor of X is built. For N >= 11n/6 LAPACK's gesdd itself
+  runs this QR first, and with numpy's bundled OpenBLAS the two agree bit
+  for bit.
 
 The rule. Forming and diagonalizing G perturbs each eigenvalue by about
 eps * lambda_max, so s_min = sqrt(lambda_min) carries a relative error of
@@ -137,9 +138,9 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
     The values and vectors come from eigh of X^T X when the module's
-    GRAM_COND_LIMIT rule says X^T X resolves s_min, and from QR of X then
-    gesdd of R otherwise; SpectralResult.method records which. Every check below runs
-    on either route. Raises SpectralError (with the worst residual
+    GRAM_COND_LIMIT rule says X^T X resolves s_min, and from gesdd of X's
+    R factor otherwise; SpectralResult.method records which. Every check
+    below runs on either route. Raises SpectralError (with the worst residual
     attached) if any stored vector violates
     ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored vectors are
     not orthonormal to ORTHO_TOL, or if the backend fails to converge.

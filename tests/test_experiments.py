@@ -252,37 +252,14 @@ class TestRunSweep:
         write_records(rec3, p3)
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
-    def test_pool_capped_at_trial_count(self, monkeypatch):
-        sizes = []
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """A ProcessPoolExecutor stand-in that runs in-process and logs what it is given."""
+        log = {"sizes": [], "submitted": []}
 
         class SerialPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
-        three = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=3, base_seed=5)
-        one = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=1, base_seed=5)
-        for config, workers, expected in ((three, 64, [3]), (one, 8, [])):
-            sizes.clear()
-            recs, _, _ = run_sweep(config, workers=workers)
-            assert sizes == expected  # one trial takes the serial path, no pool
-            assert recs == run_sweep(config, workers=1)[0]
-
-    def test_pool_gets_largest_n_first(self, monkeypatch):
-        submitted = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
+                log["sizes"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -292,13 +269,27 @@ class TestRunSweep:
 
             def map(self, fn, tasks, chunksize=1):
                 tasks = list(tasks)
-                submitted.extend((alpha, n, t) for _, alpha, n, t in tasks)
+                log["submitted"].extend((alpha, n, t) for _, alpha, n, t in tasks)
                 return map(fn, tasks)
 
         monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        return log
+
+    def test_pool_capped_at_trial_count(self, serial_pool):
+        sizes = serial_pool["sizes"]
+        three = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=3, base_seed=5)
+        one = SweepConfig(alphas=(1.2,), ns=(16,), aspect=2.0, trials_per_cell=1, base_seed=5)
+        for config, workers, expected in ((three, 64, [3]), (one, 8, [])):
+            sizes.clear()
+            recs, _, _ = run_sweep(config, workers=workers)
+            assert sizes == expected  # one trial takes the serial path, no pool
+            assert recs == run_sweep(config, workers=1)[0]
+
+    def test_pool_gets_largest_n_first(self, serial_pool):
         config = SweepConfig(alphas=(1.2, 3.0), ns=(12, 24, 16), aspect=2.0,
                              trials_per_cell=2, base_seed=5)
         recs, fails, _ = run_sweep(config, workers=2)
+        submitted = serial_pool["submitted"]
         ns = [n for _, n, _ in submitted]
         assert ns == sorted(ns, reverse=True) and len(submitted) == 12
         # Within one n the grid order stays: alpha, then trial index.

@@ -78,7 +78,7 @@ class TestContracts:
             assert float(res.residuals.max()) <= res.tolerance_used * s1 * s1
 
     def test_against_gram_eigen_oracle(self):
-        # Independent route: gesvd, a LAPACK driver that neither route of full_svd calls.
+        # Independent route: LAPACK gesvd, which neither route of full_svd calls.
         for x in _random_matrices(12):
             s = full_svd(x).singular_values
             oracle = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")
@@ -314,8 +314,6 @@ class TestGesddFallback:
             ref *= np.sign(ref[np.arange(4), np.abs(ref).argmax(axis=1)])[:, None]
             got = np.vstack([res.bottom_right_vectors, res.top_right_vector])
             assert np.linalg.norm(x @ (got - ref).T, axis=0).max() <= tol
-            if aspect >= 11 / 6:  # LAPACK's gesdd runs this QR itself: identical bits
-                assert np.array_equal(res.singular_values, s) and np.array_equal(got, ref)
 
 
 class TestGesvdOracle:
