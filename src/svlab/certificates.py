@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 CERT_SLACK = 1e-9
+TAU_PARAMS = (0.5, 1.0001)  # default (b_frak, a_frak) of the auto cutoff
+CENSUS_C = 0.1  # default c of the census cutoff N**(1/2 - c)
 
 
 @dataclass
@@ -58,8 +60,8 @@ class CertificateReport:
 def default_tau_for_rows(
     n_rows: int,
     alpha: float,
-    b_frak: float = 0.5,
-    a_frak: float = 1.0001,
+    b_frak: float = TAU_PARAMS[0],
+    a_frak: float = TAU_PARAMS[1],
     c_upper: float = 1.0,
 ) -> float:
     """Cutoff tau = (N * a_frak * c_upper / (b_frak * ln N))**(1/alpha).
@@ -135,7 +137,7 @@ def upper_certificate(
     )
 
 
-def heavy_census(x: np.ndarray, c: float = 0.1) -> int:
+def heavy_census(x: np.ndarray, c: float = CENSUS_C) -> int:
     """Count of entries with |x_ij| above census_cutoff(N, c), N the row count."""
     x = _check_matrix(x)
     if not (0.0 < c < 0.5):

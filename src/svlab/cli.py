@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import default_tau_for_rows, upper_certificate
+from .certificates import TAU_PARAMS, default_tau_for_rows, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .experiments import (
     KthVectorRow,
@@ -70,9 +70,11 @@ def _number_list(text: str, kind: type = float) -> list:
 
 
 def _emit(obj: dict, path: str | None) -> None:
+    """Print obj as indented JSON, or write it to path and echo obj["config"] on stdout."""
     text = json.dumps(obj, indent=2)
     if path:
         Path(path).write_text(text + "\n", encoding="ascii")
+        print(json.dumps(obj["config"]))
     else:
         print(text)
 
@@ -103,18 +105,13 @@ def cmd_generate(args) -> int:
         "aspect": cfg.aspect,
         "rows": cfg.rows,
         "seed": cfg.seed,
-        "law": {
-            "kind": law.kind.value,
-            "alpha": law.alpha,
-            "scale": law.scale,
-            "normalize_variance": law.normalize_variance,
-        },
+        "law": dataclasses.asdict(law),
         "tail_bounds": None if bounds is None else dataclasses.asdict(bounds),
         "out": str(args.out),
         "csv": str(args.csv) if args.csv else None,
         "package_version": __version__,
     }
-    _emit(meta, str(args.out) + ".meta.json")
+    Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="ascii")
     print(json.dumps(meta))
     return 0
 
@@ -137,30 +134,26 @@ def cmd_spectra(args) -> int:
         "method": res.method,
     }
     _emit(out, args.out)
-    if args.out:
-        print(json.dumps(out["config"]))
     return 0
 
 
 def cmd_localize(args) -> int:
     x = load_matrix(args.input)
-    c_grid = _number_list(args.c_grid)
-    epsilons = _number_list(args.epsilons)
     res = full_svd(x, k_bottom=args.k)
     config = {
         "command": "localize",
         "in": str(args.input),
         "k": args.k,
-        "c_grid": c_grid,
-        "epsilons": epsilons,
+        "c_grid": args.c_grid,
+        "epsilons": args.epsilons,
         "out": str(args.out) if args.out else None,
         "plot": str(args.plot) if args.plot else None,
     }
     lines = []
     for k in range(1, args.k + 1):
         u = res.bottom_right_vectors[k - 1]
-        for c in c_grid:
-            rep = localization_report(u, c, epsilons, degenerate=res.degenerate_flags[k - 1])
+        for c in args.c_grid:
+            rep = localization_report(u, c, args.epsilons, degenerate=res.degenerate_flags[k - 1])
             lines.append(json.dumps({"k": k, "c": c, **dataclasses.asdict(rep)}, separators=(",", ":")))
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -205,8 +198,6 @@ def cmd_certify(args) -> int:
         **dataclasses.asdict(report),
     }
     _emit(out, args.out)
-    if args.out:
-        print(json.dumps(out["config"]))
     return 0 if report.valid else 2
 
 
@@ -269,43 +260,26 @@ def cmd_report(args) -> int:
     records = read_records(args.records)
     if not records:
         raise ValueError(f"no records in {args.records}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {
-        "command": "report",
-        "kind": args.kind,
-        "records": str(args.records),
-        "c": args.c,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "alpha": args.alpha,
-        "regime_b": args.regime_b,
-        "out_dir": str(out_dir),
-    }
-    print(json.dumps(config))
-
+    # Every scan runs before anything is written, so a rejected report leaves no trace.
+    svg = None
     if args.kind == "transition":
         table = transition_scan(records, args.c, args.epsilon, args.delta)
-        write_csv(
-            out_dir / "transition.csv",
-            [f.name for f in dataclasses.fields(TransitionRow)],
-            [dataclasses.astuple(r) for r in table.rows],
-        )
+        header = [f.name for f in dataclasses.fields(TransitionRow)]
+        rows = [dataclasses.astuple(r) for r in table.rows]
         n_star = max(r.n for r in table.rows)
-        rows = sorted([r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)],
-                      key=lambda r: r.alpha)
-        if len(rows) >= 2:
+        curve = sorted([r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)],
+                       key=lambda r: r.alpha)
+        if len(curve) >= 2:
             svg = line_chart(
                 [
-                    ("median min-mass", [r.alpha for r in rows], [r.median_min_mass for r in rows]),
-                    ("median threshold mass", [r.alpha for r in rows],
-                     [r.median_threshold_mass for r in rows]),
+                    ("median min-mass", [r.alpha for r in curve], [r.median_min_mass for r in curve]),
+                    ("median threshold mass", [r.alpha for r in curve],
+                     [r.median_threshold_mass for r in curve]),
                 ],
                 title=f"localization transition (n={n_star}, c={args.c:g}, eps={args.epsilon:g})",
                 x_label="tail index alpha",
                 y_label="mass",
             )
-            (out_dir / "transition.svg").write_text(svg, encoding="ascii")
         summary = {
             "rows": len(table.rows),
             "midpoint": table.midpoint,
@@ -322,17 +296,14 @@ def cmd_report(args) -> int:
             "slope_corrected": fit.slope_corrected,
             "residual_sse": fit.residual_sse,
         }
+        header = ["n", "median_s_min"]
         rows = [[n, m] for n, m in zip(fit.ns, fit.medians)]
         if 0 < fit.alpha < 2:
             bracket = bracket_check(fit, floor_coeff=args.floor, slack=args.slack)
             summary["bracket"] = dataclasses.asdict(bracket)
-            ratio_by_n = dict(bracket.envelope_ratios)
-            for row in rows:
-                row.append(ratio_by_n[row[0]])
-            header = ["n", "median_s_min", "envelope_ratio"]
-        else:
-            header = ["n", "median_s_min"]
-        write_csv(out_dir / "scaling.csv", header, rows)
+            header.append("envelope_ratio")
+            for row, (_, ratio) in zip(rows, bracket.envelope_ratios):
+                row.append(ratio)
         fit_ys = [math.exp(fit.intercept) * n**fit.slope for n in fit.ns]
         svg = line_chart(
             [
@@ -345,15 +316,11 @@ def cmd_report(args) -> int:
             log_x=True,
             log_y=True,
         )
-        (out_dir / "scaling.svg").write_text(svg, encoding="ascii")
     elif args.kind == "baiyin":
         rep = baiyin_check(records)
         summary = dataclasses.asdict(rep)
-        write_csv(
-            out_dir / "baiyin.csv",
-            ["n", "mean_ratio", "limit"],
-            [[n, v, rep.limit] for n, v in rep.per_n],
-        )
+        header = ["n", "mean_ratio", "limit"]
+        rows = [[n, v, rep.limit] for n, v in rep.per_n]
         if len(rep.per_n) >= 2:
             svg = line_chart(
                 [
@@ -365,17 +332,29 @@ def cmd_report(args) -> int:
                 x_label="n",
                 y_label="s_min / sqrt(N)",
             )
-            (out_dir / "baiyin.svg").write_text(svg, encoding="ascii")
-    elif args.kind == "kth":
-        rows = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
-        write_csv(
-            out_dir / "kth.csv",
-            [f.name for f in dataclasses.fields(KthVectorRow)],
-            [dataclasses.astuple(r) for r in rows],
-        )
-        summary = {"rows": len(rows)}
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown report kind {args.kind}")
+    else:  # kth; argparse choices admit no other kind
+        scan = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
+        header = [f.name for f in dataclasses.fields(KthVectorRow)]
+        rows = [dataclasses.astuple(r) for r in scan]
+        summary = {"rows": len(scan)}
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = {
+        "command": "report",
+        "kind": args.kind,
+        "records": str(args.records),
+        "c": args.c,
+        "epsilon": args.epsilon,
+        "delta": args.delta,
+        "alpha": args.alpha,
+        "regime_b": args.regime_b,
+        "out_dir": str(out_dir),
+    }
+    print(json.dumps(config))
+    write_csv(out_dir / f"{args.kind}.csv", header, rows)
+    if svg is not None:
+        (out_dir / f"{args.kind}.svg").write_text(svg, encoding="ascii")
     print(json.dumps({"kind": args.kind, "summary": summary}))
     return 0
 
@@ -418,8 +397,8 @@ def build_parser() -> _Parser:
     l = sub.add_parser("localize", help="localization statistics of bottom vectors")
     l.add_argument("--in", dest="input", required=True)
     l.add_argument("--k", type=int, default=1)
-    l.add_argument("--c-grid", default="0.25,0.5,1,2,4")
-    l.add_argument("--epsilons", default="0.05,0.1,0.2,0.3")
+    l.add_argument("--c-grid", type=_number_list, default=list(SweepConfig.c_grid))
+    l.add_argument("--epsilons", type=_number_list, default=list(SweepConfig.epsilons))
     l.add_argument("--out", default=None, help="JSONL output path (stdout if omitted)")
     l.add_argument("--plot", default=None, help="optional SVG profile of the bottom vector")
     l.set_defaults(func=cmd_localize)
@@ -428,8 +407,8 @@ def build_parser() -> _Parser:
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--tau", type=float, default=None, help="explicit cutoff (wins over --alpha)")
     c.add_argument("--alpha", type=float, default=None, help="tail index for the auto cutoff")
-    c.add_argument("--b-frak", type=float, default=0.5)
-    c.add_argument("--a-frak", type=float, default=1.0001)
+    c.add_argument("--b-frak", type=float, default=TAU_PARAMS[0])
+    c.add_argument("--a-frak", type=float, default=TAU_PARAMS[1])
     c.add_argument("--c-upper", type=float, default=1.0)
     c.add_argument("--out", default=None, help="JSON output path (stdout if omitted)")
     c.set_defaults(func=cmd_certify)
@@ -477,10 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except MatrixFormatError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except SpectralError as exc:

@@ -3,9 +3,10 @@
 Determinism contract: every trial's stream is keyed by a hash of
 (base_seed, law, cell, trial index), so any single trial can be
 regenerated in isolation, runs can be parallelized trial-wise, and
-records.jsonl is byte-identical across reruns and worker counts. Wall
-times and other nondeterministic metadata live in the run manifest, never
-in the records.
+records.jsonl is byte-identical across reruns and worker counts at one
+BLAS thread setting (a different thread count can change the last bits of
+the decompositions). Wall times and other nondeterministic metadata live
+in the run manifest, never in the records.
 
 Gaussian cells use alpha = inf as their grid label (the law ignores it);
 JSON output then carries the Infinity literal, which Python's json module
@@ -28,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import census_cutoff, default_tau_for_rows, heavy_census, upper_certificate
+from .certificates import (CENSUS_C, TAU_PARAMS, census_cutoff, default_tau_for_rows, heavy_census,
+                           upper_certificate)
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
 from .matrixio import MatrixFormatError
@@ -85,9 +87,9 @@ class SweepConfig:
     k_vectors: int = 1
     c_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     epsilons: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3)
-    tau_params: tuple[float, float] = (0.5, 1.0001)
+    tau_params: tuple[float, float] = TAU_PARAMS
     law_kind: LawKind = LawKind.SYMMETRIC_PARETO
-    census_c: float = 0.1
+    census_c: float = CENSUS_C
     normalize_variance: bool = True
     max_trials: int = 10000
     _FLOATS = ("aspect", "census_c")  # class constants, not fields: they carry no annotation
@@ -467,10 +469,7 @@ def fit_scaling(records: list[TrialRecord], alpha: float) -> ScalingFit:
     heavy-tailed envelope; it is None for alpha >= 2 where that
     correction does not apply.
     """
-    by_n: dict[int, list[float]] = {}
-    for rec in records:
-        if rec.alpha == alpha:
-            by_n.setdefault(rec.n, []).append(rec.s_min)
+    by_n = {n: [r.s_min for r in recs] for (a, n), recs in _by_cell(records).items() if a == alpha}
     ns = sorted(by_n)
     if len(ns) < FIT_MIN_POINTS:
         raise ValueError(f"need at least {FIT_MIN_POINTS} distinct n for alpha={alpha}, got {len(ns)}")

@@ -370,6 +370,17 @@ class TestReport:
         assert main(["report", "--records", str(sweep_records), "--kind", "scaling",
                      "--out-dir", str(tmp_path / "rep")]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "scaling"],
+        ["--kind", "kth", "--regime-b", "0.7"],
+        ["--kind", "transition", "--c", "3"],
+    ])
+    def test_rejected_report_writes_nothing(self, sweep_records, tmp_path, capsys, flags):
+        dest = tmp_path / "rep"
+        assert main(["report", "--records", str(sweep_records), "--out-dir", str(dest), *flags]) == 1
+        assert capsys.readouterr().out == ""
+        assert not dest.exists()
+
     def test_baiyin_on_finite_variance_slice(self, sweep_records, tmp_path, capsys):
         # The persisted mini sweep mixes tail indexes; keep only the alpha=3 lines.
         lines = sweep_records.read_text().strip().splitlines()
