@@ -283,6 +283,18 @@ SAMPLE_PINS = [
      "77809f3acdbb251df93a106240da9b02c7655a0297d2758ffffda4667ec803c0"),
     (LawKind.GAUSSIAN, math.inf, 1.0, True, 20, 2.0, 18,
      "13f413c9538d593dd76d3a55d888c3a5ff8cb14d1403e5a73795cebb6ae4f31c"),
+    # 320 000 entries each, so a blocked sampler crosses many block boundaries.
+    (LawKind.SYMMETRIC_PARETO, 1.2, 1.0, False, 400, 2.0, 21,
+     "3ae1694b37de56e2cd06652bb19c9ace4377e7ad1f7aecf55a83b0419f532146"),
+    (LawKind.SYMMETRIC_PARETO, 3.0, 1.0, True, 400, 2.0, 22,
+     "47cf34db745e3a4225fbabd0909badafe2d32ff1219b2a97478d3fee8cbdf1ba"),
+]
+
+# Direct draws of many blocks whose length is no multiple of a power of two.
+SIZE_PINS = [
+    # size, seed, digest
+    (100_003, 23, "f8724c8a024560236727de30fa4644220238a81c8fedb6562da3e27240fede9f"),
+    ((7, 300, 50), 24, "db2a10c503bf3e988ae3f4dc71dcd36e35a33b154b820636c477f62a59560635"),
 ]
 
 
@@ -300,3 +312,10 @@ class TestSamplerBytes:
         assert hashlib.sha256(v.tobytes()).hexdigest() == (
             "db4f7ae1ec4223c09466c92ab4073165456202578f21b76b79e9e96bcd4510d8"
         )
+
+    @pytest.mark.parametrize("size, seed, digest", SIZE_PINS)
+    def test_large_size_bytes_pinned(self, size, seed, digest):
+        v = PARETO_15.sample(derive_stream(seed, 0), size)
+        assert v.shape == ((size,) if isinstance(size, int) else size)
+        assert v.dtype == np.float64 and v.flags.c_contiguous
+        assert hashlib.sha256(v.tobytes()).hexdigest() == digest
