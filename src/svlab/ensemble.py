@@ -30,6 +30,8 @@ __all__ = [
 
 # Slack factor for laws whose tail constant is only asymptotic (Student t).
 _TAIL_SLACK = 1.1
+# Entries per block of the Pareto sampler: its (block, 2) uniform buffer is 256 KiB.
+_PARETO_BLOCK = 16384
 
 
 class LawKind(str, Enum):
@@ -171,18 +173,28 @@ class TailLaw:
         """Draw samples, consuming the stream deterministically.
 
         The Pareto path consumes two uniforms per entry (magnitude, sign)
-        in C order, so a (N, n) draw fills the matrix row by row.
+        in C order, so a (N, n) draw fills the matrix row by row. It fills
+        the C-order output in flat blocks of _PARETO_BLOCK entries from one
+        reused (block, 2) uniform buffer; the stream continues from one
+        block to the next, so the bytes do not depend on the block size.
         """
         m = self.multiplier
         if self.kind is LawKind.SYMMETRIC_PARETO:
             shape = (size,) if isinstance(size, int) else tuple(size)
-            u = stream.random(shape + (2,))
-            # One output array: m * (1 - u)^(-1/alpha) >= m, negated where the sign
-            # uniform is below 1/2 (negation is exact, so this is (m * sign) * mag).
-            x = np.subtract(1.0, u[..., 0])
-            np.power(x, -1.0 / self.alpha, out=x)
-            x *= m
-            return np.negative(x, out=x, where=u[..., 1] < 0.5)
+            out = np.empty(shape)
+            flat = out.reshape(-1)
+            buf = np.empty((min(_PARETO_BLOCK, flat.size), 2))
+            for lo in range(0, flat.size, _PARETO_BLOCK):
+                mag = flat[lo:lo + _PARETO_BLOCK]
+                u = stream.random(out=buf[: mag.size])
+                # m * (1 - u)^(-1/alpha) >= m > 0, so copysign negates it exactly
+                # where the sign uniform is below 1/2 (u - 1/2 = +0.0 keeps it).
+                np.subtract(1.0, u[:, 0], out=mag)
+                np.power(mag, -1.0 / self.alpha, out=mag)
+                mag *= m
+                np.subtract(u[:, 1], 0.5, out=u[:, 1])
+                np.copysign(mag, u[:, 1], out=mag)
+            return out
         if self.kind is LawKind.GAUSSIAN:
             return m * stream.standard_normal(size)
         return m * stream.standard_t(self.alpha, size)
