@@ -6,23 +6,31 @@ submatrix X_J, and by interlacing
     s_min(X) <= s_min(X_J) <= ||X_J||,
 
 so either quantity of the minor is a certified upper bound computable
-without touching the full spectrum. The default cutoff comes from
-balancing the expected number of large entries per column against a
-log-size budget, which needs the law's certified tail envelope.
+without touching the full spectrum. When the caller hands over X's Gram
+matrix G, the minor's extremes come from G[J, J], which equals X_J^T X_J,
+through spectra.minor_extremes; where that route is not verified, X_J is
+decomposed on its own by full_svd.
+
+The default cutoff comes from balancing the expected number of large
+entries per column against a log-size budget, which needs the law's
+certified tail envelope; certificate_cutoff falls back to the census
+cutoff where that envelope or the budget is missing.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrixio import _check_matrix
-from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
+from .spectra import full_svd, minor_extremes, operator_norm  # noqa: F401 (perfbench wraps it here)
 
 __all__ = [
     "CertificateReport",
     "census_cutoff",
+    "certificate_cutoff",
     "default_tau_for_rows",
     "small_column_set",
     "upper_certificate",
@@ -38,9 +46,11 @@ CENSUS_C = 0.1  # default c of the census cutoff N**(1/2 - c)
 class CertificateReport:
     """Outcome of the small-column certificate at cutoff tau.
 
-    minor_op_norm and minor_smin come from one verified full_svd of X_J
-    (the column length when |J| = 1, and X's own s_top and s_min when J is
-    every column); certified_upper is minor_smin.
+    minor_op_norm and minor_smin are X_J's extremes: the column length when
+    |J| = 1, X's own s_top and s_min when J is every column, and otherwise
+    eigvalsh of G[J, J] with its vectors checked against X
+    (spectra.minor_extremes), or one verified full_svd of X_J where no G was
+    given or that route fails. certified_upper is minor_smin.
     observed_smin is X's s_min as the caller decomposed it. valid means the
     bound is sound against it up to CERT_SLACK * s_top; with no qualifying
     columns the bound is vacuous (+inf), valid False.
@@ -55,6 +65,10 @@ class CertificateReport:
     observed_smin: float
     valid: bool
     note: str = ""
+
+    def with_note(self, note: str) -> CertificateReport:
+        """This report with note appended to its own, the two joined by "; "."""
+        return dataclasses.replace(self, note="; ".join(filter(None, (self.note, note))))
 
 
 def default_tau_for_rows(
@@ -91,6 +105,34 @@ def census_cutoff(n_rows: int, c: float) -> float:
     return float(n_rows) ** (0.5 - c)
 
 
+def certificate_cutoff(
+    n_rows: int,
+    alpha: float,
+    c_upper: float | None,
+    tau_params: tuple[float, float] = TAU_PARAMS,
+    census_c: float = CENSUS_C,
+) -> tuple[float, str]:
+    """The cutoff tau for a matrix with n_rows rows and tail index alpha, and a note on it.
+
+    c_upper is the law's tail constant, None for a law without a polynomial
+    tail. The auto cutoff default_tau_for_rows(n_rows, alpha, *tau_params,
+    c_upper) applies where alpha < 2 and c_upper is given, with an empty note;
+    everywhere else, including where its log budget fails, the census cutoff
+    N**(1/2 - census_c) applies and the note says why. The census threshold
+    is a bounded-column diagnostic, not a theorem constant.
+    """
+    if not (alpha > 0.0 and min(tau_params) > 0.0 and (c_upper is None or c_upper > 0.0)):
+        raise ValueError(
+            f"alpha, b_frak, a_frak and c_upper must be > 0, got {alpha}, {tau_params}, {c_upper}"
+        )
+    if alpha >= 2.0 or c_upper is None:
+        return census_cutoff(n_rows, census_c), "finite-variance regime: census cutoff"
+    try:
+        return default_tau_for_rows(n_rows, alpha, *tau_params, c_upper), ""
+    except ValueError as exc:
+        return census_cutoff(n_rows, census_c), f"auto cutoff infeasible ({exc}); census cutoff used"
+
+
 def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
     """Indices of columns whose max |entry| is <= tau, sorted ascending."""
     x = _check_matrix(x)
@@ -103,13 +145,18 @@ def upper_certificate(
     x: np.ndarray,
     tau: float,
     observed: tuple[float, float],
+    gram: np.ndarray | None = None,
 ) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    observed is (s_min, s_top) of X from the caller's own decomposition;
-    X itself is never decomposed here. Both extremes of X_J come from one
-    verified full_svd (the column length when |J| = 1, and observed itself
-    when J holds every column, since X_J is then X).
+    observed is (s_min, s_top) of X from the caller's own decomposition, and
+    gram is its X^T X when it has one (SpectralResult.gram); X itself is never
+    decomposed here. Both extremes of X_J come from one place: the column
+    length when |J| = 1, observed itself when J holds every column, since X_J
+    is then X, and otherwise spectra.minor_extremes on G[J, J]. Where no gram
+    is given or that route is not verified (its GRAM_COND_LIMIT rule, shifted
+    solve, residual or orthonormality check fails), one verified full_svd of
+    X_J gives them instead.
     Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -121,9 +168,12 @@ def upper_certificate(
         norm_xj = smin_xj = float(np.linalg.norm(x[:, cols]))
     elif cols.size == x.shape[1]:  # X_J is X, already decomposed by the caller
         norm_xj, smin_xj = s_top, observed_smin
-    else:
-        res_j = full_svd(x[:, cols], k_bottom=1)  # cols is sorted, unique and in range
-        norm_xj, smin_xj = res_j.s_top, res_j.s_min
+    else:  # cols is sorted, unique and in range
+        extremes = None if gram is None else minor_extremes(x, cols, gram)
+        if extremes is None:
+            res_j = full_svd(x[:, cols], k_bottom=1)
+            extremes = res_j.s_min, res_j.s_top
+        smin_xj, norm_xj = extremes
     return CertificateReport(
         tau=float(tau),
         columns=[int(c) for c in cols],

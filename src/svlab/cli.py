@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import TAU_PARAMS, default_tau_for_rows, upper_certificate
+from .certificates import TAU_PARAMS, certificate_cutoff, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .experiments import (
     KthVectorRow,
@@ -173,17 +173,16 @@ def cmd_localize(args) -> int:
 def cmd_certify(args) -> int:
     x = load_matrix(args.input)
     if args.tau is not None:
-        tau = args.tau
+        tau, note = args.tau, ""
         tau_source = "explicit"
     else:
         if args.alpha is None:
             raise UsageError("certify needs either --tau or --alpha (for the auto cutoff)")
-        tau = default_tau_for_rows(
-            x.shape[0], args.alpha, b_frak=args.b_frak, a_frak=args.a_frak, c_upper=args.c_upper
-        )
+        # The sweep's rule: the auto cutoff below alpha = 2, the census cutoff elsewhere.
+        tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (args.b_frak, args.a_frak))
         tau_source = "auto"
     res = full_svd(x)
-    report = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
+    report = upper_certificate(x, tau, observed=(res.s_min, res.s_top), gram=res.gram).with_note(note)
     out = {
         "command": "certify",
         "config": {

@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import (CENSUS_C, TAU_PARAMS, census_cutoff, default_tau_for_rows, heavy_census,
-                           upper_certificate)
+from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
 from .matrixio import MatrixFormatError
@@ -244,21 +243,11 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
             )
             reports.append({"k": k, "c": float(c), **dataclasses.asdict(rep)})
 
-    # The census threshold is a bounded-column diagnostic, not a theorem
-    # constant; the polynomial-tail cutoff replaces it wherever it exists.
-    tau = census_cutoff(n_rows, config.census_c)
-    note = "finite-variance regime: census cutoff"
     bounds = law.tail_bounds
-    if alpha < 2.0 and bounds is not None:
-        try:
-            tau = default_tau_for_rows(n_rows, alpha, *config.tau_params, bounds.c_upper)
-            note = ""
-        except ValueError as exc:
-            note = f"auto cutoff infeasible ({exc}); census cutoff used"
-    cert = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
-    cert_dict = dataclasses.asdict(cert)
-    if note:
-        cert_dict["note"] = (cert_dict["note"] + "; " + note).lstrip("; ")
+    tau, note = certificate_cutoff(
+        n_rows, alpha, None if bounds is None else bounds.c_upper, config.tau_params, config.census_c
+    )
+    cert = upper_certificate(x, tau, observed=(res.s_min, res.s_top), gram=res.gram).with_note(note)
 
     return TrialRecord(
         alpha=float(alpha),
@@ -274,7 +263,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         degenerate_flags=[bool(f) for f in res.degenerate_flags],
         bottom_vectors=[[float(v) for v in row] for row in res.bottom_right_vectors],
         localization=reports,
-        certificate=cert_dict,
+        certificate=dataclasses.asdict(cert),
         heavy_count=heavy_census(x, config.census_c),
         census_c=float(config.census_c),
     )

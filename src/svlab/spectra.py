@@ -24,6 +24,11 @@ column norms, which lie in [lambda_min, lambda_max], so a diagonal that
 fails proves the eigenvalues fail without an eigensolve; then to the
 eigenvalues themselves.
 
+On the gram route SpectralResult.gram keeps G, and minor_extremes reads a
+column minor's extremes from it: X_J^T X_J is exactly G[J, J], so gathering
+that principal submatrix replaces forming the minor's own Gram matrix. The
+same rule decides whether eigvalsh of G[J, J] resolves the minor's s_min.
+
 Whichever route ran, this module owns the contracts around it: residual
 verification against the normal equations, orthonormality, a
 deterministic sign convention, near-degeneracy flags, and the operator
@@ -47,6 +52,7 @@ __all__ = [
     "SpectralError",
     "SpectralResult",
     "full_svd",
+    "minor_extremes",
     "operator_norm",
 ]
 
@@ -77,6 +83,8 @@ class SpectralResult:
     spectral neighbor, meaning the individual vector (not the subspace)
     is not numerically well defined. method names the route that produced
     the factors: "gram" (eigh of X^T X) or "gesdd" (LAPACK SVD of X's R factor).
+    gram is X^T X on the gram route and None on the gesdd route; it is kept
+    for minor_extremes and left out of repr and equality.
     """
 
     singular_values: np.ndarray
@@ -86,6 +94,7 @@ class SpectralResult:
     tolerance_used: float
     method: str
     degenerate_flags: list[bool] = field(default_factory=list)
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def s_min(self) -> float:
@@ -118,20 +127,20 @@ def _gram_resolves(hi, lo) -> bool:
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
 
 
-def _right_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """Descending singular values, V^T and the route that produced them."""
+def _right_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, np.ndarray | None]:
+    """Descending singular values, V^T, the route that produced them and G on the gram route."""
     g = x.T @ x
     d = np.diagonal(g)
     if _gram_resolves(d.max(), d.min()):
         w, v = np.linalg.eigh(g)
         if _gram_resolves(w[-1], w[0]):
-            return np.sqrt(w[::-1]), v.T[::-1], "gram"
+            return np.sqrt(w[::-1]), v.T[::-1], "gram", g
         del w, v
     # Release G before the QR copy of X. X = QR, so X and R share s and V;
     # gesdd of the n x n R never builds X's N x n left factor (Chan's R-SVD).
     del g, d
     _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
-    return s, vt, "gesdd"
+    return s, vt, "gesdd", None
 
 
 def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
@@ -150,7 +159,7 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     if not (1 <= k_bottom <= n):
         raise ValueError(f"k_bottom must be in [1, {n}], got {k_bottom}")
     try:
-        s, vt, method = _right_factors(x)
+        s, vt, method, gram = _right_factors(x)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
@@ -193,7 +202,48 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
         tolerance_used=RESIDUAL_TOL,
         method=method,
         degenerate_flags=flags,
+        gram=gram,
     )
+
+
+def minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray) -> tuple[float, float] | None:
+    """(s_min, s_top) of X[:, cols] from G[cols, cols], or None where they are not verified.
+
+    gram is X^T X as full_svd kept it and cols holds at least two sorted,
+    unique column indices. The eigenvalues of G[cols, cols] come from eigvalsh
+    under the GRAM_COND_LIMIT rule. One shifted solve per extreme eigenvalue
+    (a step of inverse iteration from a fixed start vector) gives a unit
+    vector for it, and the pair must pass full_svd's checks: the residual
+    ||X_J^T(X_J u) - lambda u|| <= RESIDUAL_TOL * s_top^2, computed from X
+    and not from G, and orthonormality to ORTHO_TOL. None when the rule, a
+    solve or a check fails; the caller then decomposes X[:, cols] itself.
+    """
+    g = gram[np.ix_(cols, cols)]
+    d = np.diagonal(g).copy()
+    if not _gram_resolves(d.max(), d.min()):
+        return None
+    try:
+        w = np.linalg.eigvalsh(g)
+        lam = np.array([w[0], w[-1]])
+        if not _gram_resolves(lam[1], lam[0]):
+            return None
+        start = np.linspace(1.0, 2.0, cols.size)
+        u = np.empty((cols.size, 2))
+        for j, shift in enumerate(lam):
+            np.fill_diagonal(g, d - shift)
+            u[:, j] = np.linalg.solve(g, start)
+    except np.linalg.LinAlgError:  # includes an exactly singular shifted matrix
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u fails the checks below
+        u /= np.linalg.norm(u, axis=0)
+        # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
+        u_full = np.zeros((x.shape[1], 2))
+        u_full[cols] = u
+        residual = float(np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0).max())
+        ortho_err = float(np.abs(u.T @ u - np.eye(2)).max())
+    if not (residual <= RESIDUAL_TOL * lam[1] and ortho_err <= ORTHO_TOL):
+        return None
+    return float(np.sqrt(lam[0])), float(np.sqrt(lam[1]))
 
 
 def operator_norm(x: np.ndarray) -> float:

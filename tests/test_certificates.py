@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svlab.certificates import (
+    certificate_cutoff,
     default_tau_for_rows,
     heavy_census,
     small_column_set,
@@ -12,7 +15,7 @@ from svlab.certificates import (
 )
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.experiments import SweepConfig, run_trial
-from svlab.spectra import full_svd
+from svlab.spectra import full_svd, minor_extremes
 
 
 def _certify(x, tau):
@@ -54,6 +57,32 @@ class TestDefaultTau:
             default_tau_for_rows(1000, 2.0)
         with pytest.raises(ValueError):
             default_tau_for_rows(1000, -0.5)
+
+
+class TestCertificateCutoff:
+    def test_auto_below_two(self):
+        assert certificate_cutoff(200, 1.2, 1.0) == (default_tau_for_rows(200, 1.2), "")
+
+    def test_census_at_and_above_two(self):
+        for alpha in (2.0, 3.0, math.inf):
+            assert certificate_cutoff(200, alpha, 1.0) == (200.0**0.4, "finite-variance regime: census cutoff")
+        assert certificate_cutoff(200, 3.0, 1.0, census_c=0.2)[0] == 200.0**0.3
+
+    def test_census_without_polynomial_tail(self):
+        assert certificate_cutoff(200, 1.2, None)[0] == 200.0**0.4
+
+    def test_census_where_budget_fails(self):
+        tau, note = certificate_cutoff(10, 1.2, 10.0, (0.5, 1.0))
+        assert tau == 10.0**0.4
+        assert note.startswith("auto cutoff infeasible (log budget") and note.endswith("; census cutoff used")
+
+    @pytest.mark.parametrize("alpha, params, c_upper", [
+        (0.0, (0.5, 1.0), 1.0), (math.nan, (0.5, 1.0), 1.0), (1.2, (-0.5, 1.0), 1.0),
+        (3.0, (0.5, 0.0), 1.0), (1.2, (0.5, 1.0), 0.0),
+    ])
+    def test_bad_parameters_raise(self, alpha, params, c_upper):
+        with pytest.raises(ValueError, match="must be > 0"):
+            certificate_cutoff(200, alpha, c_upper, params)
 
 
 class TestSmallColumns:
@@ -136,20 +165,111 @@ class TestAllColumnsMinor:
         assert rep.valid and rep.note == ""
 
     def test_sweep_cell_matches_explicit_minor(self, no_minor_svd):
-        # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff,
-        # trial 0 drops one and so still needs the minor's own decomposition.
+        # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff;
+        # trial 0 drops one, and its minor's extremes come from X's Gram matrix.
         config = SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=2,
                              base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
-        rec = run_trial(config, 5.0, 24, 1)
-        cert = rec.certificate
-        assert cert["columns"] == list(range(24))
-        x = sample_matrix(EnsembleConfig(n=24, aspect=2.0, law=config.law_for(5.0), seed=rec.seed))
-        ref = full_svd(x[:, cert["columns"]], k_bottom=1)
-        assert cert["minor_smin"] == cert["certified_upper"] == ref.s_min
-        assert cert["minor_op_norm"] == ref.s_top
-        assert cert["valid"]
-        with pytest.raises(AssertionError, match="minor"):
-            run_trial(config, 5.0, 24, 0)
+        for trial, exact in [(1, True), (0, False)]:
+            rec = run_trial(config, 5.0, 24, trial)
+            cert = rec.certificate
+            assert (cert["column_count"] == 24) is exact and cert["column_count"] >= 2
+            x = sample_matrix(EnsembleConfig(n=24, aspect=2.0, law=config.law_for(5.0), seed=rec.seed))
+            ref = full_svd(x[:, cert["columns"]], k_bottom=1)
+            assert cert["minor_smin"] == cert["certified_upper"]
+            if exact:
+                assert cert["minor_smin"] == ref.s_min and cert["minor_op_norm"] == ref.s_top
+            assert cert["minor_smin"] == pytest.approx(ref.s_min, rel=1e-12, abs=0)
+            assert cert["minor_op_norm"] == pytest.approx(ref.s_top, rel=1e-12, abs=0)
+            assert cert["valid"]
+
+
+@pytest.fixture
+def minor_svds(monkeypatch):
+    """Counts the full_svd calls upper_certificate makes on a minor."""
+    import svlab.certificates as certificates
+
+    calls = []
+
+    def counting(x, k_bottom=1):
+        calls.append(x.shape)
+        return full_svd(x, k_bottom=k_bottom)
+
+    monkeypatch.setattr(certificates, "full_svd", counting)
+    return calls
+
+
+def _reports(x, tau):
+    """The certificate with X's Gram matrix and without it."""
+    res = full_svd(x)
+    observed = (res.s_min, res.s_top)
+    return upper_certificate(x, tau, observed, gram=res.gram), upper_certificate(x, tau, observed)
+
+
+class TestGramMinor:
+    """A partial minor's extremes come from G[J, J] = X_J^T X_J, checked against X."""
+
+    @given(alpha=st.floats(0.8, 5.0), n=st.integers(3, 60), seed=st.integers(0, 2**32))
+    def test_matches_full_svd_of_minor(self, alpha, n, seed):
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha, normalize_variance=alpha > 2.0)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+        tau, _ = certificate_cutoff(x.shape[0], alpha, law.tail_bounds.c_upper)
+        from_g, own = _reports(x, tau)
+        assert from_g.columns == own.columns and from_g.valid == own.valid
+        for got, ref in [(from_g.minor_smin, own.minor_smin), (from_g.minor_op_norm, own.minor_op_norm)]:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0) or got == ref == math.inf
+        assert from_g.certified_upper == from_g.minor_smin
+
+    def test_partial_minor_skips_full_svd(self, minor_svds):
+        x = _heavy(120, 3.0, seed=21)
+        from_g, own = _reports(x, float(x.shape[0]) ** 0.4)
+        assert 2 <= from_g.column_count < x.shape[1]
+        assert minor_svds == [(x.shape[0], own.column_count)]  # only the gram-less report decomposed X_J
+        assert from_g.minor_smin == pytest.approx(own.minor_smin, rel=1e-12)
+
+    def _assert_fallback(self, x, tau, gram, minor_svds):
+        res = full_svd(x)
+        rep = upper_certificate(x, tau, (res.s_min, res.s_top), gram=gram)
+        ref = full_svd(x[:, rep.columns], k_bottom=1)
+        assert 2 <= rep.column_count < x.shape[1]
+        assert minor_svds == [(x.shape[0], rep.column_count)]
+        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+
+    def test_gesdd_route_has_no_gram(self, minor_svds):
+        # Column scales 1 to 1e6 fail the rule on diag(G), so X goes through gesdd.
+        x = np.random.default_rng(5).standard_normal((12, 4)) * np.array([1.0, 3.0, 1e6, 2.0])
+        res = full_svd(x)
+        assert res.method == "gesdd" and res.gram is None
+        self._assert_fallback(x, 10.0, res.gram, minor_svds)
+
+    def test_minor_rule_fails(self, minor_svds):
+        # Columns 0 and 1 differ by 1e-7, so G[J, J] cannot resolve the minor's s_min.
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(-1, 1, (2, 10))
+        x = np.column_stack([a, a + 1e-7 * b, 50.0 + rng.uniform(0, 1, 10)])
+        gram = x.T @ x
+        assert minor_extremes(x, np.array([0, 1]), gram) is None
+        self._assert_fallback(x, 10.0, gram, minor_svds)
+
+    def test_singular_shifted_solve(self, minor_svds):
+        # diag(3, 4, 9) over a zero row: G[J, J] = diag(9, 16) minus either exact
+        # eigenvalue is singular, so the shifted solve raises.
+        x = np.vstack([np.diag([3.0, 4.0, 9.0]), np.zeros((1, 3))])
+        res = full_svd(x)
+        assert res.method == "gram"
+        assert minor_extremes(x, np.array([0, 1]), res.gram) is None
+        self._assert_fallback(x, 5.0, res.gram, minor_svds)
+
+    def test_perturbed_gram_fails_residual_from_x(self, minor_svds):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((40, 10))
+        x[0, 9] = 100.0  # only column 9 exceeds tau
+        gram = full_svd(x).gram
+        cols = np.arange(9)
+        assert minor_extremes(x, cols, gram) is not None
+        bad = gram.copy()
+        bad[3, 3] *= 1.5  # one entry; the eigenvalues still pass the rule
+        assert minor_extremes(x, cols, bad) is None
+        self._assert_fallback(x, 10.0, bad, minor_svds)
 
 
 class TestHeavyCensus:

@@ -205,6 +205,45 @@ class TestCertify:
         }
 
 
+    def test_alpha_above_two_takes_census_cutoff(self, tmp_path, capsys):
+        path = tmp_path / "x.svlm"
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=3.0)
+        save_matrix(sample_matrix(EnsembleConfig(n=12, aspect=2.0, law=law, seed=5)), path)
+        assert main(["certify", "--in", str(path), "--alpha", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["tau"] == out["tau"] == 24.0**0.4
+        assert out["config"]["tau_source"] == "auto"
+        assert out["note"] == "finite-variance regime: census cutoff"
+
+
+class TestRecordRoundTrip:
+    """generate, spectra and certify rebuild a sweep record's spectrum and certificate bit for bit."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_records_reproduce(self, tmp_path, capsys, normalize):
+        config = SweepConfig(alphas=(1.2, 3.0), ns=(30,), aspect=2.0, trials_per_cell=3, base_seed=11,
+                             normalize_variance=normalize)
+        records, fails, _ = run_sweep(config)
+        assert not fails
+        partial = 0
+        for i, rec in enumerate(records):
+            path = tmp_path / f"x{i}.svlm"
+            flags = ["--normalize-variance"] if normalize and rec.alpha > 2 else []
+            assert main(["generate", "--n", str(rec.n), "--aspect", str(rec.aspect), "--alpha", str(rec.alpha),
+                         "--seed", str(rec.seed), "--out", str(path)] + flags) == 0
+            capsys.readouterr()
+            assert main(["spectra", "--in", str(path)]) == 0
+            spectra = json.loads(capsys.readouterr().out)
+            assert (spectra["s_min"], spectra["s_top"]) == (rec.s_min, rec.s_top)
+            code = main(["certify", "--in", str(path), "--alpha", str(rec.alpha)])
+            assert code == (0 if rec.certificate["valid"] else 2)
+            certify = json.loads(capsys.readouterr().out)
+            del certify["command"], certify["config"]
+            assert certify == rec.certificate
+            partial += 2 <= rec.certificate["column_count"] < rec.n
+        assert partial >= 2  # the minor's G[J, J] route ran on both sides
+
+
 def write_sweep_config(path, **overrides):
     cfg = {
         "alphas": [1.2, 3.0],
