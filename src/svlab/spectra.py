@@ -234,14 +234,13 @@ def minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray) -> tuple[f
             u[:, j] = np.linalg.solve(g, start)
     except np.linalg.LinAlgError:  # includes an exactly singular shifted matrix
         return None
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u fails the checks below
-        u /= np.linalg.norm(u, axis=0)
-        # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
-        u_full = np.zeros((x.shape[1], 2))
-        u_full[cols] = u
-        residual = float(np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0).max())
-        ortho_err = float(np.abs(u.T @ u - np.eye(2)).max())
-    if not (residual <= RESIDUAL_TOL * lam[1] and ortho_err <= ORTHO_TOL):
+    u /= np.linalg.norm(u, axis=0)
+    # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
+    u_full = np.zeros((x.shape[1], 2))
+    u_full[cols] = u
+    residual = float(np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0).max())
+    ortho_err = float(np.abs(u.T @ u - np.eye(2)).max())
+    if not (residual <= RESIDUAL_TOL * lam[1] and ortho_err <= ORTHO_TOL):  # a NaN fails too
         return None
     return float(np.sqrt(lam[0])), float(np.sqrt(lam[1]))
 

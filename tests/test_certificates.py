@@ -198,13 +198,6 @@ def minor_svds(monkeypatch):
     return calls
 
 
-def _reports(x, tau):
-    """The certificate with X's Gram matrix and without it."""
-    res = full_svd(x)
-    observed = (res.s_min, res.s_top)
-    return upper_certificate(x, tau, observed, gram=res.gram), upper_certificate(x, tau, observed)
-
-
 class TestGramMinor:
     """A partial minor's extremes come from G[J, J] = X_J^T X_J, checked against X."""
 
@@ -213,18 +206,13 @@ class TestGramMinor:
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha, normalize_variance=alpha > 2.0)
         x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
         tau, _ = certificate_cutoff(x.shape[0], alpha, law.tail_bounds.c_upper)
-        from_g, own = _reports(x, tau)
+        res = full_svd(x)
+        from_g = upper_certificate(x, tau, (res.s_min, res.s_top), gram=res.gram)
+        own = upper_certificate(x, tau, (res.s_min, res.s_top))
         assert from_g.columns == own.columns and from_g.valid == own.valid
         for got, ref in [(from_g.minor_smin, own.minor_smin), (from_g.minor_op_norm, own.minor_op_norm)]:
             assert got == pytest.approx(ref, rel=1e-12, abs=0) or got == ref == math.inf
         assert from_g.certified_upper == from_g.minor_smin
-
-    def test_partial_minor_skips_full_svd(self, minor_svds):
-        x = _heavy(120, 3.0, seed=21)
-        from_g, own = _reports(x, float(x.shape[0]) ** 0.4)
-        assert 2 <= from_g.column_count < x.shape[1]
-        assert minor_svds == [(x.shape[0], own.column_count)]  # only the gram-less report decomposed X_J
-        assert from_g.minor_smin == pytest.approx(own.minor_smin, rel=1e-12)
 
     def _assert_fallback(self, x, tau, gram, minor_svds):
         res = full_svd(x)
