@@ -1,0 +1,107 @@
+"""Byte-exact records.jsonl lines, pinned on hand-built records.
+
+The records hold the same Python objects run_trial puts there: dicts of a
+LocalizationReport's and a CertificateReport's fields, with the report's own
+lists and tuples inside. Every float is a literal, so the text is the same
+on every platform.
+"""
+import dataclasses
+import json
+import math
+
+from svlab.certificates import CertificateReport
+from svlab.experiments import SweepConfig, TrialRecord, read_records, run_trial, write_records
+from svlab.localization import LocalizationReport
+
+
+def _record(trial, columns, upper):
+    loc = LocalizationReport(
+        n=4,
+        c_threshold=0.5,
+        threshold_indices=[0, 3],
+        threshold_mass=0.1 + 0.2,
+        cardinality_bound=5.7707801635558535,
+        min_mass_profile=[(0.1, 0.75), (0.3, 1.0)],
+        ipr=1 / 3,
+        degenerate=trial == 1,
+    )
+    cert = CertificateReport(
+        tau=2.5,
+        columns=columns,
+        column_count=len(columns),
+        minor_op_norm=upper * 4,
+        minor_smin=upper,
+        certified_upper=upper,
+        observed_smin=0.125,
+        valid=bool(columns),
+        note="" if columns else "no columns below tau; certificate vacuous",
+    ).with_note("finite-variance regime: census cutoff")
+    return TrialRecord(
+        alpha=2.5,
+        n=4,
+        aspect=2.0,
+        law_kind="symmetric_pareto",
+        trial_index=trial,
+        seed=2**64 - 1 - trial,
+        n_rows=8,
+        s_min=0.125,
+        s_top=1e300,
+        kth_values=[0.125, 0.5],
+        degenerate_flags=[False, trial == 1],
+        bottom_vectors=[[0.5, -0.5, 0.5, -0.0], [0.7071067811865476, 0.0, -0.7071067811865475, 0.0]],
+        localization=[
+            {"k": k, "c": 0.5, **{f: getattr(loc, f) for f in loc.__dataclass_fields__}}
+            for k in (1, 2)
+        ],
+        certificate={f: getattr(cert, f) for f in cert.__dataclass_fields__},
+        heavy_count=3,
+        census_c=0.1,
+    )
+
+
+LOC = (
+    '"n":4,"c_threshold":0.5,"threshold_indices":[0,3],"threshold_mass":0.30000000000000004,'
+    '"cardinality_bound":5.7707801635558535,"min_mass_profile":[[0.1,0.75],[0.3,1.0]],'
+    '"ipr":0.3333333333333333,"degenerate":'
+)
+
+EXPECTED = [
+    '{"alpha":2.5,"n":4,"aspect":2.0,"law_kind":"symmetric_pareto","trial_index":0,'
+    '"seed":18446744073709551615,"n_rows":8,"s_min":0.125,"s_top":1e+300,'
+    '"kth_values":[0.125,0.5],"degenerate_flags":[false,false],'
+    '"bottom_vectors":[[0.5,-0.5,0.5,-0.0],[0.7071067811865476,0.0,-0.7071067811865475,0.0]],'
+    f'"localization":[{{"k":1,"c":0.5,{LOC}false}},{{"k":2,"c":0.5,{LOC}false}}],'
+    '"certificate":{"tau":2.5,"columns":[0,2],"column_count":2,"minor_op_norm":1.0,'
+    '"minor_smin":0.25,"certified_upper":0.25,"observed_smin":0.125,"valid":true,'
+    '"note":"finite-variance regime: census cutoff"},"heavy_count":3,"census_c":0.1}',
+    '{"alpha":2.5,"n":4,"aspect":2.0,"law_kind":"symmetric_pareto","trial_index":1,'
+    '"seed":18446744073709551614,"n_rows":8,"s_min":0.125,"s_top":1e+300,'
+    '"kth_values":[0.125,0.5],"degenerate_flags":[false,true],'
+    '"bottom_vectors":[[0.5,-0.5,0.5,-0.0],[0.7071067811865476,0.0,-0.7071067811865475,0.0]],'
+    f'"localization":[{{"k":1,"c":0.5,{LOC}true}},{{"k":2,"c":0.5,{LOC}true}}],'
+    '"certificate":{"tau":2.5,"columns":[],"column_count":0,"minor_op_norm":Infinity,'
+    '"minor_smin":Infinity,"certified_upper":Infinity,"observed_smin":0.125,"valid":false,'
+    '"note":"no columns below tau; certificate vacuous; finite-variance regime: census cutoff"},'
+    '"heavy_count":3,"census_c":0.1}',
+]
+
+
+def test_write_records_bytes(tmp_path):
+    path = tmp_path / "records.jsonl"
+    records = [_record(0, [0, 2], 0.25), _record(1, [], math.inf)]
+    write_records(records, path)
+    assert path.read_bytes() == ("\n".join(EXPECTED) + "\n").encode("ascii")
+    # Reading back and writing again reproduces the bytes.
+    again = tmp_path / "again.jsonl"
+    write_records(read_records(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_run_trial_line_matches_deep_copy(tmp_path):
+    # A sampled record writes the same bytes as its dataclasses.asdict deep copy.
+    config = SweepConfig(alphas=(1.2,), ns=(12,), aspect=2.0, trials_per_cell=1, base_seed=3, k_vectors=2)
+    rec = run_trial(config, 1.2, 12, 0)
+    path = tmp_path / "records.jsonl"
+    write_records([rec], path)
+    deep = json.dumps(dataclasses.asdict(rec), separators=(",", ":")) + "\n"
+    assert path.read_text(encoding="ascii") == deep
