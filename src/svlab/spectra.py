@@ -2,9 +2,16 @@
 
 Two LAPACK routes produce the factors, and the matrix itself picks one:
 
-* ``gram``: G = X^T X is formed once and diagonalized by numpy's ``eigh``
-  (syevd). s_i = sqrt(lambda_i) in descending order, and V is G's
-  eigenvector matrix. The N x n left factor is never built.
+* ``gram``: G = X^T X is formed once. numpy's ``eigvalsh`` gives all its
+  eigenvalues, s_i = sqrt(lambda_i) in descending order, and each stored
+  right vector is one step of inverse iteration: one LU solve with G
+  shifted by its eigenvalue, from a fixed start vector (Ipsen, "Computing
+  an eigenvector with inverse iteration", SIAM Review 39, 1997). That costs
+  about 4n^3/3 flops for the values plus 2n^3/3 per stored vector, where
+  ``eigh`` builds all n vectors for about 9n^3. Where a shifted G is exactly
+  singular (an exactly diagonal G, an exact tie) or a solved vector fails
+  a check, ``eigh`` (syevd) of G gives the values and vectors instead. The
+  N x n left factor is never built.
 * ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
   Householder QR (geqrf), then gesdd of the n x n factor R, which has X's
   singular values and right vectors (Chan's R-SVD). Neither Q nor the
@@ -21,13 +28,15 @@ That keeps the relative error of s_min near GRAM_COND_LIMIT / 2 at worst,
 and its absolute error near sqrt(eps * GRAM_COND_LIMIT) / 2 * s_1, about
 7e-13 * s_1. The rule is applied twice: first to diag(G), the squared
 column norms, which lie in [lambda_min, lambda_max], so a diagonal that
-fails proves the eigenvalues fail without an eigensolve; then to the
-eigenvalues themselves.
+fails proves the eigenvalues fail without an eigensolve (and without
+forming G: the squared column norms come from X); then to the eigenvalues
+themselves.
 
 On the gram route SpectralResult.gram keeps G, and minor_extremes reads a
 column minor's extremes from it: X_J^T X_J is exactly G[J, J], so gathering
 that principal submatrix replaces forming the minor's own Gram matrix. The
-same rule decides whether eigvalsh of G[J, J] resolves the minor's s_min.
+same rule, eigvalsh and shifted solves, with the same checks against X,
+give the minor's two extremes.
 
 Whichever route ran, this module owns the contracts around it: residual
 verification against the normal equations, orthonormality, a
@@ -82,7 +91,8 @@ class SpectralResult:
     whose singular value sits within DEGENERATE_GAP_TOL * s_1 of a
     spectral neighbor, meaning the individual vector (not the subspace)
     is not numerically well defined. method names the route that produced
-    the factors: "gram" (eigh of X^T X) or "gesdd" (LAPACK SVD of X's R factor).
+    the factors: "gram" (eigvalsh of X^T X and shifted solves, or its eigh)
+    or "gesdd" (LAPACK SVD of X's R factor).
     gram is X^T X on the gram route and None on the gesdd route; it is kept
     for minor_extremes and left out of repr and equality.
     """
@@ -127,51 +137,102 @@ def _gram_resolves(hi, lo) -> bool:
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
 
 
-def _right_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, np.ndarray | None]:
-    """Descending singular values, V^T, the route that produced them and G on the gram route."""
-    g = x.T @ x
-    d = np.diagonal(g)
+def _gram_pairs(x: np.ndarray, g: np.ndarray, cols, picks: np.ndarray):
+    """eigvalsh of g = X_J^T X_J, and checked unit vectors for its eigenvalues at picks.
+
+    cols selects J among X's columns (slice(None) for all of X); picks holds
+    distinct ascending positions. None when the eigenvalues fail the
+    GRAM_COND_LIMIT rule, else (w, pairs): w ascending, and pairs is
+    (u, residuals), u[:, j] the vector for w[picks[j]], or None when a
+    shifted g is exactly singular or a vector fails full_svd's residual
+    check (computed from X, not from g) or its orthonormality check.
+
+    Each vector is one step of inverse iteration (Ipsen, SIAM Review 39,
+    1997): an LU solve of (g - w_j I) y = linspace(1, 2, m), Gram-Schmidt'd
+    against the earlier vectors only, so the first does not depend on the
+    rest. g's diagonal is shifted in place and restored.
+    """
+    w = np.linalg.eigvalsh(g)
+    if not _gram_resolves(w[-1], w[0]):
+        return None
+    lam = w[picks]
+    d = np.diagonal(g).copy()
+    start = np.linspace(1.0, 2.0, d.size)
+    u = np.empty((d.size, lam.size))
+    try:
+        for j, shift in enumerate(lam):
+            np.fill_diagonal(g, d - shift)
+            y = np.linalg.solve(g, start)
+            y -= u[:, :j] @ (u[:, :j].T @ y)
+            u[:, j] = y / np.linalg.norm(y)
+    except np.linalg.LinAlgError:  # an exactly singular shifted matrix
+        return w, None
+    finally:
+        np.fill_diagonal(g, d)
+    # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
+    u_full = np.zeros((x.shape[1], lam.size))
+    u_full[cols] = u
+    residuals = np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0)
+    ortho_err = np.abs(u.T @ u - np.eye(lam.size)).max()
+    top = math.sqrt(w[-1])
+    if not (residuals.max() <= RESIDUAL_TOL * top * top and ortho_err <= ORTHO_TOL):  # a NaN fails too
+        return w, None
+    return w, (u, residuals)
+
+
+def _right_factors(x: np.ndarray, picks: np.ndarray):
+    """Descending singular values, the right vectors at ascending positions picks as rows,
+    their residuals where already checked, the route and G on the gram route."""
+    d = np.einsum("ij,ij->j", x, x)  # diag(X^T X), without forming it
     if _gram_resolves(d.max(), d.min()):
-        w, v = np.linalg.eigh(g)
-        if _gram_resolves(w[-1], w[0]):
-            return np.sqrt(w[::-1]), v.T[::-1], "gram", g
-        del w, v
-    # Release G before the QR copy of X. X = QR, so X and R share s and V;
-    # gesdd of the n x n R never builds X's N x n left factor (Chan's R-SVD).
-    del g, d
+        g = x.T @ x
+        found = _gram_pairs(x, g, slice(None), picks)
+        if found is not None:
+            w, pairs = found
+            if pairs is None:
+                w, v = np.linalg.eigh(g)
+                u, residuals = v[:, picks], None
+            else:
+                u, residuals = pairs
+            return np.sqrt(w[::-1]), u.T, residuals, "gram", g
+        del g  # release G before the QR copy of X
+    # X = QR, so X and R share s and V; gesdd of the n x n R never builds X's
+    # N x n left factor (Chan's R-SVD).
     _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
-    return s, vt, "gesdd", None
+    return s, vt[x.shape[1] - 1 - picks], None, "gesdd", None
 
 
 def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
-    The values and vectors come from eigh of X^T X when the module's
-    GRAM_COND_LIMIT rule says X^T X resolves s_min, and from gesdd of X's
-    R factor otherwise; SpectralResult.method records which. Every check
-    below runs on either route. Raises SpectralError (with the worst residual
-    attached) if any stored vector violates
-    ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored vectors are
-    not orthonormal to ORTHO_TOL, or if the backend fails to converge.
+    Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, the
+    values come from eigvalsh of X^T X and each stored vector from one
+    shifted solve, about 2n^3/3 flops a vector; eigh of X^T X stands in
+    where a shift is exactly singular or a solved vector fails a check.
+    Otherwise they come from gesdd of X's R factor. SpectralResult.method
+    records the route, and every check below runs on either. Raises
+    SpectralError (with the worst residual attached) if any stored vector
+    violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored
+    vectors are not orthonormal to ORTHO_TOL, or if the backend fails to
+    converge.
     """
     x = _validate_tall(x)
     n = x.shape[1]
     if not (1 <= k_bottom <= n):
         raise ValueError(f"k_bottom must be in [1, {n}], got {k_bottom}")
+    # Ascending positions of the stored vectors: bottom 1..k, then the top,
+    # which is bottom vector n itself when k = n.
+    picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
     try:
-        s, vt, method, gram = _right_factors(x)
+        s, rows, residuals, method, gram = _right_factors(x, picks)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
     s1 = float(s[0])
-    pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
-    bottom = np.array([_fix_sign(vt[i]) for i in pos])
-    top = _fix_sign(vt[0])
-
-    stacked = np.vstack([bottom, top[None, :]])
-    svals = np.concatenate([s[pos], s[:1]])
-    # Recomputed from X, not from G, so the gram route is checked against X itself.
-    residuals = np.linalg.norm(x.T @ (x @ stacked.T) - stacked.T * svals**2, axis=0)
+    stored = np.array([_fix_sign(r) for r in rows])
+    if residuals is None:
+        # Recomputed from X, not from G, so the eigh fallback is checked against X itself.
+        residuals = np.linalg.norm(x.T @ (x @ stored.T) - stored.T * s[n - 1 - picks] ** 2, axis=0)
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL * s1 * s1:  # written so that a NaN residual fails
         raise SpectralError(
@@ -179,10 +240,7 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
             worst_residual=worst,
         )
 
-    # When k_bottom = n the top vector duplicates bottom vector n, so the
-    # orthonormality contract applies to the distinct vectors only.
-    block = stacked if k_bottom < n else bottom
-    ortho = block @ block.T
+    ortho = stored @ stored.T
     ortho_err = float(np.abs(ortho - np.eye(ortho.shape[0])).max())
     if not ortho_err <= ORTHO_TOL:
         raise SpectralError(
@@ -191,14 +249,16 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
         )
 
     # Each bottom value's distance to its nearer spectral neighbour.
+    pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
     gaps = np.concatenate([[math.inf], np.abs(np.diff(s)), [math.inf]])
     flags = (np.minimum(gaps[pos], gaps[pos + 1]) < DEGENERATE_GAP_TOL * s1).tolist()
 
+    keep = np.append(np.arange(k_bottom), picks.size - 1)  # the top repeats bottom n when k = n
     return SpectralResult(
         singular_values=s.copy(),
-        bottom_right_vectors=bottom,
-        top_right_vector=top,
-        residuals=residuals,
+        bottom_right_vectors=stored[:k_bottom],
+        top_right_vector=stored[-1],
+        residuals=residuals[keep],
         tolerance_used=RESIDUAL_TOL,
         method=method,
         degenerate_flags=flags,
@@ -210,39 +270,24 @@ def minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray) -> tuple[f
     """(s_min, s_top) of X[:, cols] from G[cols, cols], or None where they are not verified.
 
     gram is X^T X as full_svd kept it and cols holds at least two sorted,
-    unique column indices. The eigenvalues of G[cols, cols] come from eigvalsh
-    under the GRAM_COND_LIMIT rule. One shifted solve per extreme eigenvalue
-    (a step of inverse iteration from a fixed start vector) gives a unit
-    vector for it, and the pair must pass full_svd's checks: the residual
-    ||X_J^T(X_J u) - lambda u|| <= RESIDUAL_TOL * s_top^2, computed from X
-    and not from G, and orthonormality to ORTHO_TOL. None when the rule, a
-    solve or a check fails; the caller then decomposes X[:, cols] itself.
+    unique column indices. The GRAM_COND_LIMIT rule runs on the diagonal of
+    G[cols, cols] first; the eigenvalues and one checked vector per extreme
+    then come from the same shifted solves as full_svd's gram route. None
+    when the rule, eigvalsh, a solve or a check fails; the caller then
+    decomposes X[:, cols] itself.
     """
     g = gram[np.ix_(cols, cols)]
-    d = np.diagonal(g).copy()
+    d = np.diagonal(g)
     if not _gram_resolves(d.max(), d.min()):
         return None
     try:
-        w = np.linalg.eigvalsh(g)
-        lam = np.array([w[0], w[-1]])
-        if not _gram_resolves(lam[1], lam[0]):
-            return None
-        start = np.linspace(1.0, 2.0, cols.size)
-        u = np.empty((cols.size, 2))
-        for j, shift in enumerate(lam):
-            np.fill_diagonal(g, d - shift)
-            u[:, j] = np.linalg.solve(g, start)
-    except np.linalg.LinAlgError:  # includes an exactly singular shifted matrix
+        found = _gram_pairs(x, g, cols, np.array([0, cols.size - 1]))
+    except np.linalg.LinAlgError:  # eigvalsh did not converge
         return None
-    u /= np.linalg.norm(u, axis=0)
-    # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
-    u_full = np.zeros((x.shape[1], 2))
-    u_full[cols] = u
-    residual = float(np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0).max())
-    ortho_err = float(np.abs(u.T @ u - np.eye(2)).max())
-    if not (residual <= RESIDUAL_TOL * lam[1] and ortho_err <= ORTHO_TOL):  # a NaN fails too
+    if found is None or found[1] is None:
         return None
-    return float(np.sqrt(lam[0])), float(np.sqrt(lam[1]))
+    w = found[0]
+    return float(np.sqrt(w[0])), float(np.sqrt(w[-1]))
 
 
 def operator_norm(x: np.ndarray) -> float:

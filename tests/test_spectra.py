@@ -265,12 +265,85 @@ class TestRoute:
         assert res.method == "gesdd"
         assert res.singular_values.tolist() == pytest.approx([1e5, 3.0, 2.0, 1.0], rel=1e-12)
 
-    def test_equal_column_norms_fall_back_after_eigh(self, monkeypatch):
+    def test_equal_column_norms_fall_back_after_eigvalsh(self, monkeypatch):
         # An orthogonal rotation with +-1/2 entries gives every column the same
         # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = full_svd(x)
+        assert calls == [(4, 4)]
+        assert res.method == "gesdd"
+        assert res.s_min == pytest.approx(1e-4, rel=1e-10)
+
+
+class TestShiftedSolves:
+    """The gram route: eigvalsh, one shifted solve per stored vector, eigh as fallback."""
+
+    @staticmethod
+    def _x(n=6, seed=9):
+        law = TailLaw(LawKind.STUDENT_T, alpha=3.0)
+        return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+
+    @staticmethod
+    def _from_eigh(x, k):
+        # What the parent route gave: eigh of X^T X, vectors in full_svd's order and sign.
+        w, v = np.linalg.eigh(x.T @ x)
+        vecs = [v[:, j] for j in range(k)] + [v[:, -1]]
+        return np.sqrt(w[::-1]), [u if u[np.abs(u).argmax()] > 0 else -u for u in vecs]
+
+    def test_perturbed_solve_falls_back_to_eigh(self, monkeypatch):
+        x = self._x()
+        real_solve = np.linalg.solve
+
+        def perturbed(a, b):
+            y = real_solve(a, b)
+            return y + 1e-3 * np.linalg.norm(y) * np.linspace(-1.0, 1.0, y.size)
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        res = full_svd(x, k_bottom=2)
+        s, vecs = self._from_eigh(x, 2)
+        assert res.method == "gram"
+        assert np.array_equal(res.singular_values, s)
+        assert np.array_equal(res.bottom_right_vectors, np.array(vecs[:2]))
+        assert np.array_equal(res.top_right_vector, vecs[2])
+        monkeypatch.setattr(np.linalg, "solve", real_solve)
+        clean = full_svd(x, k_bottom=2)
+        assert np.allclose(clean.singular_values, s, rtol=1e-12)
+        assert np.abs(clean.bottom_right_vectors - res.bottom_right_vectors).max() < 1e-10
+
+    def test_all_vectors_kept_solves_each_once(self, monkeypatch):
+        # k_bottom = n: the top vector is bottom vector n, solved once and not
+        # orthogonalized against itself.
+        x = self._x(n=5)
+        calls = []
+        real_solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return real_solve(a, b)
+
+        def no_eigh(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        res = full_svd(x, k_bottom=5)
+        assert res.method == "gram" and calls == [(5, 5)] * 5
+        assert np.array_equal(res.top_right_vector, res.bottom_right_vectors[-1])
+        assert res.residuals.shape == (6,) and res.residuals[-1] == res.residuals[-2]
+        assert np.array_equal(res.gram, x.T @ x)  # the shifted diagonal is restored
+
+    def test_exact_tie_takes_eigh(self, monkeypatch):
+        # X^T X = 2 I, so the shifted matrix is exactly zero and the solve raises.
         calls = []
         real_eigh = np.linalg.eigh
 
@@ -279,10 +352,34 @@ class TestRoute:
             return real_eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        res = full_svd(x)
-        assert calls == [(4, 4)]
-        assert res.method == "gesdd"
-        assert res.s_min == pytest.approx(1e-4, rel=1e-10)
+        res = full_svd(np.vstack([np.eye(2), np.eye(2)]), k_bottom=2)
+        assert calls == [(2, 2)] and res.method == "gram"
+        assert res.singular_values.tolist() == [math.sqrt(2.0)] * 2
+        assert res.degenerate_flags == [True, True]
+
+    @given(
+        alpha=st.floats(0.5, 5.0),
+        n=st.integers(3, 40),
+        k=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigh(self, alpha, n, k, seed):
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+        k = min(k, n)
+        res = full_svd(x, k_bottom=k)
+        if res.method != "gram":
+            return
+        w, v = np.linalg.eigh(x.T @ x)
+        top2 = res.s_top**2
+        assert np.abs(res.singular_values[::-1] ** 2 - w).max() <= 1e-8 * top2
+        # A vector is defined to about eps * s_top^2 / gap, so compare where the gap allows.
+        gaps = np.abs(np.diff(w))
+        got = np.vstack([res.bottom_right_vectors, res.top_right_vector])
+        for u, j in zip(got, [*range(k), n - 1]):
+            gap = min(gaps[j - 1] if j > 0 else math.inf, gaps[j] if j < n - 1 else math.inf)
+            ref = v[:, j] * np.sign(v[:, j] @ u)
+            assert np.linalg.norm(u - ref) <= 1e-8 * top2 / gap
 
 
 class TestGesddFallback:
