@@ -221,6 +221,14 @@ def derive_trial_seed(
     return int.from_bytes(digest[:8], "little")
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name in field order, sharing its lists.
+
+    dataclasses.asdict would deep-copy every list; the JSON text is the same.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> TrialRecord:
     law = config.law_for(alpha)
     seed = derive_trial_seed(
@@ -241,7 +249,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
             rep = localization_report(
                 u, c, list(config.epsilons), degenerate=res.degenerate_flags[k - 1]
             )
-            reports.append({"k": k, "c": float(c), **dataclasses.asdict(rep)})
+            reports.append({"k": k, "c": float(c), **_fields(rep)})
 
     bounds = law.tail_bounds
     tau, note = certificate_cutoff(
@@ -263,7 +271,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         degenerate_flags=[bool(f) for f in res.degenerate_flags],
         bottom_vectors=[[float(v) for v in row] for row in res.bottom_right_vectors],
         localization=reports,
-        certificate=dataclasses.asdict(cert),
+        certificate=_fields(cert),
         heavy_count=heavy_census(x, config.census_c),
         census_c=float(config.census_c),
     )
@@ -327,7 +335,7 @@ def write_records(records: list[TrialRecord], path: str | Path) -> None:
     """
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
-            fh.write(json.dumps(dataclasses.asdict(rec), separators=(",", ":")))
+            fh.write(json.dumps(_fields(rec), separators=(",", ":")))
             fh.write("\n")
 
 
