@@ -177,7 +177,7 @@ def cmd_certify(args) -> int:
         tau_source = "explicit"
     else:
         if args.alpha is None:
-            raise UsageError("certify needs either --tau or --alpha (for the auto cutoff)")
+            raise UsageError("certify needs either --tau or --alpha (the tail index that sets the cutoff)")
         # The sweep's rule: the auto cutoff below alpha = 2, the census cutoff elsewhere.
         tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (args.b_frak, args.a_frak))
         tau_source = "auto"
@@ -405,7 +405,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("certify", help="small-column upper certificate for s_min")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--tau", type=float, default=None, help="explicit cutoff (wins over --alpha)")
-    c.add_argument("--alpha", type=float, default=None, help="tail index for the auto cutoff")
+    c.add_argument("--alpha", type=float, default=None, help="tail index: auto cutoff below 2, else census cutoff")
     c.add_argument("--b-frak", type=float, default=TAU_PARAMS[0])
     c.add_argument("--a-frak", type=float, default=TAU_PARAMS[1])
     c.add_argument("--c-upper", type=float, default=1.0)

@@ -209,7 +209,7 @@ options:
   -h, --help         show this help message and exit
   --in INPUT
   --tau TAU          explicit cutoff (wins over --alpha)
-  --alpha ALPHA      tail index for the auto cutoff
+  --alpha ALPHA      tail index: auto cutoff below 2, else census cutoff
   --b-frak B_FRAK
   --a-frak A_FRAK
   --c-upper C_UPPER
