@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "LawKind",
@@ -234,6 +237,10 @@ def derive_stream(seed: int, trial_index: int) -> Generator:
         raise ValueError("seed must be in [0, 2**64)")
     if not (0 <= trial_index < 2**64):
         raise ValueError("trial_index must be in [0, 2**64)")
+    # Imported here so that commands that sample nothing (spectra, certify,
+    # plot, ...) do not load numpy.random.
+    from numpy.random import Generator, Philox
+
     key = np.array([seed, trial_index], dtype=np.uint64)
     return Generator(Philox(key=key))
 

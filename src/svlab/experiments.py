@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,6 +214,8 @@ def derive_trial_seed(
     base_seed: int, law_kind: str, alpha: float, n: int, aspect: float, trial_index: int
 ) -> int:
     """Stable 64-bit stream seed for one trial, from the cell coordinates."""
+    import hashlib
+
     key = f"{base_seed}|{law_kind}|{alpha!r}|{n}|{aspect!r}|{trial_index}"
     digest = hashlib.sha256(key.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -308,6 +308,10 @@ def run_sweep(
     ]
     tasks.sort(key=lambda task: -task[2])  # stable: grid order within one n
     workers = min(workers, len(tasks))  # a pool forks all its workers at the first submit
+    if workers > 1:
+        # Imported here, before the clock starts, so that only a pooled sweep
+        # loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
     start = time.perf_counter()
     if workers <= 1:
         outcomes = [_trial_task(t) for t in tasks]
@@ -513,6 +517,7 @@ def write_manifest(
     elapsed: float,
     path: str | Path,
 ) -> None:
+    import hashlib
     import platform
 
     cfg = config.as_dict()

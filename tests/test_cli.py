@@ -1,6 +1,10 @@
 """End-to-end command line checks: exit codes, files written, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from svlab.matrixio import load_matrix, save_matrix
 from svlab.spectra import full_svd
 
 from test_experiments import synth_record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -359,6 +365,32 @@ class TestSweep:
             cfg = write_sweep_config(tmp_path / f"{dest.name}.json", aspect=aspect)
             assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 0
         assert (d_int / "records.jsonl").read_bytes() == (d_float / "records.jsonl").read_bytes()
+
+
+def run_fresh(args, cwd):
+    """Run python with args in a fresh process that imports svlab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+
+
+class TestColdStart:
+    """Each svlab command is its own process, so what `import svlab.cli` loads is paid on every call."""
+
+    def test_import_leaves_pool_random_and_scipy_unloaded(self, tmp_path):
+        unwanted = ["concurrent.futures.process", "multiprocessing", "numpy.random", "scipy"]
+        code = f"import sys, svlab.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+        assert run_fresh(["-c", code], tmp_path).stdout.strip() == "[]"
+
+    def test_pooled_sweep_matches_serial_bytes(self, tmp_path):
+        # The pool's workers load numpy.random on their own first trial.
+        cfg = write_sweep_config(tmp_path / "cfg.json")
+        for workers in ("1", "2"):
+            run_fresh(["-m", "svlab.cli", "sweep", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / f"w{workers}"), "--workers", workers], tmp_path)
+        serial = (tmp_path / "w1" / "records.jsonl").read_bytes()
+        assert serial.count(b"\n") == 4
+        assert (tmp_path / "w2" / "records.jsonl").read_bytes() == serial
 
 
 @pytest.fixture(scope="module")

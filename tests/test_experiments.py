@@ -272,7 +272,7 @@ class TestRunSweep:
                 log["submitted"].extend((alpha, n, t) for _, alpha, n, t in tasks)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         return log
 
     def test_pool_capped_at_trial_count(self, serial_pool):
