@@ -6,10 +6,9 @@ submatrix X_J, and by interlacing
     s_min(X) <= s_min(X_J) <= ||X_J||,
 
 so either quantity of the minor is a certified upper bound computable
-without touching the full spectrum. When the caller hands over X's Gram
-matrix G, the minor's extremes come from G[J, J], which equals X_J^T X_J,
-through spectra.minor_extremes; where that route is not verified, X_J is
-decomposed on its own by full_svd.
+without touching the full spectrum. One full_svd of X_J gives both; when
+the caller hands over X's Gram matrix G, it passes G[J, J], which equals
+X_J^T X_J, as that call's gram.
 
 The default cutoff comes from balancing the expected number of large
 entries per column against a log-size budget, which needs the law's
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixio import _check_matrix
-from .spectra import full_svd, minor_extremes, operator_norm  # noqa: F401 (perfbench wraps it here)
+from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
 
 __all__ = [
     "CertificateReport",
@@ -48,9 +47,8 @@ class CertificateReport:
 
     minor_op_norm and minor_smin are X_J's extremes: the column length when
     |J| = 1, X's own s_top and s_min when J is every column, and otherwise
-    eigvalsh of G[J, J] with its vectors checked against X
-    (spectra.minor_extremes), or one verified full_svd of X_J where no G was
-    given or that route fails. certified_upper is minor_smin.
+    one verified full_svd of X_J, given G[J, J] as its gram where X's G is
+    known. certified_upper is minor_smin.
     observed_smin is X's s_min as the caller decomposed it. valid means the
     bound is sound against it up to CERT_SLACK * s_top; with no qualifying
     columns the bound is vacuous (+inf), valid False.
@@ -138,7 +136,8 @@ def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
     x = _check_matrix(x)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
-    return np.flatnonzero(np.max(np.abs(x), axis=0) <= tau)
+    # max |x_ij| per column without an N x n np.abs temporary
+    return np.flatnonzero(np.maximum(x.max(axis=0), -x.min(axis=0)) <= tau)
 
 
 def upper_certificate(
@@ -153,10 +152,8 @@ def upper_certificate(
     gram is its X^T X when it has one (SpectralResult.gram); X itself is never
     decomposed here. Both extremes of X_J come from one place: the column
     length when |J| = 1, observed itself when J holds every column, since X_J
-    is then X, and otherwise spectra.minor_extremes on G[J, J]. Where no gram
-    is given or that route is not verified (its GRAM_COND_LIMIT rule, shifted
-    solve, residual or orthonormality check fails), one verified full_svd of
-    X_J gives them instead.
+    is then X, and otherwise one verified full_svd of X_J, which takes
+    G[J, J] as its gram when gram is given and picks its own route from it.
     Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -169,11 +166,9 @@ def upper_certificate(
     elif cols.size == x.shape[1]:  # X_J is X, already decomposed by the caller
         norm_xj, smin_xj = s_top, observed_smin
     else:  # cols is sorted, unique and in range
-        extremes = None if gram is None else minor_extremes(x, cols, gram)
-        if extremes is None:
-            res_j = full_svd(x[:, cols], k_bottom=1)
-            extremes = res_j.s_min, res_j.s_top
-        smin_xj, norm_xj = extremes
+        res_j = full_svd(np.take(x, cols, axis=1), k_bottom=1,
+                         gram=None if gram is None else gram[np.ix_(cols, cols)])
+        smin_xj, norm_xj = res_j.s_min, res_j.s_top
     return CertificateReport(
         tau=float(tau),
         columns=[int(c) for c in cols],
@@ -192,4 +187,5 @@ def heavy_census(x: np.ndarray, c: float = CENSUS_C) -> int:
     x = _check_matrix(x)
     if not (0.0 < c < 0.5):
         raise ValueError(f"c must be in (0, 1/2), got {c}")
-    return int(np.count_nonzero(np.abs(x) > census_cutoff(x.shape[0], c)))
+    t = census_cutoff(x.shape[0], c)
+    return int(np.count_nonzero(x > t) + np.count_nonzero(x < -t))  # no N x n np.abs temporary

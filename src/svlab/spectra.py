@@ -32,11 +32,9 @@ fails proves the eigenvalues fail without an eigensolve (and without
 forming G: the squared column norms come from X); then to the eigenvalues
 themselves.
 
-On the gram route SpectralResult.gram keeps G, and minor_extremes reads a
-column minor's extremes from it: X_J^T X_J is exactly G[J, J], so gathering
-that principal submatrix replaces forming the minor's own Gram matrix. The
-same rule, eigvalsh and shifted solves, with the same checks against X,
-give the minor's two extremes.
+A caller that already holds X^T X passes it as full_svd's gram, which then
+stands in for forming G and for the column-norm pass; a column minor X_J
+takes G[J, J], which is exactly X_J^T X_J.
 
 Whichever route ran, this module owns the contracts around it: residual
 verification against the normal equations, orthonormality, a
@@ -61,7 +59,6 @@ __all__ = [
     "SpectralError",
     "SpectralResult",
     "full_svd",
-    "minor_extremes",
     "operator_norm",
 ]
 
@@ -93,8 +90,9 @@ class SpectralResult:
     is not numerically well defined. method names the route that produced
     the factors: "gram" (eigvalsh of X^T X and shifted solves, or its eigh)
     or "gesdd" (LAPACK SVD of X's R factor).
-    gram is X^T X on the gram route and None on the gesdd route; it is kept
-    for minor_extremes and left out of repr and equality.
+    gram is X^T X on the gram route and None on the gesdd route; a caller
+    passes its principal submatrices on as a column minor's gram. It is left
+    out of repr and equality.
     """
 
     singular_values: np.ndarray
@@ -137,42 +135,40 @@ def _gram_resolves(hi, lo) -> bool:
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
 
 
-def _gram_pairs(x: np.ndarray, g: np.ndarray, cols, picks: np.ndarray):
-    """eigvalsh of g = X_J^T X_J, and checked unit vectors for its eigenvalues at picks.
+def _gram_pairs(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
+    """eigvalsh of g = X^T X, and checked unit vectors for its eigenvalues at picks.
 
-    cols selects J among X's columns (slice(None) for all of X); picks holds
-    distinct ascending positions. None when the eigenvalues fail the
-    GRAM_COND_LIMIT rule, else (w, pairs): w ascending, and pairs is
-    (u, residuals), u[:, j] the vector for w[picks[j]], or None when a
-    shifted g is exactly singular or a vector fails full_svd's residual
-    check (computed from X, not from g) or its orthonormality check.
+    picks holds distinct ascending positions. None when eigvalsh does not
+    converge or the eigenvalues fail the GRAM_COND_LIMIT rule, else
+    (w, pairs): w ascending, and pairs is (u, residuals), u[:, j] the vector
+    for w[picks[j]], or None when a shifted g is exactly singular or a
+    vector fails full_svd's residual check (computed from X, not from g) or
+    its orthonormality check.
 
     Each vector is one step of inverse iteration (Ipsen, SIAM Review 39,
-    1997): an LU solve of (g - w_j I) y = linspace(1, 2, m), Gram-Schmidt'd
+    1997): an LU solve of (g - w_j I) y = linspace(1, 2, n), Gram-Schmidt'd
     against the earlier vectors only, so the first does not depend on the
     rest. g's diagonal is shifted in place and restored.
     """
-    w = np.linalg.eigvalsh(g)
-    if not _gram_resolves(w[-1], w[0]):
-        return None
-    lam = w[picks]
     d = np.diagonal(g).copy()
     start = np.linspace(1.0, 2.0, d.size)
-    u = np.empty((d.size, lam.size))
+    u = np.empty((d.size, picks.size))
+    w = None
     try:
+        w = np.linalg.eigvalsh(g)
+        if not _gram_resolves(w[-1], w[0]):
+            return None
+        lam = w[picks]
         for j, shift in enumerate(lam):
             np.fill_diagonal(g, d - shift)
             y = np.linalg.solve(g, start)
             y -= u[:, :j] @ (u[:, :j].T @ y)
             u[:, j] = y / np.linalg.norm(y)
-    except np.linalg.LinAlgError:  # an exactly singular shifted matrix
-        return w, None
+    except np.linalg.LinAlgError:  # eigvalsh did not converge, or a shifted g is exactly singular
+        return None if w is None else (w, None)
     finally:
         np.fill_diagonal(g, d)
-    # X u_full = X_J u when u_full is u on cols and zero elsewhere, so X_J is never copied.
-    u_full = np.zeros((x.shape[1], lam.size))
-    u_full[cols] = u
-    residuals = np.linalg.norm((x.T @ (x @ u_full))[cols] - u * lam, axis=0)
+    residuals = np.linalg.norm(x.T @ (x @ u) - u * lam, axis=0)
     ortho_err = np.abs(u.T @ u - np.eye(lam.size)).max()
     top = math.sqrt(w[-1])
     if not (residuals.max() <= RESIDUAL_TOL * top * top and ortho_err <= ORTHO_TOL):  # a NaN fails too
@@ -180,13 +176,15 @@ def _gram_pairs(x: np.ndarray, g: np.ndarray, cols, picks: np.ndarray):
     return w, (u, residuals)
 
 
-def _right_factors(x: np.ndarray, picks: np.ndarray):
+def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
     """Descending singular values, the right vectors at ascending positions picks as rows,
-    their residuals where already checked, the route and G on the gram route."""
-    d = np.einsum("ij,ij->j", x, x)  # diag(X^T X), without forming it
+    their residuals where already checked, the route and G on the gram route; g is the
+    caller's X^T X or None."""
+    d = np.einsum("ij,ij->j", x, x) if g is None else np.diagonal(g)  # diag(X^T X)
     if _gram_resolves(d.max(), d.min()):
-        g = x.T @ x
-        found = _gram_pairs(x, g, slice(None), picks)
+        if g is None:
+            g = x.T @ x
+        found = _gram_pairs(x, g, picks)
         if found is not None:
             w, pairs = found
             if pairs is None:
@@ -202,7 +200,7 @@ def _right_factors(x: np.ndarray, picks: np.ndarray):
     return s, vt[x.shape[1] - 1 - picks], None, "gesdd", None
 
 
-def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
+def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
     Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, the
@@ -215,16 +213,22 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored
     vectors are not orthonormal to ORTHO_TOL, or if the backend fails to
     converge.
+
+    gram, when given, is X^T X as the caller already holds it (G[J, J] for
+    a column minor X_J); it replaces forming X^T X and its diagonal, while
+    every check still runs against X.
     """
     x = _validate_tall(x)
     n = x.shape[1]
     if not (1 <= k_bottom <= n):
         raise ValueError(f"k_bottom must be in [1, {n}], got {k_bottom}")
+    if gram is not None and np.shape(gram) != (n, n):
+        raise ValueError(f"gram must have shape {(n, n)}, got {np.shape(gram)}")
     # Ascending positions of the stored vectors: bottom 1..k, then the top,
     # which is bottom vector n itself when k = n.
     picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
     try:
-        s, rows, residuals, method, gram = _right_factors(x, picks)
+        s, rows, residuals, method, gram = _right_factors(x, picks, gram)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
@@ -264,30 +268,6 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
         degenerate_flags=flags,
         gram=gram,
     )
-
-
-def minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray) -> tuple[float, float] | None:
-    """(s_min, s_top) of X[:, cols] from G[cols, cols], or None where they are not verified.
-
-    gram is X^T X as full_svd kept it and cols holds at least two sorted,
-    unique column indices. The GRAM_COND_LIMIT rule runs on the diagonal of
-    G[cols, cols] first; the eigenvalues and one checked vector per extreme
-    then come from the same shifted solves as full_svd's gram route. None
-    when the rule, eigvalsh, a solve or a check fails; the caller then
-    decomposes X[:, cols] itself.
-    """
-    g = gram[np.ix_(cols, cols)]
-    d = np.diagonal(g)
-    if not _gram_resolves(d.max(), d.min()):
-        return None
-    try:
-        found = _gram_pairs(x, g, cols, np.array([0, cols.size - 1]))
-    except np.linalg.LinAlgError:  # eigvalsh did not converge
-        return None
-    if found is None or found[1] is None:
-        return None
-    w = found[0]
-    return float(np.sqrt(w[0])), float(np.sqrt(w[-1]))
 
 
 def operator_norm(x: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svlab.certificates import (
+    census_cutoff,
     certificate_cutoff,
     default_tau_for_rows,
     heavy_census,
@@ -15,7 +16,7 @@ from svlab.certificates import (
 )
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.experiments import SweepConfig, run_trial
-from svlab.spectra import full_svd, minor_extremes
+from svlab.spectra import SpectralError, full_svd
 
 
 def _certify(x, tau):
@@ -97,6 +98,28 @@ class TestSmallColumns:
             small_column_set(np.ones((2, 2)), 0.0)
 
 
+def _near_cutoff(data, rows, cols, t):
+    """A rows x cols matrix of +-0.0, exactly +-t, their neighbours and other values."""
+    edge = [0.0, -0.0, t, -t, *(s * np.nextafter(t, e) for s in (1.0, -1.0) for e in (0.0, math.inf))]
+    entry = st.one_of(st.sampled_from(edge), st.floats(-10.0, 10.0))
+    return np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+
+class TestAbsFreeScans:
+    """small_column_set and heavy_census against their np.abs forms."""
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), tau=st.sampled_from([0.5, 1.0, 2.5]), data=st.data())
+    def test_small_column_set(self, rows, cols, tau, data):
+        x = _near_cutoff(data, rows, cols, tau)
+        assert np.array_equal(small_column_set(x, tau), np.flatnonzero(np.max(np.abs(x), axis=0) <= tau))
+
+    @given(rows=st.integers(2, 40), cols=st.integers(1, 6), c=st.sampled_from([0.05, 0.1, 0.3]), data=st.data())
+    def test_heavy_census(self, rows, cols, c, data):
+        t = census_cutoff(rows, c)
+        x = _near_cutoff(data, rows, cols, t)
+        assert heavy_census(x, c) == np.count_nonzero(np.abs(x) > t)
+
+
 class TestUpperCertificate:
     def test_sound_on_heavy_matrices(self):
         for i, alpha in enumerate([0.8, 1.2, 1.5]):
@@ -164,15 +187,17 @@ class TestAllColumnsMinor:
         assert rep.minor_op_norm == res.s_top
         assert rep.valid and rep.note == ""
 
-    def test_sweep_cell_matches_explicit_minor(self, no_minor_svd):
+    def test_sweep_cell_matches_explicit_minor(self, minor_svds):
         # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff;
-        # trial 0 drops one, and its minor's extremes come from X's Gram matrix.
+        # trial 0 drops one, and its minor takes one full_svd given G[J, J].
         config = SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=2,
                              base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
         for trial, exact in [(1, True), (0, False)]:
+            minor_svds.clear()
             rec = run_trial(config, 5.0, 24, trial)
             cert = rec.certificate
             assert (cert["column_count"] == 24) is exact and cert["column_count"] >= 2
+            assert minor_svds == ([] if exact else [((rec.n_rows, cert["column_count"]), True)])
             x = sample_matrix(EnsembleConfig(n=24, aspect=2.0, law=config.law_for(5.0), seed=rec.seed))
             ref = full_svd(x[:, cert["columns"]], k_bottom=1)
             assert cert["minor_smin"] == cert["certified_upper"]
@@ -185,14 +210,14 @@ class TestAllColumnsMinor:
 
 @pytest.fixture
 def minor_svds(monkeypatch):
-    """Counts the full_svd calls upper_certificate makes on a minor."""
+    """Records the full_svd calls upper_certificate makes on a minor: shape, and whether a gram was passed."""
     import svlab.certificates as certificates
 
     calls = []
 
-    def counting(x, k_bottom=1):
-        calls.append(x.shape)
-        return full_svd(x, k_bottom=k_bottom)
+    def counting(x, k_bottom=1, gram=None):
+        calls.append((x.shape, gram is not None))
+        return full_svd(x, k_bottom=k_bottom, gram=gram)
 
     monkeypatch.setattr(certificates, "full_svd", counting)
     return calls
@@ -214,20 +239,21 @@ class TestGramMinor:
             assert got == pytest.approx(ref, rel=1e-12, abs=0) or got == ref == math.inf
         assert from_g.certified_upper == from_g.minor_smin
 
-    def _assert_fallback(self, x, tau, gram, minor_svds):
+    def _certify_minor(self, x, tau, gram, minor_svds):
         res = full_svd(x)
         rep = upper_certificate(x, tau, (res.s_min, res.s_top), gram=gram)
-        ref = full_svd(x[:, rep.columns], k_bottom=1)
         assert 2 <= rep.column_count < x.shape[1]
-        assert minor_svds == [(x.shape[0], rep.column_count)]
-        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+        assert minor_svds == [((x.shape[0], rep.column_count), gram is not None)]
+        return rep
 
     def test_gesdd_route_has_no_gram(self, minor_svds):
         # Column scales 1 to 1e6 fail the rule on diag(G), so X goes through gesdd.
         x = np.random.default_rng(5).standard_normal((12, 4)) * np.array([1.0, 3.0, 1e6, 2.0])
         res = full_svd(x)
         assert res.method == "gesdd" and res.gram is None
-        self._assert_fallback(x, 10.0, res.gram, minor_svds)
+        rep = self._certify_minor(x, 10.0, res.gram, minor_svds)
+        ref = full_svd(x[:, rep.columns], k_bottom=1)
+        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
 
     def test_minor_rule_fails(self, minor_svds):
         # Columns 0 and 1 differ by 1e-7, so G[J, J] cannot resolve the minor's s_min.
@@ -235,29 +261,44 @@ class TestGramMinor:
         a, b = rng.uniform(-1, 1, (2, 10))
         x = np.column_stack([a, a + 1e-7 * b, 50.0 + rng.uniform(0, 1, 10)])
         gram = x.T @ x
-        assert minor_extremes(x, np.array([0, 1]), gram) is None
-        self._assert_fallback(x, 10.0, gram, minor_svds)
+        assert full_svd(x[:, :2], gram=gram[:2, :2]).method == "gesdd"
+        rep = self._certify_minor(x, 10.0, gram, minor_svds)
+        ref = full_svd(x[:, rep.columns], k_bottom=1)
+        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
 
-    def test_singular_shifted_solve(self, minor_svds):
+    def test_singular_shifted_solve(self, minor_svds, monkeypatch):
         # diag(3, 4, 9) over a zero row: G[J, J] = diag(9, 16) minus either exact
-        # eigenvalue is singular, so the shifted solve raises.
+        # eigenvalue is singular, so the shifted solve raises and eigh of G[J, J] runs.
         x = np.vstack([np.diag([3.0, 4.0, 9.0]), np.zeros((1, 3))])
         res = full_svd(x)
         assert res.method == "gram"
-        assert minor_extremes(x, np.array([0, 1]), res.gram) is None
-        self._assert_fallback(x, 5.0, res.gram, minor_svds)
+        eighs = []
+        real_eigh = np.linalg.eigh
+
+        def counting(a):
+            eighs.append(a.shape)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        minor = full_svd(x[:, :2], gram=res.gram[:2, :2])
+        assert minor.method == "gram" and eighs == [(2, 2)]
+        assert minor.singular_values.tolist() == [4.0, 3.0]
+        rep = self._certify_minor(x, 5.0, res.gram, minor_svds)
+        assert (rep.minor_smin, rep.minor_op_norm) == (3.0, 4.0)
 
     def test_perturbed_gram_fails_residual_from_x(self, minor_svds):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((40, 10))
         x[0, 9] = 100.0  # only column 9 exceeds tau
-        gram = full_svd(x).gram
+        res = full_svd(x)
         cols = np.arange(9)
-        assert minor_extremes(x, cols, gram) is not None
-        bad = gram.copy()
+        assert full_svd(x[:, cols], gram=res.gram[np.ix_(cols, cols)]).method == "gram"
+        bad = res.gram.copy()
         bad[3, 3] *= 1.5  # one entry; the eigenvalues still pass the rule
-        assert minor_extremes(x, cols, bad) is None
-        self._assert_fallback(x, 10.0, bad, minor_svds)
+        # The checks run against X, so a G that is not X^T X fails the eigh fallback too.
+        with pytest.raises(SpectralError, match="^residual"):
+            upper_certificate(x, 10.0, (res.s_min, res.s_top), gram=bad)
+        assert minor_svds == [((40, 9), True)]
 
 
 class TestHeavyCensus:

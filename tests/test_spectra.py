@@ -382,6 +382,51 @@ class TestShiftedSolves:
             assert np.linalg.norm(u - ref) <= 1e-8 * top2 / gap
 
 
+class TestGivenGram:
+    """full_svd(X_J, gram=G[J, J]) takes the caller's Gram matrix instead of forming its own."""
+
+    @staticmethod
+    def _x(n=12, seed=4):
+        law = TailLaw(LawKind.STUDENT_T, alpha=3.0)
+        return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+
+    def test_wrong_shape_raises(self):
+        x = self._x()
+        g = x.T @ x
+        for bad in (g[:-1], g[:-1, :-1], g.ravel()):
+            with pytest.raises(ValueError, match="gram must have shape"):
+                full_svd(x, gram=bad)
+
+    def test_minor_values_from_gram_without_einsum(self, monkeypatch):
+        x = self._x()
+        gram = full_svd(x).gram
+        cols = np.array([0, 2, 3, 5, 8, 9, 11])
+        g_jj = gram[np.ix_(cols, cols)]
+        w = np.linalg.eigvalsh(g_jj)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        res = full_svd(np.take(x, cols, axis=1), gram=g_jj)
+        assert res.method == "gram"
+        assert res.s_min == float(np.sqrt(w[0])) and res.s_top == float(np.sqrt(w[-1]))
+        assert np.array_equal(g_jj, gram[np.ix_(cols, cols)])  # the shifted diagonal is restored
+
+    def test_eigvalsh_failure_takes_gesdd(self, monkeypatch):
+        x = self._x()
+
+        def not_converging(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", not_converging)
+        res = full_svd(x, k_bottom=2)
+        assert res.method == "gesdd" and res.gram is None
+        s = np.linalg.svd(x, compute_uv=False)
+        assert np.abs(res.singular_values - s).max() <= 1e-12 * s[0]
+        assert res.residuals.max() <= 1e-10 * s[0] ** 2
+
+
 class TestGesddFallback:
     """The gesdd route decomposes X's n x n R factor, never X itself."""
 
