@@ -1,23 +1,28 @@
 """Singular values and right singular vectors with verified residuals.
 
-Two LAPACK routes produce the factors, and the matrix itself picks one:
+Two routes produce the factors, and the matrix itself picks one. Each runs
+one Householder reduction through numpy's own LAPACK (``svlab._lapack``),
+takes all values from it, and then computes only the kept vectors: one
+inverse iteration on the reduced matrix and one back-transform each, about
+2n^2 flops a vector on top of the reduction.
 
-* ``gram``: G = X^T X is formed once. numpy's ``eigvalsh`` gives all its
-  eigenvalues, s_i = sqrt(lambda_i) in descending order, and each stored
-  right vector is one step of inverse iteration: one LU solve with G
-  shifted by its eigenvalue, from a fixed start vector (Ipsen, "Computing
-  an eigenvector with inverse iteration", SIAM Review 39, 1997). That costs
-  about 4n^3/3 flops for the values plus 2n^3/3 per stored vector, where
-  ``eigh`` builds all n vectors for about 9n^3. Where a shifted G is exactly
-  singular (an exactly diagonal G, an exact tie) or a solved vector fails
-  a check, ``eigh`` (syevd) of G gives the values and vectors instead. The
-  N x n left factor is never built.
+* ``gram``: G = X^T X is formed once and reduced to tridiagonal form
+  (dsytrd, 4n^3/3 flops); dsterf gives all its eigenvalues, bit for bit
+  what numpy's ``eigvalsh`` gives, and s_i = sqrt(lambda_i) in descending
+  order. ``eigh`` (syevd) builds all n vectors for about 9n^3.
 * ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
-  Householder QR (geqrf), then gesdd of the n x n factor R, which has X's
-  singular values and right vectors (Chan's R-SVD). Neither Q nor the
-  N x n left factor of X is built. For N >= 11n/6 LAPACK's gesdd itself
-  runs this QR first, and with numpy's bundled OpenBLAS the two agree bit
-  for bit.
+  Householder QR (geqrf), then the n x n factor R, which has X's singular
+  values and right vectors (Chan's R-SVD), is reduced to bidiagonal form
+  (dgebrd, 8n^3/3 flops); dbdsqr gives all its singular values, and each
+  kept right vector comes from the Golub-Kahan tridiagonal of the
+  bidiagonal. Neither Q, the n x n left factor of R, nor the N x n left
+  factor of X is built.
+
+Either route falls back to numpy's public call on its matrix, ``eigh`` of
+G or gesdd of R (``np.linalg.svd``, whose label the route keeps), where
+the reduction or a vector's routine fails, a kept vector fails the
+residual or orthonormality check below, or numpy's build does not export
+the routines.
 
 The rule. Forming and diagonalizing G perturbs each eigenvalue by about
 eps * lambda_max, so s_min = sqrt(lambda_min) carries a relative error of
@@ -49,10 +54,12 @@ the minimizer of ||X u|| over unit vectors and s_min = s_n.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .matrixio import _check_matrix
 
 __all__ = [
@@ -88,8 +95,9 @@ class SpectralResult:
     whose singular value sits within DEGENERATE_GAP_TOL * s_1 of a
     spectral neighbor, meaning the individual vector (not the subspace)
     is not numerically well defined. method names the route that produced
-    the factors: "gram" (eigvalsh of X^T X and shifted solves, or its eigh)
-    or "gesdd" (LAPACK SVD of X's R factor).
+    the factors: "gram" (the eigenvalues of X^T X and its kept eigenvectors,
+    or its eigh) or "gesdd" (the SVD of X's R factor: its bidiagonal
+    reduction, or gesdd itself).
     gram is X^T X on the gram route and None on the gesdd route; a caller
     passes its principal submatrices on as a column minor's gram. It is left
     out of repr and equality.
@@ -135,45 +143,68 @@ def _gram_resolves(hi, lo) -> bool:
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
 
 
-def _gram_pairs(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
-    """eigvalsh of g = X^T X, and checked unit vectors for its eigenvalues at picks.
+def _kept(x: np.ndarray, vector: Callable[[int], np.ndarray | None], picks: np.ndarray,
+          lam: np.ndarray, top2: float):
+    """(rows, residuals) with rows[j] = vector(picks[j]), the eigenvector of X^T X for lam[j],
+    Gram-Schmidt'd against the earlier rows only, so the first does not depend on the rest.
 
-    picks holds distinct ascending positions. None when eigvalsh does not
-    converge or the eigenvalues fail the GRAM_COND_LIMIT rule, else
-    (w, pairs): w ascending, and pairs is (u, residuals), u[:, j] the vector
-    for w[picks[j]], or None when a shifted g is exactly singular or a
-    vector fails full_svd's residual check (computed from X, not from g) or
-    its orthonormality check.
-
-    Each vector is one step of inverse iteration (Ipsen, SIAM Review 39,
-    1997): an LU solve of (g - w_j I) y = linspace(1, 2, n), Gram-Schmidt'd
-    against the earlier vectors only, so the first does not depend on the
-    rest. g's diagonal is shifted in place and restored.
+    None where vector returns None or a row fails full_svd's residual check
+    (computed from X, not from G) or the rows their orthonormality check.
     """
-    d = np.diagonal(g).copy()
-    start = np.linspace(1.0, 2.0, d.size)
-    u = np.empty((d.size, picks.size))
-    w = None
-    try:
-        w = np.linalg.eigvalsh(g)
+    rows = np.empty((picks.size, x.shape[1]))
+    for j, p in enumerate(picks):
+        y = vector(p)
+        if y is None:
+            return None
+        y = y - rows[:j].T @ (rows[:j] @ y)
+        norm = np.linalg.norm(y)
+        if not norm > 0.0:  # an exact tie repeats an earlier vector
+            return None
+        rows[j] = y / norm
+    residuals = np.linalg.norm(x.T @ (x @ rows.T) - rows.T * lam, axis=0)
+    ortho_err = np.abs(rows @ rows.T - np.eye(lam.size)).max()
+    if not (residuals.max() <= RESIDUAL_TOL * top2 and ortho_err <= ORTHO_TOL):  # a NaN fails too
+        return None
+    return rows, residuals
+
+
+def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
+    """(w, rows, residuals) from g = X^T X: w ascending, rows[j] the vector for w[picks[j]],
+    residuals None where not yet checked. None when the eigenvalues fail the GRAM_COND_LIMIT
+    rule or eigh does not converge."""
+    reduced = _lapack.tridiagonal(g)
+    if reduced is not None:
+        w, vector = reduced
         if not _gram_resolves(w[-1], w[0]):
             return None
-        lam = w[picks]
-        for j, shift in enumerate(lam):
-            np.fill_diagonal(g, d - shift)
-            y = np.linalg.solve(g, start)
-            y -= u[:, :j] @ (u[:, :j].T @ y)
-            u[:, j] = y / np.linalg.norm(y)
-    except np.linalg.LinAlgError:  # eigvalsh did not converge, or a shifted g is exactly singular
-        return None if w is None else (w, None)
-    finally:
-        np.fill_diagonal(g, d)
-    residuals = np.linalg.norm(x.T @ (x @ u) - u * lam, axis=0)
-    ortho_err = np.abs(u.T @ u - np.eye(lam.size)).max()
-    top = math.sqrt(w[-1])
-    if not (residuals.max() <= RESIDUAL_TOL * top * top and ortho_err <= ORTHO_TOL):  # a NaN fails too
-        return w, None
-    return w, (u, residuals)
+        kept = _kept(x, vector, picks, w[picks], w[-1])
+        if kept is not None:
+            return (w, *kept)
+    # The kernel is missing or failed, or a vector failed a check: eigh (syevd) of g instead.
+    try:
+        w, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None
+    if not _gram_resolves(w[-1], w[0]):
+        return None
+    return w, v[:, picks].T, None
+
+
+def _r_factors(x: np.ndarray, picks: np.ndarray):
+    """(s, rows, residuals) from X's R factor: s descending, rows[j] the right vector for
+    the picks[j]-th smallest value, residuals None where not yet checked."""
+    # X = QR, so X and R share s and V (Chan's R-SVD); X's N x n left factor is never built.
+    r = np.linalg.qr(x, mode="r")
+    last = x.shape[1] - 1
+    reduced = _lapack.bidiagonal(r)
+    if reduced is not None:
+        s, vector = reduced
+        kept = _kept(x, vector, picks, s[last - picks] ** 2, s[0] ** 2)
+        if kept is not None:
+            return (s, *kept)
+    # The kernel is missing or failed, or a vector failed a check: gesdd of R instead.
+    _, s, vt = np.linalg.svd(r)
+    return s, vt[last - picks], None
 
 
 def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
@@ -184,35 +215,27 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
     if _gram_resolves(d.max(), d.min()):
         if g is None:
             g = x.T @ x
-        found = _gram_pairs(x, g, picks)
+        found = _gram_factors(x, g, picks)
         if found is not None:
-            w, pairs = found
-            if pairs is None:
-                w, v = np.linalg.eigh(g)
-                u, residuals = v[:, picks], None
-            else:
-                u, residuals = pairs
-            return np.sqrt(w[::-1]), u.T, residuals, "gram", g
+            w, rows, residuals = found
+            return np.sqrt(w[::-1]), rows, residuals, "gram", g
         del g  # release G before the QR copy of X
-    # X = QR, so X and R share s and V; gesdd of the n x n R never builds X's
-    # N x n left factor (Chan's R-SVD).
-    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
-    return s, vt[x.shape[1] - 1 - picks], None, "gesdd", None
+    return (*_r_factors(x, picks), "gesdd", None)
 
 
 def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
     Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, the
-    values come from eigvalsh of X^T X and each stored vector from one
-    shifted solve, about 2n^3/3 flops a vector; eigh of X^T X stands in
-    where a shift is exactly singular or a solved vector fails a check.
-    Otherwise they come from gesdd of X's R factor. SpectralResult.method
-    records the route, and every check below runs on either. Raises
-    SpectralError (with the worst residual attached) if any stored vector
-    violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2, if the stored
-    vectors are not orthonormal to ORTHO_TOL, or if the backend fails to
-    converge.
+    values come from the tridiagonal reduction of X^T X (4n^3/3 flops),
+    otherwise from the bidiagonal reduction of X's R factor (QR, then
+    8n^3/3 flops); each stored vector then costs about 2n^2 flops. eigh of
+    X^T X or gesdd of R stands in where a kernel fails or a vector fails a
+    check. SpectralResult.method records the route, and every check below
+    runs on either. Raises SpectralError (with the worst residual attached)
+    if any stored vector violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2,
+    if the stored vectors are not orthonormal to ORTHO_TOL, or if the backend
+    fails to converge.
 
     gram, when given, is X^T X as the caller already holds it (G[J, J] for
     a column minor X_J); it replaces forming X^T X and its diagonal, while

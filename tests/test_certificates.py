@@ -266,23 +266,18 @@ class TestGramMinor:
         ref = full_svd(x[:, rep.columns], k_bottom=1)
         assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
 
-    def test_singular_shifted_solve(self, minor_svds, monkeypatch):
-        # diag(3, 4, 9) over a zero row: G[J, J] = diag(9, 16) minus either exact
-        # eigenvalue is singular, so the shifted solve raises and eigh of G[J, J] runs.
+    def test_diagonal_minor_is_exact(self, minor_svds, monkeypatch):
+        # diag(3, 4, 9) over a zero row: G[J, J] = diag(9, 16) is its own
+        # tridiagonal form and splits into 1 x 1 blocks, so the gram kernel
+        # returns the exact values and unit vectors without eigh.
         x = np.vstack([np.diag([3.0, 4.0, 9.0]), np.zeros((1, 3))])
         res = full_svd(x)
         assert res.method == "gram"
-        eighs = []
-        real_eigh = np.linalg.eigh
-
-        def counting(a):
-            eighs.append(a.shape)
-            return real_eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        minor = full_svd(x[:, :2], gram=res.gram[:2, :2])
-        assert minor.method == "gram" and eighs == [(2, 2)]
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
+        minor = full_svd(x[:, :2], gram=res.gram[:2, :2], k_bottom=2)
+        assert minor.method == "gram"
         assert minor.singular_values.tolist() == [4.0, 3.0]
+        assert minor.bottom_right_vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         rep = self._certify_minor(x, 5.0, res.gram, minor_svds)
         assert (rep.minor_smin, rep.minor_op_norm) == (3.0, 4.0)
 

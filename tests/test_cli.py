@@ -378,9 +378,12 @@ class TestColdStart:
     """Each svlab command is its own process, so what `import svlab.cli` loads is paid on every call."""
 
     def test_import_leaves_pool_random_and_scipy_unloaded(self, tmp_path):
+        # ctypes is not on the list: numpy itself imports it. What svlab must not
+        # do at import is resolve the LAPACK symbols its kernels call.
         unwanted = ["concurrent.futures.process", "multiprocessing", "numpy.random", "scipy"]
-        code = f"import sys, svlab.cli; print([m for m in {unwanted!r} if m in sys.modules])"
-        assert run_fresh(["-c", code], tmp_path).stdout.strip() == "[]"
+        code = ("import sys, svlab.cli, svlab._lapack; "
+                f"print([m for m in {unwanted!r} if m in sys.modules], svlab._lapack._lib)")
+        assert run_fresh(["-c", code], tmp_path).stdout.strip() == "[] None"
 
     def test_pooled_sweep_matches_serial_bytes(self, tmp_path):
         # The pool's workers load numpy.random on their own first trial.

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svlab import _lapack
 from svlab.certificates import upper_certificate
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
@@ -32,6 +33,23 @@ def _random_matrices(count=20, seed=5150):
     return out
 
 
+def _r_route_matrix(n=40, seed=0):
+    """A Pareto(0.5) matrix whose X^T X cannot resolve s_min, so full_svd takes the R route."""
+    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
+    return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+
+
+def _spy_vectors(monkeypatch, kernel, change):
+    """Route every vector of _lapack.<kernel> through change(p, v) before full_svd sees it."""
+    real = getattr(_lapack, kernel)
+
+    def spied(a):
+        values, vector = real(a)
+        return values, lambda p: change(p, vector(p))
+
+    monkeypatch.setattr(_lapack, kernel, spied)
+
+
 class TestHandExamples:
     def test_rank_one_padded(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
@@ -52,16 +70,26 @@ class TestHandExamples:
         assert np.allclose(res.bottom_right_vectors[1], [1.0, 0.0], atol=1e-14)
 
     def test_smallest_equals_k1(self):
-        # s_min and the bottom vector do not depend on how many vectors are kept.
-        for x in _random_matrices(6):
-            one, two = full_svd(x, k_bottom=1), full_svd(x, k_bottom=2)
-            assert one.s_min == two.s_min
-            assert np.array_equal(one.bottom_right_vectors[0], two.bottom_right_vectors[0])
+        # s_min and the bottom vector do not depend on how many vectors are kept,
+        # on either route, up to keeping all of them.
+        methods = set()
+        for x in [*_random_matrices(6), _r_route_matrix()]:
+            one = full_svd(x, k_bottom=1)
+            methods.add(one.method)
+            for k in (2, x.shape[1]):
+                more = full_svd(x, k_bottom=k)
+                assert more.method == one.method and one.s_min == more.s_min
+                assert np.array_equal(one.bottom_right_vectors[0], more.bottom_right_vectors[0])
+        assert methods == {"gram", "gesdd"}
 
     def test_zero_matrix(self):
+        # R = 0: every singular value ties at zero, so the bidiagonal kernel's
+        # vectors are rejected and gesdd of R stands in, without raising.
         res = full_svd(np.zeros((4, 3)), k_bottom=3)
         assert np.all(res.singular_values == 0.0)
         assert res.method == "gesdd"
+        v = res.bottom_right_vectors
+        assert np.abs(v @ v.T - np.eye(3)).max() < 1e-15
 
 
 class TestContracts:
@@ -200,6 +228,9 @@ class TestValidation:
         # Rotate the bottom vector slightly toward its neighbour: still unit
         # norm and orthogonal to the top vector, so only the residual catches it.
         # s_min = 1e-4 puts kappa^2 beyond what X^T X resolves, forcing gesdd.
+        # Without numpy's LAPACK symbols, eigh or gesdd of R gives the vectors
+        # and only full_svd's own check stands between them and the caller.
+        monkeypatch.setattr(_lapack, "_lib", {})
         theta = 1e-3
         if route == "gram":
             x = np.vstack([np.diag([5.0, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
@@ -265,28 +296,31 @@ class TestRoute:
         assert res.method == "gesdd"
         assert res.singular_values.tolist() == pytest.approx([1e5, 3.0, 2.0, 1.0], rel=1e-12)
 
-    def test_equal_column_norms_fall_back_after_eigvalsh(self, monkeypatch):
+    def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
         # An orthogonal rotation with +-1/2 entries gives every column the same
-        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
+        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not,
+        # and no eigenvector of G is computed.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
         calls = []
-        real_eigvalsh = np.linalg.eigvalsh
+        real_call = _lapack._call
 
-        def counting(a):
-            calls.append(a.shape)
-            return real_eigvalsh(a)
+        def counting(name, *args):
+            calls.append(name)
+            return real_call(name, *args)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(_lapack, "_call", counting)
         res = full_svd(x)
-        assert calls == [(4, 4)]
+        assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"] and "dormtr" not in calls
+        assert calls[3] == "dgebrd"
         assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
 
 
 class TestShiftedSolves:
-    """The gram route: eigvalsh, one shifted solve per stored vector, eigh as fallback."""
+    """The gram route: dsytrd and dsterf for the values, then per kept vector one
+    shifted tridiagonal solve (dstein's inverse iteration) and dormtr; eigh as fallback."""
 
     @staticmethod
     def _x(n=6, seed=9):
@@ -295,29 +329,24 @@ class TestShiftedSolves:
 
     @staticmethod
     def _from_eigh(x, k):
-        # What the parent route gave: eigh of X^T X, vectors in full_svd's order and sign.
+        # The fallback: eigh of X^T X, vectors in full_svd's order and sign.
         w, v = np.linalg.eigh(x.T @ x)
         vecs = [v[:, j] for j in range(k)] + [v[:, -1]]
         return np.sqrt(w[::-1]), [u if u[np.abs(u).argmax()] > 0 else -u for u in vecs]
 
     def test_perturbed_solve_falls_back_to_eigh(self, monkeypatch):
         x = self._x()
-        real_solve = np.linalg.solve
-
-        def perturbed(a, b):
-            y = real_solve(a, b)
-            return y + 1e-3 * np.linalg.norm(y) * np.linspace(-1.0, 1.0, y.size)
-
-        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        _spy_vectors(monkeypatch, "tridiagonal",
+                     lambda p, v: v + 1e-3 * np.linspace(-1.0, 1.0, v.size))
         res = full_svd(x, k_bottom=2)
         s, vecs = self._from_eigh(x, 2)
         assert res.method == "gram"
         assert np.array_equal(res.singular_values, s)
         assert np.array_equal(res.bottom_right_vectors, np.array(vecs[:2]))
         assert np.array_equal(res.top_right_vector, vecs[2])
-        monkeypatch.setattr(np.linalg, "solve", real_solve)
+        monkeypatch.undo()
         clean = full_svd(x, k_bottom=2)
-        assert np.allclose(clean.singular_values, s, rtol=1e-12)
+        assert np.array_equal(clean.singular_values, np.sqrt(np.linalg.eigvalsh(x.T @ x)[::-1]))
         assert np.abs(clean.bottom_right_vectors - res.bottom_right_vectors).max() < 1e-10
 
     def test_all_vectors_kept_solves_each_once(self, monkeypatch):
@@ -325,25 +354,45 @@ class TestShiftedSolves:
         # orthogonalized against itself.
         x = self._x(n=5)
         calls = []
-        real_solve = np.linalg.solve
+        real_call = _lapack._call
 
-        def counting(a, b):
-            calls.append(a.shape)
-            return real_solve(a, b)
+        def counting(name, *args):
+            calls.append(name)
+            return real_call(name, *args)
 
         def no_eigh(a):
             raise AssertionError("eigh called")
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(_lapack, "_call", counting)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         res = full_svd(x, k_bottom=5)
-        assert res.method == "gram" and calls == [(5, 5)] * 5
+        assert res.method == "gram"
+        assert calls.count("dstein") == calls.count("dormtr") == 5 and calls.count("dsytrd") == 2
         assert np.array_equal(res.top_right_vector, res.bottom_right_vectors[-1])
         assert res.residuals.shape == (6,) and res.residuals[-1] == res.residuals[-2]
-        assert np.array_equal(res.gram, x.T @ x)  # the shifted diagonal is restored
+        assert np.array_equal(res.gram, x.T @ x)  # the kernel reduces a copy
+
+    def test_all_vectors_match_eigh(self, monkeypatch):
+        # k_bottom = n through the kernel alone: every vector satisfies eigh's
+        # residual bound and matches its vector where the gap allows.
+        x = self._x(n=40, seed=2)
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
+        res = full_svd(x, k_bottom=40)
+        g = x.T @ x
+        w, v = real_eigh(g)
+        assert res.method == "gram"
+        top2 = res.s_top**2
+        assert np.abs(res.singular_values[::-1] ** 2 - w).max() <= 1e-12 * top2
+        u = res.bottom_right_vectors.T
+        assert np.linalg.norm(g @ u - u * w, axis=0).max() <= 1e-10 * top2
+        gaps = np.minimum(np.append(np.inf, np.diff(w)), np.append(np.diff(w), np.inf))
+        ref = v * np.sign(np.sum(u * v, axis=0))
+        assert np.all(np.linalg.norm(u - ref, axis=0) <= 1e-10 * top2 / gaps)
 
     def test_exact_tie_takes_eigh(self, monkeypatch):
-        # X^T X = 2 I, so the shifted matrix is exactly zero and the solve raises.
+        # X^T X = 2 I: both picks land on the same eigenvalue of the split
+        # tridiagonal, so the second vector repeats the first and eigh runs.
         calls = []
         real_eigh = np.linalg.eigh
 
@@ -413,13 +462,21 @@ class TestGivenGram:
         assert res.s_min == float(np.sqrt(w[0])) and res.s_top == float(np.sqrt(w[-1]))
         assert np.array_equal(g_jj, gram[np.ix_(cols, cols)])  # the shifted diagonal is restored
 
-    def test_eigvalsh_failure_takes_gesdd(self, monkeypatch):
+    def test_eigensolver_failure_takes_gesdd(self, monkeypatch):
+        # dsterf reports no convergence, so eigh of G stands in; when eigh does
+        # not converge either, the R route runs.
         x = self._x()
+        real_call = _lapack._call
+        monkeypatch.setattr(_lapack, "_call",
+                            lambda name, *args: 1 if name == "dsterf" else real_call(name, *args))
+        res = full_svd(x, k_bottom=2)
+        assert res.method == "gram"
+        assert np.array_equal(res.singular_values, np.sqrt(np.linalg.eigh(x.T @ x)[0][::-1]))
 
         def not_converging(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", not_converging)
+        monkeypatch.setattr(np.linalg, "eigh", not_converging)
         res = full_svd(x, k_bottom=2)
         assert res.method == "gesdd" and res.gram is None
         s = np.linalg.svd(x, compute_uv=False)
@@ -428,23 +485,26 @@ class TestGivenGram:
 
 
 class TestGesddFallback:
-    """The gesdd route decomposes X's n x n R factor, never X itself."""
+    """The gesdd route decomposes X's n x n R factor, never X itself: its bidiagonal
+    reduction first, gesdd of R where a vector fails."""
 
     @pytest.mark.parametrize("aspect", [1.2, 3.0])
     def test_svd_of_r_only(self, monkeypatch, aspect):
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
         real_svd = np.linalg.svd
+        real_bidiagonal = _lapack.bidiagonal
         for seed in range(3):
             x = sample_matrix(EnsembleConfig(n=40, aspect=aspect, law=law, seed=seed))
             shapes = []
 
-            def recording(a, *args, **kwargs):
+            def recording(a):
                 shapes.append(a.shape)
-                return real_svd(a, *args, **kwargs)
+                return real_bidiagonal(a)
 
-            monkeypatch.setattr(np.linalg, "svd", recording)
+            monkeypatch.setattr(_lapack, "bidiagonal", recording)
+            monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd called"))
             res = full_svd(x, k_bottom=3)
-            monkeypatch.setattr(np.linalg, "svd", real_svd)
+            monkeypatch.undo()
             assert res.method == "gesdd" and shapes == [(40, 40)]
 
             _, s, vt = real_svd(x, full_matrices=False)
@@ -456,6 +516,18 @@ class TestGesddFallback:
             ref *= np.sign(ref[np.arange(4), np.abs(ref).argmax(axis=1)])[:, None]
             got = np.vstack([res.bottom_right_vectors, res.top_right_vector])
             assert np.linalg.norm(x @ (got - ref).T, axis=0).max() <= tol
+
+    def test_perturbed_vector_takes_gesdd_of_r(self, monkeypatch):
+        x = _r_route_matrix()
+        _spy_vectors(monkeypatch, "bidiagonal",
+                     lambda p, v: v + 1e-3 * np.linspace(-1.0, 1.0, v.size) if p == 0 else v)
+        res = full_svd(x, k_bottom=2)
+        _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
+        want = [vt[-1], vt[-2], vt[0]]
+        want = [v if v[np.abs(v).argmax()] > 0 else -v for v in want]
+        assert res.method == "gesdd"
+        assert np.array_equal(res.singular_values, s)
+        assert np.array_equal(np.vstack([res.bottom_right_vectors, res.top_right_vector]), want)
 
 
 class TestGesvdOracle:
