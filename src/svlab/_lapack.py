@@ -3,17 +3,24 @@
 numpy's bundled OpenBLAS exports the LAPACK routines with 64-bit integers
 under the names ``scipy_<routine>_64_``, and every process that imports
 numpy has already loaded them, so ctypes reaches them without loading
-scipy. Each kernel below runs one Householder reduction to a tridiagonal
-or bidiagonal matrix, takes all values from it, and after that does work
-proportional only to the vectors that are asked for:
+scipy. Each kernel below reduces its matrix by Householder reflections
+to a tridiagonal or bidiagonal one, takes all values from it, and after
+that does work proportional only to the vectors that are asked for:
 
 * ``tridiagonal(g)``: dsytrd of the symmetric g, then dsterf for all its
   eigenvalues. These are the calls numpy's ``eigvalsh`` makes (syevd
   without vectors), on the same layout and workspace, so the values agree
   with it bit for bit (syevd alone first rescales a g whose largest entry
   lies outside about [1e-146, 1e146]).
-* ``bidiagonal(r)``: dgebrd of the square r, then dbdsqr (the dqds
-  algorithm) for all its singular values.
+* ``bidiagonal(x)``: dgeqrf of the tall x (N x n) in one column-major
+  copy, whose top n x n block then holds R with the reflectors below its
+  diagonal; these are zeroed, dgebrd reduces the block in place with
+  LDA = N, and dbdsqr (the dqds algorithm) gives all its singular values.
+  X's singular values and right vectors are R's (Chan, ACM TOMS 8, 1982).
+  dgeqrf runs as numpy's ``qr`` runs it (same layout, LDA and workspace),
+  so R is bit for bit ``np.linalg.qr(x, mode="r")``, but the copy is the
+  only array of X's size the kernel allocates: numpy's ``qr`` holds two
+  copies of X and then builds R, which a kernel on R would copy again.
 
 Each kept vector is then one bisection (dstebz) for its own eigenvalue of
 the tridiagonal, inverse iteration for it (dstein), and one back-transform
@@ -44,6 +51,7 @@ _SIGNATURES = {
     "dstebz": (18, 2),  # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
     "dstein": (13, 0),  # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
     "dormtr": (13, 3),  # SIDE UPLO TRANS M N A LDA TAU C LDC WORK LWORK INFO
+    "dgeqrf": (8, 0),  # M N A LDA TAU WORK LWORK INFO
     "dgebrd": (11, 0),  # M N A LDA D E TAUQ TAUP WORK LWORK INFO
     "dbdsqr": (15, 1),  # UPLO N NCVT NRU NCC D E VT LDVT U LDU C LDC WORK INFO
     "dormbr": (14, 3),  # VECT SIDE TRANS M N K A LDA TAU C LDC WORK LWORK INFO
@@ -164,20 +172,30 @@ def tridiagonal(g: np.ndarray):
     return w, vector
 
 
-def bidiagonal(r: np.ndarray):
-    """Singular values of the square r in descending order, and vector(p) for the right
-    vector of the p-th smallest (0-based), unit and in r's coordinates.
+def bidiagonal(x: np.ndarray):
+    """Singular values of the tall x in descending order, and vector(p) for the right
+    vector of the p-th smallest (0-based), unit and in x's coordinates.
 
-    None where the routines are missing, r is not finite, or dgebrd or
-    dbdsqr fails; vector(p) returns None where dstebz, dstein or dormbr
-    fails or the vector's even half vanishes.
+    x is copied once, and everything below runs in that copy: dgeqrf leaves
+    R in its top n x n block, the reflectors below R's diagonal are zeroed,
+    and dgebrd and dormbr work on that block with LDA = N. None where the
+    routines are missing, x is not finite, or dgeqrf, dgebrd or dbdsqr
+    fails; vector(p) returns None where dstebz, dstein or dormbr fails or
+    the vector's even half vanishes.
     """
-    if not (available() and np.isfinite(r).all()):
+    if not (available() and np.isfinite(x).all()):
         return None
-    n = r.shape[0]
-    a, d, e, tauq, taup = _copy(r), _array(n), _array(n - 1), _array(n), _array(n)
-    work = _workspace("dgebrd", n, n, a, n, d, e, tauq, taup)
-    if work is None or _call("dgebrd", n, n, a, n, d, e, tauq, taup, work, work.size):
+    rows, n = x.shape
+    a, tau = _copy(x), _array(n)
+    work = _workspace("dgeqrf", rows, n, a, rows, tau)
+    if work is None or _call("dgeqrf", rows, n, a, rows, tau, work, work.size):
+        return None
+    del work, tau  # Q is never applied
+    for j in range(n - 1):
+        a[j + 1:n, j] = 0.0  # R = triu of the top block
+    d, e, tauq, taup = _array(n), _array(n - 1), _array(n), _array(n)
+    work = _workspace("dgebrd", n, n, a, rows, d, e, tauq, taup)
+    if work is None or _call("dgebrd", n, n, a, rows, d, e, tauq, taup, work, work.size):
         return None
     s, f = _copy(d), _copy(e)
     if _call("dbdsqr", "U", n, 0, 0, 0, s, f, _array(1), 1, _array(1), 1, _array(1), 1, _array(4 * n)):
@@ -196,7 +214,7 @@ def bidiagonal(r: np.ndarray):
         if not norm > 0.0:
             return None
         v /= norm
-        if _call("dormbr", "P", "L", "N", n, 1, n, a, n, taup, v, n, _array(1), 1):
+        if _call("dormbr", "P", "L", "N", n, 1, n, a, rows, taup, v, n, _array(1), 1):
             return None
         return v
 

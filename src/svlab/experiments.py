@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report
@@ -532,6 +532,8 @@ def write_manifest(
             k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
         "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        # False: numpy's build lacks the LAPACK symbols, so every full_svd took eigh or QR-then-gesdd.
+        "lapack_kernels": _lapack.available(),
         "record_count": len(records),
         "failures": failures,
         "elapsed_seconds": elapsed,

@@ -11,15 +11,21 @@ inverse iteration on the reduced matrix and one back-transform each, about
   what numpy's ``eigvalsh`` gives, and s_i = sqrt(lambda_i) in descending
   order. ``eigh`` (syevd) builds all n vectors for about 9n^3.
 * ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
-  Householder QR (geqrf), then the n x n factor R, which has X's singular
-  values and right vectors (Chan's R-SVD), is reduced to bidiagonal form
-  (dgebrd, 8n^3/3 flops); dbdsqr gives all its singular values, and each
+  Householder QR (dgeqrf) in one column-major copy of X, then the n x n
+  factor R, which has X's singular values and right vectors (Chan's
+  R-SVD), is reduced to bidiagonal form (dgebrd, 8n^3/3 flops) in place,
+  in that copy's top block; dbdsqr gives all its singular values, and each
   kept right vector comes from the Golub-Kahan tridiagonal of the
   bidiagonal. Neither Q, the n x n left factor of R, nor the N x n left
-  factor of X is built.
+  factor of X is built, and no separate R array either.
+
+Each route holds X plus one working copy: G and its reduced copy (each
+n x n) on the gram route, the N x n copy of X on the gesdd route, plus
+O(n) vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
-G or gesdd of R (``np.linalg.svd``, whose label the route keeps), where
+G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
+holds more copies of X; the route keeps its label), where
 the reduction or a vector's routine fails, a kept vector fails the
 residual or orthonormality check below, or numpy's build does not export
 the routines.
@@ -194,16 +200,16 @@ def _r_factors(x: np.ndarray, picks: np.ndarray):
     """(s, rows, residuals) from X's R factor: s descending, rows[j] the right vector for
     the picks[j]-th smallest value, residuals None where not yet checked."""
     # X = QR, so X and R share s and V (Chan's R-SVD); X's N x n left factor is never built.
-    r = np.linalg.qr(x, mode="r")
     last = x.shape[1] - 1
-    reduced = _lapack.bidiagonal(r)
+    reduced = _lapack.bidiagonal(x)
     if reduced is not None:
         s, vector = reduced
         kept = _kept(x, vector, picks, s[last - picks] ** 2, s[0] ** 2)
         if kept is not None:
             return (s, *kept)
+        del reduced, vector  # release the kernel's copy of X before the fallback's QR
     # The kernel is missing or failed, or a vector failed a check: gesdd of R instead.
-    _, s, vt = np.linalg.svd(r)
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
     return s, vt[last - picks], None
 
 
@@ -219,7 +225,7 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
         if found is not None:
             w, rows, residuals = found
             return np.sqrt(w[::-1]), rows, residuals, "gram", g
-        del g  # release G before the QR copy of X
+        del g  # release G before the R route's copy of X
     return (*_r_factors(x, picks), "gesdd", None)
 
 

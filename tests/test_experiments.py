@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import svlab.experiments as ex
+from svlab import _lapack
 from svlab.ensemble import LawKind
 from svlab.experiments import (
     SweepConfig,
@@ -381,6 +382,13 @@ class TestWriters:
         man = json.loads((tmp_path / "m.json").read_text())
         assert man["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert man["blas_threads"]["MKL_NUM_THREADS"] is None
+
+    def test_manifest_lapack_kernels(self, tmp_path, monkeypatch):
+        write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["lapack_kernels"] is _lapack.available()
+        monkeypatch.setattr(_lapack, "_lib", {})  # a numpy build without the symbols
+        write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["lapack_kernels"] is False
 
 
 class TestFitScaling:

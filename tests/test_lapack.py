@@ -1,4 +1,6 @@
 """The LAPACK kernels behind full_svd: memory bounds, fallback without them, and that they run."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def _inputs(n):
         "identity": np.eye(n),
         "tied_diagonal": np.diag(np.repeat(np.arange(1.0, n), 2)[:n]),
         "rank_one": np.outer(a, a),
+    }
+
+
+def _tall_inputs(n, rows):
+    return {
+        "zero": np.zeros((rows, n)),
+        "identity": np.eye(rows, n),  # the identity stacked on zeros
+        "rank_one": np.outer(np.linspace(1.0, 2.0, rows), np.linspace(1.0, 2.0, n)),
     }
 
 
@@ -55,12 +65,62 @@ class TestForeignMemory:
     @pytest.mark.parametrize("n", [2, 3, 5, 40])
     @pytest.mark.parametrize("kernel", ["tridiagonal", "bidiagonal"])
     def test_no_write_past_bounds(self, padded, kernel, n, kind):
+        # bidiagonal takes a square x here, so R fills its whole copy.
         a = _inputs(n)[kind]
         values, vector = getattr(_lapack, kernel)(a)
         assert np.all(np.isfinite(values))
         for p in range(n):
             vector(p)  # None is allowed; writing past an array is not
         assert len(padded) > 10
+
+    @pytest.mark.parametrize("kind", ["zero", "identity", "rank_one"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    @pytest.mark.parametrize("aspect", [1, 2])
+    def test_tall_bidiagonal_stays_in_its_block(self, padded, monkeypatch, aspect, n, kind):
+        # dgeqrf fills the whole N x n copy of x; dgebrd and dormbr then work on its
+        # top n x n block with LDA = N and must leave the reflectors below it alone.
+        rows = aspect * n
+        x = _tall_inputs(n, rows)[kind]
+        padded_call = _lapack._call
+        below = {}
+
+        def call(name, *args):
+            info = padded_call(name, *args)
+            buf = next(b[:size] for b, size in padded if size == rows * n)
+            lower = buf.reshape(n, rows).T[n:]  # the copy of x is column-major
+            if name == "dgeqrf":
+                below["rows"] = lower.copy()
+            else:
+                assert np.array_equal(lower, below["rows"]), f"{name} wrote below the n x n block"
+            return info
+
+        monkeypatch.setattr(_lapack, "_call", call)
+        values, vector = _lapack.bidiagonal(x)
+        assert np.all(np.isfinite(values))
+        for p in range(n):
+            vector(p)
+        assert "rows" in below
+
+
+@pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
+@pytest.mark.parametrize("aspect", [1.2, 3.0])
+def test_r_route_holds_one_copy_of_x(aspect):
+    # The R route copies X once and factors it in place; what it allocates on top
+    # is the blocked workspaces, (N + n) * nb and 2n * nb doubles with LAPACK's block
+    # size nb (32 for OpenBLAS), and vectors of length N or n. np.linalg.qr would
+    # hold two copies of X (one untraced) and build R and a copy of R besides.
+    n = 400
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((int(aspect * n), n)) * np.logspace(0, 4, n)  # column norms fail the gram rule
+    assert full_svd(x, k_bottom=2).method == "gesdd"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        full_svd(x, k_bottom=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes < peak <= x.nbytes + 8 * n * 256
 
 
 def test_routes_agree_without_symbols(monkeypatch):

@@ -1,17 +1,29 @@
-"""Byte-exact records.jsonl lines, pinned on hand-built records.
+"""Byte-exact records.jsonl lines, pinned on hand-built records and on an R-route sweep.
 
 The records hold the same Python objects run_trial puts there: dicts of a
 LocalizationReport's and a CertificateReport's fields, with the report's own
 lists and tuples inside. Every float is a literal, so the text is the same
-on every platform.
+on every platform. The R-route sweep's floats come from numpy's bundled
+OpenBLAS, and its sha256 pins them there.
 """
 import dataclasses
+import hashlib
 import json
 import math
 
 from svlab.certificates import CertificateReport
-from svlab.experiments import SweepConfig, TrialRecord, read_records, run_trial, write_records
+from svlab.ensemble import EnsembleConfig, sample_matrix
+from svlab.experiments import (
+    SweepConfig,
+    TrialRecord,
+    derive_trial_seed,
+    read_records,
+    run_sweep,
+    run_trial,
+    write_records,
+)
 from svlab.localization import LocalizationReport
+from svlab.spectra import full_svd
 
 
 def _record(trial, columns, upper):
@@ -105,3 +117,22 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
     write_records([rec], path)
     deep = json.dumps(dataclasses.asdict(rec), separators=(",", ":")) + "\n"
     assert path.read_text(encoding="ascii") == deep
+
+
+def test_r_route_sweep_bytes(tmp_path):
+    # Both trials fail the column-norm rule, so X is decomposed through its R
+    # factor (QR, then the bidiagonal form of R); any change to that route must
+    # keep every byte. n = 40 keeps OpenBLAS single-threaded, so the bytes hold
+    # at any thread count.
+    config = SweepConfig(alphas=(0.5, 0.8), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
+    for alpha in config.alphas:
+        seed = derive_trial_seed(config.base_seed, config.law_kind.value, alpha, 40, config.aspect, 0)
+        x = sample_matrix(EnsembleConfig(n=40, aspect=config.aspect, law=config.law_for(alpha), seed=seed))
+        assert full_svd(x, k_bottom=2).method == "gesdd"
+    records, failures, _ = run_sweep(config)
+    assert failures == []
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0fd2afedd87db4daf6cdff97f3702f702e8001b91f88c038b921641b30eb0a89"
+    )

@@ -313,7 +313,7 @@ class TestRoute:
         monkeypatch.setattr(_lapack, "_call", counting)
         res = full_svd(x)
         assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"] and "dormtr" not in calls
-        assert calls[3] == "dgebrd"
+        assert calls[3:7] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]  # each a workspace query, then the call
         assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
 
@@ -485,27 +485,30 @@ class TestGivenGram:
 
 
 class TestGesddFallback:
-    """The gesdd route decomposes X's n x n R factor, never X itself: its bidiagonal
-    reduction first, gesdd of R where a vector fails."""
+    """The gesdd route decomposes X's n x n R factor, never X itself: QR, then R's bidiagonal
+    reduction in the same working copy of X, and gesdd of R where a vector fails."""
 
     @pytest.mark.parametrize("aspect", [1.2, 3.0])
     def test_svd_of_r_only(self, monkeypatch, aspect):
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
         real_svd = np.linalg.svd
-        real_bidiagonal = _lapack.bidiagonal
+        real_call = _lapack._call
         for seed in range(3):
             x = sample_matrix(EnsembleConfig(n=40, aspect=aspect, law=law, seed=seed))
-            shapes = []
+            sizes = {"dgeqrf": set(), "dgebrd": set()}
 
-            def recording(a):
-                shapes.append(a.shape)
-                return real_bidiagonal(a)
+            def recording(name, *args):
+                if name in sizes:
+                    sizes[name].add(args[:2])  # M, N
+                return real_call(name, *args)
 
-            monkeypatch.setattr(_lapack, "bidiagonal", recording)
+            monkeypatch.setattr(_lapack, "_call", recording)
             monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd called"))
+            monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("np.linalg.qr called"))
             res = full_svd(x, k_bottom=3)
             monkeypatch.undo()
-            assert res.method == "gesdd" and shapes == [(40, 40)]
+            assert res.method == "gesdd"
+            assert sizes["dgeqrf"] == {x.shape} and sizes["dgebrd"] == {(40, 40)}
 
             _, s, vt = real_svd(x, full_matrices=False)
             tol = 1e-12 * s[0]
