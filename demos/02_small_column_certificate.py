@@ -29,7 +29,7 @@ for n in (200, 400, 800):
     res = full_svd(x)
 
     tau = default_tau_for_rows(x.shape[0], alpha)
-    report = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
+    report = upper_certificate(x, tau, res)
     assert report.valid, report.note
 
     # the theory-level envelope the certificate should track

@@ -34,9 +34,9 @@ not called here). Vectors are computed one at a time, so a vector never
 depends on how many others are kept.
 
 Every kernel returns None where numpy's build does not export the routines
-(Accelerate or MKL builds, for example), its input is not finite, or a
-routine reports INFO != 0; the caller then falls back to numpy's public
-calls. Every array handed to
+(Accelerate or MKL builds, for example), a routine reports INFO != 0, or,
+for ``tridiagonal``, g is not finite; the caller then falls back to numpy's
+public calls. ``bidiagonal`` expects a finite x. Every array handed to
 LAPACK comes from ``_array``.
 """
 from __future__ import annotations
@@ -179,11 +179,13 @@ def bidiagonal(x: np.ndarray):
     x is copied once, and everything below runs in that copy: dgeqrf leaves
     R in its top n x n block, the reflectors below R's diagonal are zeroed,
     and dgebrd and dormbr work on that block with LDA = N. None where the
-    routines are missing, x is not finite, or dgeqrf, dgebrd or dbdsqr
-    fails; vector(p) returns None where dstebz, dstein or dormbr fails or
-    the vector's even half vanishes.
+    routines are missing or dgeqrf, dgebrd or dbdsqr fails; vector(p)
+    returns None where dstebz, dstein or dormbr fails or the vector's even
+    half vanishes. x must be finite, and is not checked again here: the only
+    caller, full_svd, has already rejected a non-finite X, and a check would
+    be a second pass over N x n entries.
     """
-    if not (available() and np.isfinite(x).all()):
+    if not available():
         return None
     rows, n = x.shape
     a, tau = _copy(x), _array(n)

@@ -6,9 +6,9 @@ submatrix X_J, and by interlacing
     s_min(X) <= s_min(X_J) <= ||X_J||,
 
 so either quantity of the minor is a certified upper bound computable
-without touching the full spectrum. One full_svd of X_J gives both; when
-the caller hands over X's Gram matrix G, it passes G[J, J], which equals
-X_J^T X_J, as that call's gram.
+without touching the full spectrum. One full_svd of X_J gives both; where
+the caller's spectrum of X holds X's Gram matrix G, that call takes
+G[J, J], which equals X_J^T X_J, as its gram.
 
 The default cutoff comes from balancing the expected number of large
 entries per column against a log-size budget, which needs the law's
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixio import _check_matrix
-from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
+from .spectra import SpectralResult, full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
 
 __all__ = [
     "CertificateReport",
@@ -140,34 +140,28 @@ def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
     return np.flatnonzero(np.maximum(x.max(axis=0), -x.min(axis=0)) <= tau)
 
 
-def upper_certificate(
-    x: np.ndarray,
-    tau: float,
-    observed: tuple[float, float],
-    gram: np.ndarray | None = None,
-) -> CertificateReport:
+def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    observed is (s_min, s_top) of X from the caller's own decomposition, and
-    gram is its X^T X when it has one (SpectralResult.gram); X itself is never
+    spectrum is the caller's verified full_svd of X; X itself is never
     decomposed here. Both extremes of X_J come from one place: the column
-    length when |J| = 1, observed itself when J holds every column, since X_J
-    is then X, and otherwise one verified full_svd of X_J, which takes
-    G[J, J] as its gram when gram is given and picks its own route from it.
-    Soundness checked: certified_upper >= observed_smin - CERT_SLACK * s_top.
+    length when |J| = 1, spectrum's s_min and s_top when J holds every
+    column, since X_J is then X, and otherwise one verified full_svd of X_J.
+    That call takes G[J, J] as its gram exactly when X took the gram route
+    (spectrum.gram is set), and picks its own route from it.
+    Soundness checked: certified_upper >= s_min - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = small_column_set(x, tau)
-    observed_smin, s_top = float(observed[0]), float(observed[1])
     if cols.size == 0:
         norm_xj = smin_xj = math.inf
     elif cols.size == 1:  # single column: both extremes equal its length
         norm_xj = smin_xj = float(np.linalg.norm(x[:, cols]))
     elif cols.size == x.shape[1]:  # X_J is X, already decomposed by the caller
-        norm_xj, smin_xj = s_top, observed_smin
+        norm_xj, smin_xj = spectrum.s_top, spectrum.s_min
     else:  # cols is sorted, unique and in range
-        res_j = full_svd(np.take(x, cols, axis=1), k_bottom=1,
-                         gram=None if gram is None else gram[np.ix_(cols, cols)])
+        g = None if spectrum.gram is None else spectrum.gram[np.ix_(cols, cols)]
+        res_j = full_svd(np.take(x, cols, axis=1), k_bottom=1, gram=g)
         smin_xj, norm_xj = res_j.s_min, res_j.s_top
     return CertificateReport(
         tau=float(tau),
@@ -176,8 +170,8 @@ def upper_certificate(
         minor_op_norm=float(norm_xj),
         minor_smin=float(smin_xj),
         certified_upper=float(smin_xj),
-        observed_smin=observed_smin,
-        valid=bool(cols.size and smin_xj >= observed_smin - CERT_SLACK * s_top),
+        observed_smin=spectrum.s_min,
+        valid=bool(cols.size and smin_xj >= spectrum.s_min - CERT_SLACK * spectrum.s_top),
         note="" if cols.size else "no columns below tau; certificate vacuous",
     )
 

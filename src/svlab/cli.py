@@ -182,7 +182,7 @@ def cmd_certify(args) -> int:
         tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (args.b_frak, args.a_frak))
         tau_source = "auto"
     res = full_svd(x)
-    report = upper_certificate(x, tau, observed=(res.s_min, res.s_top), gram=res.gram).with_note(note)
+    report = upper_certificate(x, tau, res).with_note(note)
     out = {
         "command": "certify",
         "config": {

@@ -157,21 +157,6 @@ class TailLaw:
             t_zero=t0 * m,
         )
 
-    def tail_probability(self, t: float) -> float:
-        """Exact P(|x| > t), for oracles and diagnostics."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        m = self.multiplier
-        if self.kind is LawKind.SYMMETRIC_PARETO:
-            return 1.0 if t < m else (t / m) ** (-self.alpha)
-        if self.kind is LawKind.GAUSSIAN:
-            from scipy.stats import norm
-
-            return float(2.0 * norm.sf(t / m))
-        from scipy.stats import t as student_t
-
-        return float(2.0 * student_t.sf(t / m, df=self.alpha))
-
     def sample(self, stream: Generator, size: tuple[int, ...] | int) -> np.ndarray:
         """Draw samples, consuming the stream deterministically.
 

@@ -255,7 +255,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
     tau, note = certificate_cutoff(
         n_rows, alpha, None if bounds is None else bounds.c_upper, config.tau_params, config.census_c
     )
-    cert = upper_certificate(x, tau, observed=(res.s_min, res.s_top), gram=res.gram).with_note(note)
+    cert = upper_certificate(x, tau, res).with_note(note)
 
     return TrialRecord(
         alpha=float(alpha),

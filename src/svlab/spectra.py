@@ -25,10 +25,15 @@ O(n) vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
-holds more copies of X; the route keeps its label), where
-the reduction or a vector's routine fails, a kept vector fails the
-residual or orthonormality check below, or numpy's build does not export
-the routines.
+holds more copies of X; the route keeps its label), where the reduction or
+a vector's routine fails, the kept vectors fail the check below, or numpy's
+build does not export the routines.
+
+One check covers the vectors of every source, kernel or fallback: each
+kept u must satisfy ||X^T(X u) - lambda u|| <= RESIDUAL_TOL * s_1^2, with
+the residual computed from X and not from G, and together they must be
+orthonormal to ORTHO_TOL; a NaN fails. A kernel's vectors that fail it go
+to the fallback, and a fallback's vectors that fail it raise SpectralError.
 
 The rule. Forming and diagonalizing G perturbs each eigenvalue by about
 eps * lambda_max, so s_min = sqrt(lambda_min) carries a relative error of
@@ -47,10 +52,8 @@ A caller that already holds X^T X passes it as full_svd's gram, which then
 stands in for forming G and for the column-norm pass; a column minor X_J
 takes G[J, J], which is exactly X_J^T X_J.
 
-Whichever route ran, this module owns the contracts around it: residual
-verification against the normal equations, orthonormality, a
-deterministic sign convention, near-degeneracy flags, and the operator
-norm.
+Whichever route ran, this module also owns a deterministic sign
+convention, near-degeneracy flags, and the operator norm.
 
 Conventions. Singular values are reported in descending order
 s_1 >= ... >= s_n for an N x n matrix with N >= n >= 2. "Bottom vector k"
@@ -149,13 +152,31 @@ def _gram_resolves(hi, lo) -> bool:
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
 
 
+def _verified(x: np.ndarray, rows: np.ndarray, lam: np.ndarray, top2: float):
+    """(rows, residuals), residuals[j] = ||X^T(X u) - lam[j] u|| for u = rows[j], from X, not G.
+
+    Raises SpectralError, with the worst residual attached, where one exceeds
+    RESIDUAL_TOL * top2 or the rows are not orthonormal to ORTHO_TOL; a NaN fails.
+    """
+    residuals = np.linalg.norm(x.T @ (x @ rows.T) - rows.T * lam, axis=0)
+    worst = float(residuals.max())
+    if not worst <= RESIDUAL_TOL * top2:
+        raise SpectralError(
+            f"residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * s1^2 = {RESIDUAL_TOL * top2:.3e}",
+            worst_residual=worst,
+        )
+    ortho_err = float(np.abs(rows @ rows.T - np.eye(lam.size)).max())
+    if not ortho_err <= ORTHO_TOL:
+        raise SpectralError(f"stored vectors deviate from orthonormality by {ortho_err:.3e}", worst)
+    return rows, residuals
+
+
 def _kept(x: np.ndarray, vector: Callable[[int], np.ndarray | None], picks: np.ndarray,
           lam: np.ndarray, top2: float):
     """(rows, residuals) with rows[j] = vector(picks[j]), the eigenvector of X^T X for lam[j],
     Gram-Schmidt'd against the earlier rows only, so the first does not depend on the rest.
 
-    None where vector returns None or a row fails full_svd's residual check
-    (computed from X, not from G) or the rows their orthonormality check.
+    None where vector returns None or the rows fail _verified, so the caller falls back.
     """
     rows = np.empty((picks.size, x.shape[1]))
     for j, p in enumerate(picks):
@@ -167,17 +188,15 @@ def _kept(x: np.ndarray, vector: Callable[[int], np.ndarray | None], picks: np.n
         if not norm > 0.0:  # an exact tie repeats an earlier vector
             return None
         rows[j] = y / norm
-    residuals = np.linalg.norm(x.T @ (x @ rows.T) - rows.T * lam, axis=0)
-    ortho_err = np.abs(rows @ rows.T - np.eye(lam.size)).max()
-    if not (residuals.max() <= RESIDUAL_TOL * top2 and ortho_err <= ORTHO_TOL):  # a NaN fails too
+    try:
+        return _verified(x, rows, lam, top2)
+    except SpectralError:
         return None
-    return rows, residuals
 
 
 def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
-    """(w, rows, residuals) from g = X^T X: w ascending, rows[j] the vector for w[picks[j]],
-    residuals None where not yet checked. None when the eigenvalues fail the GRAM_COND_LIMIT
-    rule or eigh does not converge."""
+    """(w, rows, residuals) from g = X^T X: w ascending, rows[j] the vector for w[picks[j]].
+    None when the eigenvalues fail the GRAM_COND_LIMIT rule or eigh does not converge."""
     reduced = _lapack.tridiagonal(g)
     if reduced is not None:
         w, vector = reduced
@@ -193,12 +212,12 @@ def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
         return None
     if not _gram_resolves(w[-1], w[0]):
         return None
-    return w, v[:, picks].T, None
+    return (w, *_verified(x, v[:, picks].T, w[picks], w[-1]))
 
 
 def _r_factors(x: np.ndarray, picks: np.ndarray):
     """(s, rows, residuals) from X's R factor: s descending, rows[j] the right vector for
-    the picks[j]-th smallest value, residuals None where not yet checked."""
+    the picks[j]-th smallest value."""
     # X = QR, so X and R share s and V (Chan's R-SVD); X's N x n left factor is never built.
     last = x.shape[1] - 1
     reduced = _lapack.bidiagonal(x)
@@ -210,13 +229,12 @@ def _r_factors(x: np.ndarray, picks: np.ndarray):
         del reduced, vector  # release the kernel's copy of X before the fallback's QR
     # The kernel is missing or failed, or a vector failed a check: gesdd of R instead.
     _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
-    return s, vt[last - picks], None
+    return (s, *_verified(x, vt[last - picks], s[last - picks] ** 2, s[0] ** 2))
 
 
 def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
     """Descending singular values, the right vectors at ascending positions picks as rows,
-    their residuals where already checked, the route and G on the gram route; g is the
-    caller's X^T X or None."""
+    their residuals, the route and G on the gram route; g is the caller's X^T X or None."""
     d = np.einsum("ij,ij->j", x, x) if g is None else np.diagonal(g)  # diag(X^T X)
     if _gram_resolves(d.max(), d.min()):
         if g is None:
@@ -235,13 +253,13 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
     Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, the
     values come from the tridiagonal reduction of X^T X (4n^3/3 flops),
     otherwise from the bidiagonal reduction of X's R factor (QR, then
-    8n^3/3 flops); each stored vector then costs about 2n^2 flops. eigh of
-    X^T X or gesdd of R stands in where a kernel fails or a vector fails a
-    check. SpectralResult.method records the route, and every check below
-    runs on either. Raises SpectralError (with the worst residual attached)
-    if any stored vector violates ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2,
-    if the stored vectors are not orthonormal to ORTHO_TOL, or if the backend
-    fails to converge.
+    8n^3/3 flops); each stored vector then costs about 2n^2 flops, and
+    SpectralResult.method records the route. The stored vectors must satisfy
+    ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2 and be orthonormal to
+    ORTHO_TOL. eigh of X^T X or gesdd of R stands in where a kernel fails or
+    its vectors fail that check; SpectralError (with the worst residual
+    attached) is raised where the fallback's vectors fail it too, or the
+    backend fails to converge.
 
     gram, when given, is X^T X as the caller already holds it (G[J, J] for
     a column minor X_J); it replaces forming X^T X and its diagonal, while
@@ -261,30 +279,11 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
-    s1 = float(s[0])
     stored = np.array([_fix_sign(r) for r in rows])
-    if residuals is None:
-        # Recomputed from X, not from G, so the eigh fallback is checked against X itself.
-        residuals = np.linalg.norm(x.T @ (x @ stored.T) - stored.T * s[n - 1 - picks] ** 2, axis=0)
-    worst = float(residuals.max())
-    if not worst <= RESIDUAL_TOL * s1 * s1:  # written so that a NaN residual fails
-        raise SpectralError(
-            f"residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * s1^2 = {RESIDUAL_TOL * s1 * s1:.3e}",
-            worst_residual=worst,
-        )
-
-    ortho = stored @ stored.T
-    ortho_err = float(np.abs(ortho - np.eye(ortho.shape[0])).max())
-    if not ortho_err <= ORTHO_TOL:
-        raise SpectralError(
-            f"stored vectors deviate from orthonormality by {ortho_err:.3e}",
-            worst_residual=worst,
-        )
-
     # Each bottom value's distance to its nearer spectral neighbour.
     pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
     gaps = np.concatenate([[math.inf], np.abs(np.diff(s)), [math.inf]])
-    flags = (np.minimum(gaps[pos], gaps[pos + 1]) < DEGENERATE_GAP_TOL * s1).tolist()
+    flags = (np.minimum(gaps[pos], gaps[pos + 1]) < DEGENERATE_GAP_TOL * s[0]).tolist()
 
     keep = np.append(np.arange(k_bottom), picks.size - 1)  # the top repeats bottom n when k = n
     return SpectralResult(

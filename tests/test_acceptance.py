@@ -77,7 +77,7 @@ def test_2_certificate_soundness():
             # finite-variance laws have no auto cutoff; a column-max quantile
             # keeps J nonempty so the interlacing chain still gets exercised
             tau = float(np.quantile(np.max(np.abs(x), axis=0), 0.6))
-        rep = upper_certificate(x, tau, observed=(res.s_min, res.s_top))
+        rep = upper_certificate(x, tau, res)
         if rep.column_count == 0:
             continue
         nonempty += 1

@@ -1,4 +1,5 @@
 """Certificate soundness, cutoff algebra, heavy-entry census."""
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,7 @@ from svlab.spectra import SpectralError, full_svd
 
 
 def _certify(x, tau):
-    res = full_svd(x)
-    return upper_certificate(x, tau, observed=(res.s_min, res.s_top))
+    return upper_certificate(x, tau, full_svd(x))
 
 
 def _heavy(n, alpha, seed, aspect=2.0):
@@ -181,7 +181,7 @@ class TestAllColumnsMinor:
     def test_extremes_are_observed(self, no_minor_svd):
         x = np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 1.5], [0.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
         res = full_svd(x)
-        rep = upper_certificate(x, 4.0, observed=(res.s_min, res.s_top))
+        rep = upper_certificate(x, 4.0, res)
         assert rep.columns == [0, 1, 2] and rep.column_count == 3
         assert rep.minor_smin == rep.certified_upper == rep.observed_smin == res.s_min
         assert rep.minor_op_norm == res.s_top
@@ -232,8 +232,8 @@ class TestGramMinor:
         x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
         tau, _ = certificate_cutoff(x.shape[0], alpha, law.tail_bounds.c_upper)
         res = full_svd(x)
-        from_g = upper_certificate(x, tau, (res.s_min, res.s_top), gram=res.gram)
-        own = upper_certificate(x, tau, (res.s_min, res.s_top))
+        from_g = upper_certificate(x, tau, res)
+        own = upper_certificate(x, tau, dataclasses.replace(res, gram=None))
         assert from_g.columns == own.columns and from_g.valid == own.valid
         for got, ref in [(from_g.minor_smin, own.minor_smin), (from_g.minor_op_norm, own.minor_op_norm)]:
             assert got == pytest.approx(ref, rel=1e-12, abs=0) or got == ref == math.inf
@@ -241,7 +241,7 @@ class TestGramMinor:
 
     def _certify_minor(self, x, tau, gram, minor_svds):
         res = full_svd(x)
-        rep = upper_certificate(x, tau, (res.s_min, res.s_top), gram=gram)
+        rep = upper_certificate(x, tau, dataclasses.replace(res, gram=gram))
         assert 2 <= rep.column_count < x.shape[1]
         assert minor_svds == [((x.shape[0], rep.column_count), gram is not None)]
         return rep
@@ -292,7 +292,7 @@ class TestGramMinor:
         bad[3, 3] *= 1.5  # one entry; the eigenvalues still pass the rule
         # The checks run against X, so a G that is not X^T X fails the eigh fallback too.
         with pytest.raises(SpectralError, match="^residual"):
-            upper_certificate(x, 10.0, (res.s_min, res.s_top), gram=bad)
+            upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
         assert minor_svds == [((40, 9), True)]
 
 

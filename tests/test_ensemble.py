@@ -57,11 +57,6 @@ class TestStreams:
 
 
 class TestParetoLaw:
-    def test_exact_tail_function(self):
-        law = PARETO_15
-        assert law.tail_probability(0.5) == 1.0
-        assert law.tail_probability(2.0) == pytest.approx(2.0**-1.5, rel=1e-15)
-
     def test_empirical_tail_matches_exact(self):
         m = 200_000
         s = PARETO_15.sample(derive_stream(7, 0), m)
@@ -93,7 +88,7 @@ class TestParetoLaw:
         assert b.c_upper == pytest.approx(2.0**1.5, rel=1e-14)
         assert b.t_zero == 2.0
         # envelope still exact: P(|x| > t) = (t/2)^-alpha at t >= 2
-        assert law.tail_probability(4.0) == pytest.approx(b.c_upper * 4.0**-1.5, rel=1e-14)
+        assert (4.0 / 2.0) ** -1.5 == pytest.approx(b.c_upper * 4.0**-1.5, rel=1e-14)
 
     def test_frozen_draws(self):
         got = [float(v) for v in PARETO_15.sample(derive_stream(42, 0), 4)]
@@ -137,10 +132,6 @@ class TestStudentTLaw:
 class TestGaussianLaw:
     def test_no_polynomial_envelope(self):
         assert TailLaw(LawKind.GAUSSIAN).tail_bounds is None
-
-    def test_tail_probability(self):
-        law = TailLaw(LawKind.GAUSSIAN, scale=2.0)
-        assert law.tail_probability(2.0) == pytest.approx(2 * norm.sf(1.0), rel=1e-12)
 
     def test_second_moment(self):
         assert TailLaw(LawKind.GAUSSIAN, scale=2.0).second_moment() == 4.0

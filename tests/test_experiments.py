@@ -321,10 +321,10 @@ class TestRunSweep:
     def test_any_exception_is_a_trial_failure(self, monkeypatch):
         real = ex.upper_certificate
 
-        def broken(x, tau, observed, gram=None):
+        def broken(x, tau, spectrum):
             if x.shape[1] == 24:
                 raise ValueError("synthetic unit-norm check")
-            return real(x, tau, observed=observed, gram=gram)
+            return real(x, tau, spectrum)
 
         monkeypatch.setattr(ex, "upper_certificate", broken)
         recs, fails, _ = run_sweep(SMALL, workers=1)

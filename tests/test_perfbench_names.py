@@ -6,6 +6,8 @@ from pathlib import Path
 import svlab.certificates
 import svlab.cli
 import svlab.experiments
+from svlab.ensemble import EnsembleConfig, sample_matrix
+from svlab.matrixio import save_matrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +29,35 @@ def test_instrument_svlab_wraps_and_restores(monkeypatch):
     inst.restore()
     for module, before in zip(modules, saved):
         assert dict(vars(module)) == before
+
+
+def test_hooks_record_the_certificate_spans(monkeypatch, tmp_path, capsys):
+    # One sweep trial and one `svlab certify`, each on a partial minor, under
+    # instrument_svlab: every span the certificate metrics read must be there.
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    config = svlab.experiments.SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=1,
+                                           base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
+    law = config.law_for(5.0)
+    inst = spans.instrument_svlab(tracer)
+    try:
+        rec = svlab.experiments.run_trial(config, 5.0, 24, 0)
+        x = sample_matrix(EnsembleConfig(n=24, aspect=2.0, law=law, seed=rec.seed))
+        path = tmp_path / "x.svlm"
+        save_matrix(x, path)
+        assert svlab.cli.main(["certify", "--in", str(path), "--alpha", "5.0"]) == 0
+    finally:
+        inst.restore()
+    capsys.readouterr()
+    assert 2 <= rec.certificate["column_count"] < 24
+    by_name = {}
+    for s in tracer.spans:
+        by_name.setdefault(s.name, []).append(s)
+    certs = by_name["certificates.upper_certificate"]
+    assert len(certs) == 2
+    for cert in certs:
+        assert cert.attrs["cols"] == 24 and cert.attrs["column_count"] == rec.certificate["column_count"]
+    assert len(by_name["spectra.full_svd.x"]) == 2
+    minors = by_name["spectra.full_svd.minor"]
+    assert len(minors) == 2
+    assert all(tracer.spans[m.parent].name == "certificates.upper_certificate" for m in minors)

@@ -258,6 +258,38 @@ class TestValidation:
             full_svd(x)
         assert info.value.worst_residual > 1e-10 * 25.0
 
+    @pytest.mark.parametrize("route", ["gram", "gesdd"])
+    def test_repeated_fallback_vector_fails_orthonormality(self, monkeypatch, route):
+        # The fallback returns one vector twice for two near-equal values: each
+        # passes the residual check, so only orthonormality catches the pair.
+        monkeypatch.setattr(_lapack, "_lib", {})
+        if route == "gram":
+            x = np.vstack([np.diag([1.0, 1.0 + 1e-12, 2.0]), np.zeros((1, 3))])
+            real_eigh = np.linalg.eigh
+
+            def repeated(a):
+                w, v = real_eigh(a)
+                v = v.copy()
+                v[:, 1] = v[:, 0]
+                return w, v
+
+            monkeypatch.setattr(np.linalg, "eigh", repeated)
+        else:
+            x = np.vstack([np.diag([1e-4, 1e-4 * (1.0 + 1e-9), 5.0]), np.zeros((1, 3))])
+            real_svd = np.linalg.svd
+
+            def repeated(a, full_matrices=True):
+                u, s, vt = real_svd(a, full_matrices=full_matrices)
+                vt = vt.copy()
+                vt[-2] = vt[-1]
+                return u, s, vt
+
+            monkeypatch.setattr(np.linalg, "svd", repeated)
+        with pytest.raises(SpectralError, match="orthonormality") as info:
+            full_svd(x, k_bottom=2)
+        s1 = 2.0 if route == "gram" else 5.0
+        assert info.value.worst_residual < 1e-10 * s1**2
+
     def test_nan_residual_is_not_verified(self, tmp_path, capsys):
         # Entries near 1e200 overflow X^T(Xu) and s^2, so the residual is
         # inf - inf = NaN, which must fail the check rather than pass it.
@@ -558,7 +590,7 @@ class TestMinor:
         # Columns 0 and 1 stay below tau = 5; their minor is diag(3, 4) padded.
         x = np.array([[3.0, 0.0, 9.0], [0.0, 4.0, 9.0], [0.0, 0.0, 9.0], [0.0, 0.0, 9.0]])
         res = full_svd(x)
-        rep = upper_certificate(x, 5.0, observed=(res.s_min, res.s_top))
+        rep = upper_certificate(x, 5.0, res)
         assert rep.columns == [0, 1]
         assert rep.minor_op_norm == 4.0
         assert rep.minor_smin == 3.0
