@@ -5,7 +5,8 @@ A miniature sweep, end to end
 Run a small Monte Carlo grid through the same harness the command line
 uses, then feed the records to the analysis scans: the scaling fit with
 its sandwich check, and the localization transition table. A full-size
-run is the same code with a bigger grid (see default_sweep_config).
+run is the same code with a bigger grid (see the sweep-config example in
+README.md).
 """
 from svlab import (
     SweepConfig,

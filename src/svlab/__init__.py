@@ -59,7 +59,6 @@ from .experiments import (  # noqa: E402,F401
     TrialRecord,
     baiyin_check,
     bracket_check,
-    default_sweep_config,
     derive_trial_seed,
     fit_scaling,
     kth_vector_scan,

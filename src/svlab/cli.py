@@ -93,12 +93,12 @@ def _law_from_args(args) -> TailLaw:
 
 def cmd_generate(args) -> int:
     law = _law_from_args(args)
+    bounds = law.tail_bounds  # before any file is written: it raises where a constant overflows
     cfg = EnsembleConfig(n=args.n, aspect=args.aspect, law=law, seed=args.seed)
     x = sample_matrix(cfg)
     save_matrix(x, args.out)
     if args.csv:
         save_matrix_csv(x, args.csv)
-    bounds = law.tail_bounds
     meta = {
         "command": "generate",
         "n": cfg.n,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,22 +57,25 @@ def _student_t_tail_constant(alpha: float) -> float:
     # c_nu = Gamma((nu+1)/2) / (sqrt(nu*pi) * Gamma(nu/2)).
     nu = alpha
     log_c = math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-    return 2.0 * math.exp(log_c + 0.5 * (nu - 1.0) * math.log(nu))
+    try:
+        c_inf = 2.0 * math.exp(log_c + 0.5 * (nu - 1.0) * math.log(nu))
+    except OverflowError:
+        c_inf = math.inf
+    if math.isinf(c_inf * _TAIL_SLACK):  # c_upper = c_inf * _TAIL_SLACK must be a double too
+        raise ValueError(f"student_t alpha={alpha}: the tail constant exceeds a double")
+    return c_inf
 
 
-def _student_t_band_onset(alpha: float, c_inf: float) -> float:
-    """Smallest grid point t0 with 2*sf(t)*t^alpha inside the slack band beyond t0."""
-    from scipy.stats import t as student_t
+def _student_t_band_onset(alpha: float) -> float:
+    """t0 beyond which 2*sf(t)*t^nu / c_inf stays in [1/_TAIL_SLACK, _TAIL_SLACK].
 
-    grid = np.geomspace(0.25, 1.0e5, 4096)
-    ratio = 2.0 * student_t.sf(grid, df=alpha) * grid**alpha / c_inf
-    ok = (ratio >= 1.0 / _TAIL_SLACK) & (ratio <= _TAIL_SLACK)
-    # Want membership for every grid point from the onset outward.
-    suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
-    idx = np.flatnonzero(suffix_ok)
-    if idx.size == 0:
-        raise ValueError(f"no certified tail onset found for student_t alpha={alpha}")
-    return float(grid[idx[0]])
+    For s >= t, s^2/nu <= 1 + s^2/nu <= (s^2/nu)(1 + nu/t^2), so integrating
+    the density c_nu (1 + s^2/nu)^(-(nu+1)/2) from t to infinity gives
+    (1 + nu/t^2)^(-(nu+1)/2) <= 2*sf(t)*t^nu / c_inf <= 1 at every t > 0.
+    The lower side reaches 1/_TAIL_SLACK at t0 = sqrt(nu / (_TAIL_SLACK^(2/(nu+1)) - 1)).
+    """
+    nu = alpha
+    return math.sqrt(nu / math.expm1(2.0 * math.log(_TAIL_SLACK) / (nu + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class TailLaw:
             return 1.0
         return self.multiplier**2 * self._unit_second_moment()
 
-    @cached_property
+    @property
     def tail_bounds(self) -> TailBounds | None:
         """Certified envelope for the law as sampled (scaling folded in)."""
         m = self.multiplier
@@ -149,7 +151,7 @@ class TailLaw:
                 t_zero=m,
             )
         c_inf = _student_t_tail_constant(self.alpha)
-        t0 = _student_t_band_onset(self.alpha, c_inf)
+        t0 = _student_t_band_onset(self.alpha)
         return TailBounds(
             alpha=self.alpha,
             c_lower=c_inf / _TAIL_SLACK * m**self.alpha,

@@ -56,7 +56,6 @@ __all__ = [
     "transition_scan",
     "baiyin_check",
     "kth_vector_scan",
-    "default_sweep_config",
 ]
 
 
@@ -169,17 +168,6 @@ class SweepConfig:
         d = dataclasses.asdict(self)
         d["law_kind"] = self.law_kind.value
         return d
-
-
-def default_sweep_config(base_seed: int = 20260814) -> SweepConfig:
-    """Desk-scale default grid: a few hours of CPU, both phases covered."""
-    return SweepConfig(
-        alphas=(0.8, 1.2, 1.5, 1.8, 2.5, 3.0, 5.0),
-        ns=(100, 200, 400, 800),
-        aspect=2.0,
-        trials_per_cell=50,
-        base_seed=base_seed,
-    )
 
 
 @dataclass

@@ -94,6 +94,17 @@ class TestGenerate:
         assert code == 1
         assert "--alpha" in capsys.readouterr().err
 
+    def test_student_t_tail_constant_overflow(self, tmp_path, capsys):
+        out = tmp_path / "x.svlm"
+        assert main(["generate", "--n", "8", "--law", "student_t", "--alpha", "300",
+                     "--seed", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid input: student_t alpha=300.0: the tail constant exceeds a double"
+        ]
+        assert not out.exists()
+
     def test_gaussian_ignores_alpha(self, tmp_path, capsys):
         out = tmp_path / "g.svlm"
         assert main(["generate", "--n", "8", "--law", "gaussian", "--seed", "3",
@@ -384,6 +395,22 @@ class TestColdStart:
         code = ("import sys, svlab.cli, svlab._lapack; "
                 f"print([m for m in {unwanted!r} if m in sys.modules], svlab._lapack._lib)")
         assert run_fresh(["-c", code], tmp_path).stdout.strip() == "[] None"
+
+    def test_student_t_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it blocked, a Student-t matrix
+        # still gets its certified tail envelope, and a Student-t sweep cell runs.
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from svlab import SweepConfig, run_sweep\n"
+                "from svlab.cli import main\n"
+                "assert main(['generate', '--law', 'student_t', '--alpha', '1.5', '--n', '10',"
+                " '--seed', '3', '--out', 'x.svlm']) == 0\n"
+                "cfg = SweepConfig(alphas=(1.5,), ns=(12,), aspect=2.0, trials_per_cell=2, base_seed=5,"
+                " law_kind='student_t', c_grid=(1.0,), epsilons=(0.1,))\n"
+                "records, failures, _ = run_sweep(cfg, workers=1)\n"
+                "print(len(records), failures)\n")
+        out = run_fresh(["-c", code], tmp_path).stdout.strip().splitlines()
+        assert out[-1] == "2 []"
+        assert json.loads((tmp_path / "x.svlm.meta.json").read_text())["tail_bounds"]["alpha"] == 1.5
 
     def test_pooled_sweep_matches_serial_bytes(self, tmp_path):
         # The pool's workers load numpy.random on their own first trial.

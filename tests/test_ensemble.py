@@ -102,14 +102,16 @@ class TestParetoLaw:
 
 class TestStudentTLaw:
     def test_certified_envelope_on_grid(self):
-        for alpha in (1.0, 2.5, 3.0):
+        # In log space, since t^-80 underflows a little beyond 100 * t_zero.
+        for alpha in (0.1, 0.5, 1.0, 2.5, 3.0, 80.0):
             law = TailLaw(LawKind.STUDENT_T, alpha=alpha)
             b = law.tail_bounds
             assert b.t_zero > 0
-            grid = np.geomspace(b.t_zero, 1e6, 400)
-            p = 2.0 * student_t.sf(grid, df=alpha)
-            assert np.all(p <= b.c_upper * grid**-alpha * (1 + 1e-12))
-            assert np.all(p >= b.c_lower * grid**-alpha * (1 - 1e-12))
+            grid = np.geomspace(b.t_zero, 100.0 * b.t_zero, 400)
+            log_p = math.log(2.0) + student_t.logsf(grid, df=alpha)
+            assert np.all(np.isfinite(log_p))
+            assert np.all(log_p <= math.log(b.c_upper) - alpha * np.log(grid) + 1e-12)
+            assert np.all(log_p >= math.log(b.c_lower) - alpha * np.log(grid) - 1e-12)
 
     def test_cauchy_constant_closed_form(self):
         # alpha = 1: the asymptotic tail constant is 2/pi.
