@@ -22,16 +22,17 @@ that does work proportional only to the vectors that are asked for:
   only array of X's size the kernel allocates: numpy's ``qr`` holds two
   copies of X and then builds R, which a kernel on R would copy again.
 
-Each kept vector is then one bisection (dstebz) for its own eigenvalue of
-the tridiagonal, inverse iteration for it (dstein), and one back-transform
-(dormtr or dormbr) of that single vector, about 2n^2 flops. A right
-singular vector of the bidiagonal B comes from the Golub-Kahan tridiagonal
-of order 2n, with zero diagonal and off-diagonal d_1, e_1, d_2, ..., d_n:
-its eigenvector for +s_j holds v_j in its even (0-based) entries (Golub &
-Kahan, SIAM J. Numer. Anal. B 2, 1965; LAPACK's dbdsvdx takes this route,
-but writes past its documented bounds on rank-deficient input, so it is
-not called here). Vectors are computed one at a time, so a vector never
-depends on how many others are kept.
+Each kept vector is then inverse iteration (dstein) at the eigenvalue the
+reduction returned and one back-transform (dormtr or dormbr) of it alone,
+about 2n^2 flops, so no vector depends on how many others are kept. The
+tridiagonal splits where e_i^2 < ulp^2 |d_i d_{i+1}| + safe_min (LAPACK's
+bisection test): unsplit, it is dstein's one block; split everywhere, it is
+diagonal, and vector p is the unit vector at its p-th smallest d (stable
+order); split in part, the vector is None. The bidiagonal B's right vector
+v_j sits in the even (0-based) entries of the eigenvector for +s_j of its
+Golub-Kahan tridiagonal: order 2n, zero diagonal, off-diagonal d_1, e_1,
+d_2, ..., d_n (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965; dbdsvdx takes
+this route, but writes past its bounds on rank-deficient input, so is not called).
 
 Every kernel returns None where numpy's build does not export the routines
 (Accelerate or MKL builds, for example), a routine reports INFO != 0, or,
@@ -48,7 +49,6 @@ import numpy as np
 _SIGNATURES = {
     "dsytrd": (10, 1),  # UPLO N A LDA D E TAU WORK LWORK INFO
     "dsterf": (4, 0),  # N D E INFO
-    "dstebz": (18, 2),  # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
     "dstein": (13, 0),  # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
     "dormtr": (13, 3),  # SIDE UPLO TRANS M N A LDA TAU C LDC WORK LWORK INFO
     "dgeqrf": (8, 0),  # M N A LDA TAU WORK LWORK INFO
@@ -130,15 +130,18 @@ def _workspace(name: str, *args) -> np.ndarray | None:
     return _array(max(1, int(work[0])))
 
 
-def _tridiagonal_vector(d: np.ndarray, e: np.ndarray, index: int) -> np.ndarray | None:
-    """Unit eigenvector for the index-th smallest (1-based) eigenvalue of the tridiagonal (d, e)."""
+def _tridiagonal_vector(d: np.ndarray, e: np.ndarray, lam: float, index: int) -> np.ndarray | None:
+    """Unit eigenvector of the tridiagonal (d, e) for lam, its index-th smallest (0-based) eigenvalue."""
     n = d.size
-    m, nsplit = _array(1, np.int64), _array(1, np.int64)
-    w, iblock, isplit = _array(n), _array(n, np.int64), _array(n, np.int64)
-    if _call("dstebz", "I", "B", n, 0.0, 0.0, index, index, 0.0, d, e, m, nsplit, w, iblock,
-             isplit, _array(4 * n), _array(3 * n, np.int64)) or m[0] != 1:
-        return None
+    splits = e * e < np.finfo(float).eps ** 2 * np.abs(d[:-1] * d[1:]) + np.finfo(float).tiny
     z = _array(n)
+    if splits.all():  # diagonal: its eigenvectors are unit vectors
+        z[:] = np.arange(n) == np.argsort(d, kind="stable")[index]
+        return z
+    if splits.any():  # split in part: dstein would need the block of each value
+        return None
+    w, iblock, isplit = _array(1), _array(1, np.int64), _array(1, np.int64)
+    w[0], iblock[0], isplit[0] = lam, 1, n  # one block of order n
     if _call("dstein", n, d, e, 1, w, iblock, isplit, z, n, _array(5 * n), _array(n, np.int64),
              _array(1, np.int64)):
         return None
@@ -148,8 +151,8 @@ def _tridiagonal_vector(d: np.ndarray, e: np.ndarray, index: int) -> np.ndarray 
 def tridiagonal(g: np.ndarray):
     """Eigenvalues of the symmetric g in ascending order, and vector(p) for the p-th (0-based).
 
-    None where the routines are missing, g is not finite, or dsytrd or
-    dsterf fails; vector(p) returns None where dstebz, dstein or dormtr fails.
+    None where the routines are missing, g is not finite, or dsytrd or dsterf
+    fails; vector(p) is None where the tridiagonal splits in part or dstein or dormtr fails.
     """
     if not (available() and np.isfinite(g).all()):
         return None
@@ -163,7 +166,7 @@ def tridiagonal(g: np.ndarray):
         return None
 
     def vector(p: int) -> np.ndarray | None:
-        z = _tridiagonal_vector(d, e, p + 1)
+        z = _tridiagonal_vector(d, e, w[p], p)
         # LWORK = 1 keeps dormtr unblocked: one vector, one reflector at a time.
         if z is None or _call("dormtr", "L", "L", "N", n, 1, a, n, tau, z, n, _array(1), 1):
             return None
@@ -180,10 +183,10 @@ def bidiagonal(x: np.ndarray):
     R in its top n x n block, the reflectors below R's diagonal are zeroed,
     and dgebrd and dormbr work on that block with LDA = N. None where the
     routines are missing or dgeqrf, dgebrd or dbdsqr fails; vector(p)
-    returns None where dstebz, dstein or dormbr fails or the vector's even
-    half vanishes. x must be finite, and is not checked again here: the only
-    caller, full_svd, has already rejected a non-finite X, and a check would
-    be a second pass over N x n entries.
+    is None where its tridiagonal splits in part, dstein or dormbr fails,
+    or the even half vanishes. x must be finite, and is not checked again
+    here: the only caller, full_svd, has already rejected a non-finite X,
+    and a check would be a second pass over N x n entries.
     """
     if not available():
         return None
@@ -208,7 +211,7 @@ def bidiagonal(x: np.ndarray):
     tgk_e[0::2], tgk_e[1::2] = d, e
 
     def vector(p: int) -> np.ndarray | None:
-        z = _tridiagonal_vector(tgk_d, tgk_e, n + p + 1)  # +s ascending sits above all n of -s
+        z = _tridiagonal_vector(tgk_d, tgk_e, s[n - 1 - p], n + p)  # +s ascending sits above all n of -s
         if z is None:
             return None
         v = _copy(z[0::2])

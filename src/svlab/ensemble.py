@@ -138,26 +138,24 @@ class TailLaw:
 
     @property
     def tail_bounds(self) -> TailBounds | None:
-        """Certified envelope for the law as sampled (scaling folded in)."""
+        """Certified envelope for the law as sampled (scaling folded in); ValueError if it overflows."""
         m = self.multiplier
         if self.kind is LawKind.GAUSSIAN:
             return None
-        if self.kind is LawKind.SYMMETRIC_PARETO:
-            # Unit form is exact: P(|B| > t) = t^-alpha for t >= 1.
-            return TailBounds(
-                alpha=self.alpha,
-                c_lower=m**self.alpha,
-                c_upper=m**self.alpha,
-                t_zero=m,
-            )
-        c_inf = _student_t_tail_constant(self.alpha)
-        t0 = _student_t_band_onset(self.alpha)
-        return TailBounds(
-            alpha=self.alpha,
-            c_lower=c_inf / _TAIL_SLACK * m**self.alpha,
-            c_upper=c_inf * _TAIL_SLACK * m**self.alpha,
-            t_zero=t0 * m,
-        )
+        try:
+            m_alpha = m**self.alpha
+        except OverflowError:
+            m_alpha = math.inf
+        # Unit Pareto is exact, P(|B| > t) = t^-alpha for t >= 1; Student t is bracketed past t0.
+        c_lower, c_upper, t0 = m_alpha, m_alpha, 1.0
+        if self.kind is LawKind.STUDENT_T:
+            c_inf = _student_t_tail_constant(self.alpha)
+            c_lower, c_upper = c_inf / _TAIL_SLACK * m_alpha, c_inf * _TAIL_SLACK * m_alpha
+            t0 = _student_t_band_onset(self.alpha)
+        if not (math.isfinite(c_lower) and math.isfinite(c_upper)):
+            raise ValueError(f"{self.kind.value} alpha={self.alpha} scale={self.scale}: "
+                             "the tail constant exceeds a double")
+        return TailBounds(alpha=self.alpha, c_lower=c_lower, c_upper=c_upper, t_zero=t0 * m)
 
     def sample(self, stream: Generator, size: tuple[int, ...] | int) -> np.ndarray:
         """Draw samples, consuming the stream deterministically.

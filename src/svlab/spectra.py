@@ -3,8 +3,8 @@
 Two routes produce the factors, and the matrix itself picks one. Each runs
 one Householder reduction through numpy's own LAPACK (``svlab._lapack``),
 takes all values from it, and then computes only the kept vectors: one
-inverse iteration on the reduced matrix and one back-transform each, about
-2n^2 flops a vector on top of the reduction.
+inverse iteration on the reduced matrix, at the value the reduction gave,
+and one back-transform each, about 2n^2 flops a vector on top of it.
 
 * ``gram``: G = X^T X is formed once and reduced to tridiagonal form
   (dsytrd, 4n^3/3 flops); dsterf gives all its eigenvalues, bit for bit
@@ -26,8 +26,8 @@ O(n) vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles.
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
 holds more copies of X; the route keeps its label), where the reduction or
-a vector's routine fails, the kept vectors fail the check below, or numpy's
-build does not export the routines.
+a vector's routine fails, the reduced matrix splits into blocks only in part,
+the kept vectors fail the check below, or numpy's build lacks the routines.
 
 One check covers the vectors of every source, kernel or fallback: each
 kept u must satisfy ||X^T(X u) - lambda u|| <= RESIDUAL_TOL * s_1^2, with

@@ -105,6 +105,19 @@ class TestGenerate:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("law, alpha", [("symmetric_pareto", "400"), ("student_t", "200")])
+    def test_scaled_tail_constant_overflow(self, tmp_path, capsys, law, alpha):
+        # scale^alpha = 10^400 overflows a Python float; c_inf * 1.1 * 10^200 overflows to inf.
+        out = tmp_path / "a.svlm"
+        assert main(["generate", "--n", "4", "--law", law, "--alpha", alpha, "--scale", "10",
+                     "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"invalid input: {law} alpha={float(alpha)} scale=10.0: the tail constant exceeds a double"
+        ]
+        assert not out.exists() and not (tmp_path / "a.svlm.meta.json").exists()
+
     def test_gaussian_ignores_alpha(self, tmp_path, capsys):
         out = tmp_path / "g.svlm"
         assert main(["generate", "--n", "8", "--law", "gaussian", "--seed", "3",

@@ -14,11 +14,14 @@ FILL = {np.dtype(np.float64): -7.25e123, np.dtype(np.int64): -987654321}
 
 def _inputs(n):
     a = np.linspace(1.0, 2.0, n)
+    blocks = np.diag(np.arange(1.0, n + 1))
+    blocks[0, 1] = blocks[1, 0] = 0.5  # a full 2 x 2 block beside 1 x 1 ones: split in part at n > 2
     return {
         "zero": np.zeros((n, n)),
         "identity": np.eye(n),
         "tied_diagonal": np.diag(np.repeat(np.arange(1.0, n), 2)[:n]),
         "rank_one": np.outer(a, a),
+        "block_diagonal": blocks,
     }
 
 
@@ -61,7 +64,7 @@ def padded(monkeypatch):
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
 class TestForeignMemory:
-    @pytest.mark.parametrize("kind", ["zero", "identity", "tied_diagonal", "rank_one"])
+    @pytest.mark.parametrize("kind", ["zero", "identity", "tied_diagonal", "rank_one", "block_diagonal"])
     @pytest.mark.parametrize("n", [2, 3, 5, 40])
     @pytest.mark.parametrize("kernel", ["tridiagonal", "bidiagonal"])
     def test_no_write_past_bounds(self, padded, kernel, n, kind):

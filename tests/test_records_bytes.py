@@ -134,5 +134,5 @@ def test_r_route_sweep_bytes(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "0fd2afedd87db4daf6cdff97f3702f702e8001b91f88c038b921641b30eb0a89"
+        "8940cfaa10e86468919b6f97fcf8840e226b2142e8d433d2da30f21fd7aa0085"
     )

@@ -11,6 +11,7 @@ from svlab import _lapack
 from svlab.certificates import upper_certificate
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
+from svlab.experiments import derive_trial_seed
 from svlab.matrixio import save_matrix
 from svlab.spectra import SpectralError, full_svd, operator_norm
 
@@ -37,6 +38,15 @@ def _r_route_matrix(n=40, seed=0):
     """A Pareto(0.5) matrix whose X^T X cannot resolve s_min, so full_svd takes the R route."""
     law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
     return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+
+
+def _alpha_tenth_matrix():
+    """Trial 0 of a sweep at alpha = 0.1, n = 40, aspect 2 and base seed 11. Its R-route
+    vectors, computed at a second, bisected copy of each eigenvalue, once failed their
+    check, and gesdd of R then put s_min 6e7 times too high."""
+    seed = derive_trial_seed(11, "symmetric_pareto", 0.1, 40, 2.0, 0)
+    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.1)
+    return sample_matrix(EnsembleConfig(n=40, aspect=2.0, law=law, seed=seed))
 
 
 def _spy_vectors(monkeypatch, kernel, change):
@@ -73,7 +83,7 @@ class TestHandExamples:
         # s_min and the bottom vector do not depend on how many vectors are kept,
         # on either route, up to keeping all of them.
         methods = set()
-        for x in [*_random_matrices(6), _r_route_matrix()]:
+        for x in [*_random_matrices(6), _r_route_matrix(), _alpha_tenth_matrix()]:
             one = full_svd(x, k_bottom=1)
             methods.add(one.method)
             for k in (2, x.shape[1]):
@@ -405,36 +415,36 @@ class TestShiftedSolves:
         assert np.array_equal(res.gram, x.T @ x)  # the kernel reduces a copy
 
     def test_all_vectors_match_eigh(self, monkeypatch):
-        # k_bottom = n through the kernel alone: every vector satisfies eigh's
-        # residual bound and matches its vector where the gap allows.
-        x = self._x(n=40, seed=2)
-        real_eigh = np.linalg.eigh
+        # k_bottom = n through either kernel alone: every vector satisfies the
+        # residual bound and matches eigh's (gram route) or gesdd's (R route)
+        # where the gap allows.
+        real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
         monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
-        res = full_svd(x, k_bottom=40)
-        g = x.T @ x
-        w, v = real_eigh(g)
-        assert res.method == "gram"
-        top2 = res.s_top**2
-        assert np.abs(res.singular_values[::-1] ** 2 - w).max() <= 1e-12 * top2
-        u = res.bottom_right_vectors.T
-        assert np.linalg.norm(g @ u - u * w, axis=0).max() <= 1e-10 * top2
-        gaps = np.minimum(np.append(np.inf, np.diff(w)), np.append(np.diff(w), np.inf))
-        ref = v * np.sign(np.sum(u * v, axis=0))
-        assert np.all(np.linalg.norm(u - ref, axis=0) <= 1e-10 * top2 / gaps)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd called"))
+        for x, method in [(self._x(n=40, seed=2), "gram"), (_r_route_matrix(), "gesdd")]:
+            res = full_svd(x, k_bottom=40)
+            g = x.T @ x
+            if method == "gram":
+                w, v = real_eigh(g)
+            else:
+                _, s, vt = real_svd(x, full_matrices=False)
+                w, v = s[::-1] ** 2, vt[::-1].T
+            assert res.method == method
+            top2 = res.s_top**2
+            assert np.abs(res.singular_values[::-1] ** 2 - w).max() <= 1e-12 * top2
+            u = res.bottom_right_vectors.T
+            assert np.linalg.norm(g @ u - u * w, axis=0).max() <= 1e-10 * top2
+            gaps = np.minimum(np.append(np.inf, np.diff(w)), np.append(np.diff(w), np.inf))
+            ref = v * np.sign(np.sum(u * v, axis=0))
+            assert np.all(np.linalg.norm(u - ref, axis=0) <= 1e-10 * top2 / gaps)
 
-    def test_exact_tie_takes_eigh(self, monkeypatch):
-        # X^T X = 2 I: both picks land on the same eigenvalue of the split
-        # tridiagonal, so the second vector repeats the first and eigh runs.
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def counting(a):
-            calls.append(a.shape)
-            return real_eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+    def test_exact_tie_is_exact_without_eigh(self, monkeypatch):
+        # X^T X = 2 I: its tridiagonal is diagonal (every off-diagonal splits), so
+        # the kernel returns the unit vectors e_1 and e_2 exactly and eigh never runs.
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
         res = full_svd(np.vstack([np.eye(2), np.eye(2)]), k_bottom=2)
-        assert calls == [(2, 2)] and res.method == "gram"
+        assert res.method == "gram"
+        assert res.bottom_right_vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert res.singular_values.tolist() == [math.sqrt(2.0)] * 2
         assert res.degenerate_flags == [True, True]
 
@@ -563,6 +573,19 @@ class TestGesddFallback:
         assert res.method == "gesdd"
         assert np.array_equal(res.singular_values, s)
         assert np.array_equal(np.vstack([res.bottom_right_vectors, res.top_right_vector]), want)
+
+    def test_alpha_tenth_keeps_the_kernel_value(self, monkeypatch):
+        # Base seed 11, alpha = 0.1, n = 40, trial 0: the kernel's vectors pass their
+        # check at dbdsqr's own values, so gesdd of R never runs, and dbdsqr's s_min
+        # matches a 300-digit SVD.
+        mpmath = pytest.importorskip("mpmath")
+        x = _alpha_tenth_matrix()
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd called"))
+        res = full_svd(x, k_bottom=2)
+        assert res.method == "gesdd"
+        with mpmath.workdps(300):
+            ref = min(mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False))
+            assert abs(res.s_min - ref) <= 1e-6 * ref
 
 
 class TestGesvdOracle:
