@@ -90,8 +90,8 @@ def _call(name: str, *args) -> int:
     """Run LAPACK routine name and return its INFO.
 
     args follow the Fortran signature up to INFO: a str is a CHARACTER*1, an
-    int an INTEGER, a float a DOUBLE PRECISION, an array its data pointer.
-    The hidden CHARACTER lengths go last, as gfortran expects them.
+    int an INTEGER, an array its data pointer. The hidden CHARACTER lengths
+    go last, as gfortran expects them.
     """
     import ctypes
 
@@ -104,12 +104,11 @@ def _call(name: str, *args) -> int:
             refs.append(ctypes.c_char_p(a.encode()))
         elif isinstance(a, (int, np.integer)):
             refs.append(ctypes.byref(ctypes.c_int64(int(a))))
-        elif isinstance(a, (float, np.floating)):
-            refs.append(ctypes.byref(ctypes.c_double(float(a))))
-        elif a.dtype in (np.float64, np.int64) and a.flags.f_contiguous:
+        elif isinstance(a, np.ndarray) and a.dtype in (np.float64, np.int64) and a.flags.f_contiguous:
             refs.append(a.ctypes.data)
         else:
-            raise TypeError(f"{name}: arrays must be column-major float64 or int64, got {a.dtype}")
+            got = getattr(a, "dtype", type(a).__name__)
+            raise TypeError(f"{name}: arrays must be column-major float64 or int64, got {got}")
     info = _array(1, np.int64)
     _library()[name](*refs, info.ctypes.data, *[1] * chars)
     return int(info[0])

@@ -42,12 +42,7 @@ from .matrixio import MatrixFormatError, load_matrix, save_matrix, save_matrix_c
 from .spectra import SpectralError, full_svd
 from .svgplot import line_chart, vector_profile
 
-_LAW_NAMES = {
-    "pareto": LawKind.SYMMETRIC_PARETO,
-    "symmetric_pareto": LawKind.SYMMETRIC_PARETO,
-    "student_t": LawKind.STUDENT_T,
-    "gaussian": LawKind.GAUSSIAN,
-}
+_LAW_NAMES = {"pareto": LawKind.SYMMETRIC_PARETO, **{kind.value: kind for kind in LawKind}}
 
 
 class UsageError(Exception):

@@ -45,7 +45,7 @@ def save_matrix(x: np.ndarray, path: str | Path) -> None:
         raise ValueError("matrix too large for the format header")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(x).astype("<f8", copy=False).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(x, dtype="<f8")))  # X's own buffer, no bytes copy
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

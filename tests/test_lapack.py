@@ -158,3 +158,10 @@ def test_kernels_run_on_bundled_openblas(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd fallback ran"))
     for alpha, n, method in [(1.5, 50, "gram"), (3.0, 200, "gram"), (0.5, 50, "gesdd"), (0.8, 200, "gesdd")]:
         assert full_svd(_matrix(alpha, n=n), k_bottom=2).method == method
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(2.5), np.zeros(4, np.float32), np.zeros((3, 3))[:, ::2]])
+def test_call_rejects_scalar_doubles_and_foreign_arrays(bad):
+    # No routine takes a DOUBLE PRECISION scalar, so a float is a caller's mistake, not a pointer.
+    with pytest.raises(TypeError, match="column-major float64 or int64"):
+        _lapack._call("dsterf", 4, bad, _lapack._array(3))
