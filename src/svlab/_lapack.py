@@ -38,9 +38,12 @@ Every kernel returns None where numpy's build does not export the routines
 (Accelerate or MKL builds, for example), a routine reports INFO != 0, or,
 for ``tridiagonal``, g is not finite; the caller then falls back to numpy's
 public calls. ``bidiagonal`` expects a finite x. Every array handed to
-LAPACK comes from ``_array``.
+LAPACK comes from ``_array``. ``core_name`` names the OpenBLAS kernel set the
+process runs on, for the sweep manifest.
 """
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -59,13 +62,16 @@ _SIGNATURES = {
 _lib: dict | None = None  # resolved on first use; {} where numpy's build lacks the symbols
 
 
+def _openblas() -> ctypes.CDLL:
+    """numpy's linear algebra module, whose symbols include its bundled OpenBLAS's."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
 def _library() -> dict:
     global _lib
     if _lib is None:
-        import ctypes  # here, not at module top: only a kernel call needs it
-
         try:
-            dll = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            dll = _openblas()
             _lib = {name: getattr(dll, f"scipy_{name}_64_") for name in _SIGNATURES}
         except (OSError, AttributeError):
             _lib = {}
@@ -81,6 +87,17 @@ def available() -> bool:
     return bool(_library())
 
 
+def core_name() -> str | None:
+    """The OpenBLAS kernel set this process runs on (such as "SkylakeX"), or None where
+    numpy's build does not say. Records can differ in their last bits between kernel sets."""
+    try:
+        fn = _openblas().scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    return fn().decode("ascii")
+
+
 def _array(size: int, dtype=np.float64) -> np.ndarray:
     """A fresh contiguous buffer for LAPACK; every array a kernel passes is made here."""
     return np.empty(size, dtype)
@@ -93,8 +110,6 @@ def _call(name: str, *args) -> int:
     int an INTEGER, an array its data pointer. The hidden CHARACTER lengths
     go last, as gfortran expects them.
     """
-    import ctypes
-
     count, chars = _SIGNATURES[name]
     if len(args) + 1 != count or sum(isinstance(a, str) for a in args) != chars:
         raise TypeError(f"{name} takes {count - 1} arguments before INFO, {chars} of them CHARACTER")

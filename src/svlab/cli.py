@@ -250,46 +250,38 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
+def _table(rows: list, row_type: type) -> tuple[list[str], list[tuple]]:
+    """A report table whose columns are row_type's fields, in field order."""
+    return [f.name for f in dataclasses.fields(row_type)], [dataclasses.astuple(r) for r in rows]
+
+
 def cmd_report(args) -> int:
     records = read_records(args.records)
     if not records:
         raise ValueError(f"no records in {args.records}")
-    # Every scan runs before anything is written, so a rejected report leaves no trace.
-    svg = None
+    # Each kind sets its table, its summary and its chart (the series and
+    # line_chart's keywords); a kind with no series draws nothing. Every scan
+    # runs before anything is written, so a rejected report leaves no trace.
+    series, chart = [], {}
     if args.kind == "transition":
         table = transition_scan(records, args.c, args.epsilon, args.delta)
-        header = [f.name for f in dataclasses.fields(TransitionRow)]
-        rows = [dataclasses.astuple(r) for r in table.rows]
+        header, rows = _table(table.rows, TransitionRow)
+        summary = {"rows": len(table.rows), "midpoint": table.midpoint,
+                   "crossing_alpha": table.crossing_alpha}
         n_star = max(r.n for r in table.rows)
         curve = sorted([r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)],
                        key=lambda r: r.alpha)
-        if len(curve) >= 2:
-            svg = line_chart(
-                [
-                    ("median min-mass", [r.alpha for r in curve], [r.median_min_mass for r in curve]),
-                    ("median threshold mass", [r.alpha for r in curve],
-                     [r.median_threshold_mass for r in curve]),
-                ],
-                title=f"localization transition (n={n_star}, c={args.c:g}, eps={args.epsilon:g})",
-                x_label="tail index alpha",
-                y_label="mass",
-            )
-        summary = {
-            "rows": len(table.rows),
-            "midpoint": table.midpoint,
-            "crossing_alpha": table.crossing_alpha,
-        }
+        xs = [r.alpha for r in curve]
+        series = [("median min-mass", xs, [r.median_min_mass for r in curve]),
+                  ("median threshold mass", xs, [r.median_threshold_mass for r in curve])]
+        chart = {"title": f"localization transition (n={n_star}, c={args.c:g}, eps={args.epsilon:g})",
+                 "x_label": "tail index alpha", "y_label": "mass"}
     elif args.kind == "scaling":
         if args.alpha is None:
             raise UsageError("report --kind scaling needs --alpha")
         fit = fit_scaling(records, args.alpha)
-        summary = {
-            "alpha": fit.alpha,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "slope_corrected": fit.slope_corrected,
-            "residual_sse": fit.residual_sse,
-        }
+        summary = dataclasses.asdict(fit)
+        del summary["ns"], summary["medians"]  # they are the table
         header = ["n", "median_s_min"]
         rows = [[n, m] for n, m in zip(fit.ns, fit.medians)]
         if 0 < fit.alpha < 2:
@@ -298,39 +290,25 @@ def cmd_report(args) -> int:
             header.append("envelope_ratio")
             for row, (_, ratio) in zip(rows, bracket.envelope_ratios):
                 row.append(ratio)
+        xs = list(map(float, fit.ns))
         fit_ys = [math.exp(fit.intercept) * n**fit.slope for n in fit.ns]
-        svg = line_chart(
-            [
-                ("median s_min", list(map(float, fit.ns)), fit.medians),
-                (f"fit slope {fit.slope:.3f}", list(map(float, fit.ns)), fit_ys),
-            ],
-            title=f"smallest singular value scaling, alpha={fit.alpha:g}",
-            x_label="n",
-            y_label="median s_min",
-            log_x=True,
-            log_y=True,
-        )
+        series = [("median s_min", xs, fit.medians), (f"fit slope {fit.slope:.3f}", xs, fit_ys)]
+        chart = {"title": f"smallest singular value scaling, alpha={fit.alpha:g}",
+                 "x_label": "n", "y_label": "median s_min", "log_x": True, "log_y": True}
     elif args.kind == "baiyin":
         rep = baiyin_check(records)
         summary = dataclasses.asdict(rep)
         header = ["n", "mean_ratio", "limit"]
         rows = [[n, v, rep.limit] for n, v in rep.per_n]
-        if len(rep.per_n) >= 2:
-            svg = line_chart(
-                [
-                    ("mean s_min/sqrt(N)", [float(n) for n, _ in rep.per_n],
-                     [v for _, v in rep.per_n]),
-                    ("limit", [float(n) for n, _ in rep.per_n], [rep.limit] * len(rep.per_n)),
-                ],
-                title=f"finite-variance limit check, aspect={rep.aspect:g}",
-                x_label="n",
-                y_label="s_min / sqrt(N)",
-            )
+        xs = [float(n) for n, _ in rep.per_n]
+        series = [("mean s_min/sqrt(N)", xs, [v for _, v in rep.per_n]), ("limit", xs, [rep.limit] * len(xs))]
+        chart = {"title": f"finite-variance limit check, aspect={rep.aspect:g}",
+                 "x_label": "n", "y_label": "s_min / sqrt(N)"}
     else:  # kth; argparse choices admit no other kind
         scan = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
-        header = [f.name for f in dataclasses.fields(KthVectorRow)]
-        rows = [dataclasses.astuple(r) for r in scan]
+        header, rows = _table(scan, KthVectorRow)
         summary = {"rows": len(scan)}
+    svg = line_chart(series, **chart) if series and len(series[0][1]) >= 2 else None
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

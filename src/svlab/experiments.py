@@ -4,9 +4,10 @@ Determinism contract: every trial's stream is keyed by a hash of
 (base_seed, law, cell, trial index), so any single trial can be
 regenerated in isolation, runs can be parallelized trial-wise, and
 records.jsonl is byte-identical across reruns and worker counts at one
-BLAS thread setting (a different thread count can change the last bits of
-the decompositions). Wall times and other nondeterministic metadata live
-in the run manifest, never in the records.
+BLAS thread setting and on one OpenBLAS kernel set, which `manifest.json`
+records as `blas_core` (another thread count or kernel set can change the
+last bits of the decompositions). Wall times and other nondeterministic
+metadata live in the run manifest, never in the records.
 
 Gaussian cells use alpha = inf as their grid label (the law ignores it);
 JSON output then carries the Infinity literal, which Python's json module
@@ -439,7 +440,6 @@ class ScalingFit:
     alpha: float
     ns: list[int]
     medians: list[float]
-    points: list[tuple[float, float]]
     slope: float
     intercept: float
     slope_corrected: float | None
@@ -481,7 +481,6 @@ def fit_scaling(records: list[TrialRecord], alpha: float) -> ScalingFit:
         alpha=float(alpha),
         ns=ns,
         medians=medians,
-        points=[(float(a), float(b)) for a, b in zip(lx, ly)],
         slope=float(slope),
         intercept=float(intercept),
         slope_corrected=corrected,
@@ -522,6 +521,8 @@ def write_manifest(
         "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         # False: numpy's build lacks the LAPACK symbols, so every full_svd took eigh or QR-then-gesdd.
         "lapack_kernels": _lapack.available(),
+        # The OpenBLAS kernel set: records are byte-identical only within one. None: the build does not say.
+        "blas_core": _lapack.core_name(),
         "record_count": len(records),
         "failures": failures,
         "elapsed_seconds": elapsed,
@@ -597,9 +598,6 @@ class TransitionRow:
 
 @dataclass
 class TransitionTable:
-    c: float
-    epsilon: float
-    delta: float
     rows: list[TransitionRow]
     midpoint: float | None
     crossing_alpha: float | None
@@ -650,10 +648,7 @@ def transition_scan(
             if r.median_min_mass >= mid:
                 crossing = r.alpha
                 break
-    return TransitionTable(
-        c=float(c), epsilon=float(epsilon), delta=float(delta),
-        rows=rows, midpoint=mid, crossing_alpha=crossing,
-    )
+    return TransitionTable(rows=rows, midpoint=mid, crossing_alpha=crossing)
 
 
 @dataclass

@@ -317,6 +317,28 @@ class TestSweep:
         assert len(records) == 1
         assert json.loads(records[0])["seed"] != 11  # derived from the overridden base seed
 
+    @pytest.mark.parametrize("flag, kind", [("student_t", "student_t"), ("pareto", "symmetric_pareto")])
+    def test_law_flag_overrides_file(self, tmp_path, capsys, flag, kind):
+        cfg = write_sweep_config(tmp_path / "cfg.json", law_kind="gaussian", alphas=[1.5], trials_per_cell=1)
+        dest = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest), "--law", flag]) == 0
+        assert json.loads((dest / "manifest.json").read_text())["config"]["law_kind"] == kind
+        assert json.loads((dest / "records.jsonl").read_text())["law_kind"] == kind
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "sweep config must be a JSON object"),
+        ('{"alphas": [1.2], "aspect": 2.0, "trials_per_cell": 2, "base_seed": 11}',
+         "bad sweep config: SweepConfig.__init__() missing 1 required positional argument: 'ns'"),
+    ])
+    def test_config_not_a_sweep_is_usage(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        dest = tmp_path / "d"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ") and message in captured.err
+        assert not dest.exists()
+
     def test_invalid_values_report_all(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path / "cfg.json", aspect=0.5, trials_per_cell=0)
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 1
@@ -383,6 +405,13 @@ class TestSweep:
         assert captured.out == "" and "--workers" in captured.err
         assert not dest.exists()
 
+    def test_manifest_names_the_kernel_set(self, tmp_path):
+        # OpenBLAS picks its kernel set when numpy loads, so the override needs a fresh process.
+        cfg = write_sweep_config(tmp_path / "cfg.json", alphas=[1.2], trials_per_cell=1)
+        run_fresh(["-m", "svlab.cli", "sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")],
+                  tmp_path, OPENBLAS_CORETYPE="Haswell")
+        assert json.loads((tmp_path / "d" / "manifest.json").read_text())["blas_core"] == "Haswell"
+
     def test_integer_aspect_gives_same_records(self, tmp_path, capsys):
         d_int, d_float = tmp_path / "int", tmp_path / "float"
         for dest, aspect in ((d_int, 2), (d_float, 2.0)):
@@ -391,9 +420,10 @@ class TestSweep:
         assert (d_int / "records.jsonl").read_bytes() == (d_float / "records.jsonl").read_bytes()
 
 
-def run_fresh(args, cwd):
-    """Run python with args in a fresh process that imports svlab from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def run_fresh(args, cwd, **env_vars):
+    """Run python with args in a fresh process that imports svlab from this checkout, with env_vars set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+               **env_vars)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
                           check=True, timeout=120)
 

@@ -53,9 +53,9 @@ def _report(records, kind, tmp_path, *flags):
 def _outputs(tmp_path) -> dict[str, bytes]:
     write_summary(_grid_records(), tmp_path / "summary.csv")
     fits = [
-        ScalingFit(alpha=1.2, ns=[50, 100, 200], medians=[1.0, 2.0, 4.0], points=[],
+        ScalingFit(alpha=1.2, ns=[50, 100, 200], medians=[1.0, 2.0, 4.0],
                    slope=0.75, intercept=-1.0 / 3.0, slope_corrected=0.625, residual_sse=1e-30),
-        ScalingFit(alpha=2.5, ns=[50, 100, 200, 400], medians=[1.0, 2.0, 4.0, 8.0], points=[],
+        ScalingFit(alpha=2.5, ns=[50, 100, 200, 400], medians=[1.0, 2.0, 4.0, 8.0],
                    slope=0.5, intercept=0.1, slope_corrected=None, residual_sse=0.0),
     ]
     write_fits(fits, tmp_path / "fits.csv")

@@ -385,10 +385,13 @@ class TestWriters:
 
     def test_manifest_lapack_kernels(self, tmp_path, monkeypatch):
         write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
-        assert json.loads((tmp_path / "m.json").read_text())["lapack_kernels"] is _lapack.available()
+        man = json.loads((tmp_path / "m.json").read_text())
+        assert man["lapack_kernels"] is _lapack.available() and man["blas_core"] == _lapack.core_name()
         monkeypatch.setattr(_lapack, "_lib", {})  # a numpy build without the symbols
+        monkeypatch.setattr(_lapack, "_openblas", lambda: object())
         write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
-        assert json.loads((tmp_path / "m.json").read_text())["lapack_kernels"] is False
+        man = json.loads((tmp_path / "m.json").read_text())
+        assert man["lapack_kernels"] is False and man["blas_core"] is None
 
 
 class TestFitScaling:

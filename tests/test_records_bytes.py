@@ -4,13 +4,14 @@ The records hold the same Python objects run_trial puts there: dicts of a
 LocalizationReport's and a CertificateReport's fields, with the report's own
 lists and tuples inside. Every float is a literal, so the text is the same
 on every platform. The R-route sweep's floats come from numpy's bundled
-OpenBLAS, and its sha256 pins them there.
+OpenBLAS, and its sha256 pins them there, one hash per kernel set.
 """
 import dataclasses
 import hashlib
 import json
 import math
 
+from svlab import _lapack
 from svlab.certificates import CertificateReport
 from svlab.ensemble import EnsembleConfig, sample_matrix
 from svlab.experiments import (
@@ -119,11 +120,25 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
     assert path.read_text(encoding="ascii") == deep
 
 
+# The R-route sweep's sha256 on each OpenBLAS kernel set, as _lapack.core_name()
+# names it, each measured in a fresh process under OPENBLAS_CORETYPE on one
+# machine. OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set,
+# and Prescott and Core2 the Katmai set.
+R_ROUTE_SHA256 = {
+    "SkylakeX": "8940cfaa10e86468919b6f97fcf8840e226b2142e8d433d2da30f21fd7aa0085",
+    "Haswell": "a478a4e1dc99c801b7c7b92802dacb72f8d994515fef9994900bc03f6b4ca0b5",
+    "Sandybridge": "6cfd5f00ca012ac0a8bce37d8d0dfe880661eb52b5353b7c525a42a308d4c27b",
+    "Nehalem": "b13d99d98672f535795e6b664efd74f88b459171aeeb2b35353a1dc6e330bf63",
+    "Katmai": "5b088bef4e4f8826ba6ea251796cef08aa648812f7279a26f30bfb2f981b51ec",
+}
+
+
 def test_r_route_sweep_bytes(tmp_path):
     # Both trials fail the column-norm rule, so X is decomposed through its R
     # factor (QR, then the bidiagonal form of R); any change to that route must
     # keep every byte. n = 40 keeps OpenBLAS single-threaded, so the bytes hold
-    # at any thread count.
+    # at any thread count. The kernel set moves the last bits, so each set has
+    # its own hash, and a set with none fails with the hash it wrote.
     config = SweepConfig(alphas=(0.5, 0.8), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
     for alpha in config.alphas:
         seed = derive_trial_seed(config.base_seed, config.law_kind.value, alpha, 40, config.aspect, 0)
@@ -133,6 +148,5 @@ def test_r_route_sweep_bytes(tmp_path):
     assert failures == []
     path = tmp_path / "records.jsonl"
     write_records(records, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "8940cfaa10e86468919b6f97fcf8840e226b2142e8d433d2da30f21fd7aa0085"
-    )
+    core, digest = _lapack.core_name(), hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == R_ROUTE_SHA256.get(core), f"kernel set {core}: records.jsonl sha256 {digest}"
