@@ -165,7 +165,7 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
         smin_xj, norm_xj = res_j.s_min, res_j.s_top
     return CertificateReport(
         tau=float(tau),
-        columns=[int(c) for c in cols],
+        columns=cols.tolist(),
         column_count=int(cols.size),
         minor_op_norm=float(norm_xj),
         minor_smin=float(smin_xj),

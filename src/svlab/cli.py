@@ -118,10 +118,10 @@ def cmd_spectra(args) -> int:
         "command": "spectra",
         "config": {"in": str(args.input), "k": args.k},
         "shape": list(x.shape),
-        "singular_values": [float(v) for v in res.singular_values],
-        "bottom_right_vectors": [[float(v) for v in row] for row in res.bottom_right_vectors],
-        "top_right_vector": [float(v) for v in res.top_right_vector],
-        "residuals": [float(v) for v in res.residuals],
+        "singular_values": res.singular_values.tolist(),
+        "bottom_right_vectors": res.bottom_right_vectors.tolist(),
+        "top_right_vector": res.top_right_vector.tolist(),
+        "residuals": res.residuals.tolist(),
         "tolerance_used": res.tolerance_used,
         "degenerate_flags": res.degenerate_flags,
         "s_min": res.s_min,
@@ -269,8 +269,7 @@ def cmd_report(args) -> int:
         summary = {"rows": len(table.rows), "midpoint": table.midpoint,
                    "crossing_alpha": table.crossing_alpha}
         n_star = max(r.n for r in table.rows)
-        curve = sorted([r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)],
-                       key=lambda r: r.alpha)
+        curve = [r for r in table.rows if r.n == n_star and math.isfinite(r.alpha)]
         xs = [r.alpha for r in curve]
         series = [("median min-mass", xs, [r.median_min_mass for r in curve]),
                   ("median threshold mass", xs, [r.median_threshold_mass for r in curve])]
@@ -320,6 +319,8 @@ def cmd_report(args) -> int:
         "epsilon": args.epsilon,
         "delta": args.delta,
         "alpha": args.alpha,
+        "floor": args.floor,
+        "slack": args.slack,
         "regime_b": args.regime_b,
         "out_dir": str(out_dir),
     }

@@ -237,5 +237,4 @@ def sample_matrix(config: EnsembleConfig) -> np.ndarray:
     the stream is keyed by (config.seed, 0).
     """
     stream = derive_stream(config.seed, 0)
-    x = config.law.sample(stream, (config.rows, config.n))
-    return np.ascontiguousarray(x, dtype=np.float64)
+    return config.law.sample(stream, (config.rows, config.n))

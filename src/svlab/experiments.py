@@ -95,7 +95,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "law_kind", LawKind(self.law_kind))
         object.__setattr__(self, "ns", tuple(self.ns))
-        # Trial seeds key on repr(aspect), so an aspect of 2 must read as 2.0.
+        # Records carry aspect and census_c as they are, so an aspect of 2 must read as 2.0.
         for name in self._FLOATS:
             object.__setattr__(self, name, _as_float(getattr(self, name)))
         for name in self._FLOAT_LISTS:
@@ -202,10 +202,10 @@ class TrialRecord:
 def derive_trial_seed(
     base_seed: int, law_kind: str, alpha: float, n: int, aspect: float, trial_index: int
 ) -> int:
-    """Stable 64-bit stream seed for one trial, from the cell coordinates."""
+    """Stable 64-bit stream seed for one trial, from the cell coordinates' values."""
     import hashlib
 
-    key = f"{base_seed}|{law_kind}|{alpha!r}|{n}|{aspect!r}|{trial_index}"
+    key = f"{base_seed}|{law_kind}|{float(alpha)!r}|{n}|{float(aspect)!r}|{trial_index}"
     digest = hashlib.sha256(key.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -219,50 +219,44 @@ def _fields(obj) -> dict:
 
 
 def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> TrialRecord:
+    alpha, n, trial_index = float(alpha), int(n), int(trial_index)
     law = config.law_for(alpha)
     seed = derive_trial_seed(
         config.base_seed, config.law_kind.value, alpha, n, config.aspect, trial_index
     )
-    ecfg = EnsembleConfig(n=n, aspect=config.aspect, law=law, seed=seed)
-    x = sample_matrix(ecfg)
-    n_rows = x.shape[0]
-
+    x = sample_matrix(EnsembleConfig(n=n, aspect=config.aspect, law=law, seed=seed))
     res = full_svd(x, k_bottom=config.k_vectors)
-    s = res.singular_values
-    kth_values = [float(s[n - k]) for k in range(1, config.k_vectors + 1)]
 
     reports: list[dict] = []
     for k in range(1, config.k_vectors + 1):
         u = res.bottom_right_vectors[k - 1]
         for c in config.c_grid:
-            rep = localization_report(
-                u, c, list(config.epsilons), degenerate=res.degenerate_flags[k - 1]
-            )
-            reports.append({"k": k, "c": float(c), **_fields(rep)})
+            rep = localization_report(u, c, config.epsilons, degenerate=res.degenerate_flags[k - 1])
+            reports.append({"k": k, "c": c, **_fields(rep)})
 
     bounds = law.tail_bounds
     tau, note = certificate_cutoff(
-        n_rows, alpha, None if bounds is None else bounds.c_upper, config.tau_params, config.census_c
+        x.shape[0], alpha, None if bounds is None else bounds.c_upper, config.tau_params, config.census_c
     )
     cert = upper_certificate(x, tau, res).with_note(note)
 
     return TrialRecord(
-        alpha=float(alpha),
-        n=int(n),
-        aspect=float(config.aspect),
+        alpha=alpha,
+        n=n,
+        aspect=config.aspect,
         law_kind=config.law_kind.value,
-        trial_index=int(trial_index),
-        seed=int(seed),
-        n_rows=int(n_rows),
-        s_min=float(res.s_min),
-        s_top=float(res.s_top),
-        kth_values=kth_values,
-        degenerate_flags=[bool(f) for f in res.degenerate_flags],
-        bottom_vectors=[[float(v) for v in row] for row in res.bottom_right_vectors],
+        trial_index=trial_index,
+        seed=seed,
+        n_rows=x.shape[0],
+        s_min=res.s_min,
+        s_top=res.s_top,
+        kth_values=res.singular_values[::-1][:config.k_vectors].tolist(),
+        degenerate_flags=res.degenerate_flags,
+        bottom_vectors=res.bottom_right_vectors.tolist(),
         localization=reports,
         certificate=_fields(cert),
         heavy_count=heavy_census(x, config.census_c),
-        census_c=float(config.census_c),
+        census_c=config.census_c,
     )
 
 
@@ -347,9 +341,9 @@ def read_records(path: str | Path) -> list[TrialRecord]:
 
 
 def _by_cell(records: list[TrialRecord]) -> dict[tuple[float, int], list[TrialRecord]]:
-    """Records grouped by their (alpha, n) cell, in input order within a cell."""
+    """Records grouped by their (alpha, n) cell, cells ascending and records in input order."""
     cells: dict[tuple[float, int], list[TrialRecord]] = {}
-    for rec in records:
+    for rec in sorted(records, key=lambda r: (r.alpha, r.n)):
         cells.setdefault((rec.alpha, rec.n), []).append(rec)
     return cells
 
@@ -358,7 +352,7 @@ def _loc_entry(rec: TrialRecord, k: int, c: float) -> dict:
     for entry in rec.localization:
         if entry["k"] == k and entry["c"] == c:
             return entry
-    raise KeyError(f"no localization entry for k={k}, c={c}")
+    raise ValueError(f"no localization entry for k={k}, c={c}")
 
 
 def _median_entries(recs: list[TrialRecord], k: int, c: float) -> tuple[list[tuple], int]:
@@ -374,7 +368,7 @@ def _profile_value(entry: dict, epsilon: float) -> float:
     for eps, mass in entry["min_mass_profile"]:
         if eps == epsilon:
             return float(mass)
-    raise KeyError(f"epsilon {epsilon} not in stored profile")
+    raise ValueError(f"epsilon {epsilon} not in stored profile")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -387,10 +381,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 def write_summary(records: list[TrialRecord], path: str | Path) -> None:
     """Long-format CSV: one row per cell per statistic."""
-    cells = _by_cell(records)
     rows: list[list] = []
-    for (alpha, n) in sorted(cells):
-        recs = cells[(alpha, n)]
+    for (alpha, n), recs in _by_cell(records).items():
         stats: list[tuple[str, float]] = [
             ("trials", float(len(recs))),
             ("median_s_min", float(np.median([r.s_min for r in recs]))),
@@ -459,7 +451,7 @@ def fit_scaling(records: list[TrialRecord], alpha: float) -> ScalingFit:
     correction does not apply.
     """
     by_n = {n: [r.s_min for r in recs] for (a, n), recs in _by_cell(records).items() if a == alpha}
-    ns = sorted(by_n)
+    ns = list(by_n)
     if len(ns) < FIT_MIN_POINTS:
         raise ValueError(f"need at least {FIT_MIN_POINTS} distinct n for alpha={alpha}, got {len(ns)}")
     for n in ns:
@@ -619,10 +611,8 @@ def transition_scan(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    cells = _by_cell(records)
     rows: list[TransitionRow] = []
-    for (alpha, n) in sorted(cells):
-        recs = cells[(alpha, n)]
+    for (alpha, n), recs in _by_cell(records).items():
         use = [e for _, e in _median_entries(recs, 1, c)[0]]
         t_mass = [float(e["threshold_mass"]) for e in use]
         m_mass = [_profile_value(e, epsilon) for e in use]
@@ -639,7 +629,7 @@ def transition_scan(
             )
         )
     n_star = max(r.n for r in rows) if rows else 0
-    scan_rows = sorted((r for r in rows if r.n == n_star), key=lambda r: r.alpha)
+    scan_rows = [r for r in rows if r.n == n_star]
     crossing = mid = None
     if len(scan_rows) >= 2:
         vals = [r.median_min_mass for r in scan_rows]
@@ -723,10 +713,8 @@ def kth_vector_scan(
     """
     if not (0.0 < regime_b < 0.5):
         raise ValueError(f"regime_b must be in (0, 1/2), got {regime_b}")
-    cells = _by_cell(records)
     rows: list[KthVectorRow] = []
-    for (alpha, n) in sorted(cells):
-        recs = cells[(alpha, n)]
+    for (alpha, n), recs in _by_cell(records).items():
         k_max = len(recs[0].kth_values)
         for k in range(1, k_max + 1):
             used, flagged = _median_entries(recs, k, c)

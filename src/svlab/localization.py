@@ -165,7 +165,7 @@ def localization_report(
     return LocalizationReport(
         n=n,
         c_threshold=float(c),
-        threshold_indices=[int(i) for i in idx],
+        threshold_indices=idx.tolist(),
         threshold_mass=mass * mass,
         cardinality_bound=cardinality_bound(float(c), n),
         min_mass_profile=min_mass_profile(u, epsilons),

@@ -13,6 +13,8 @@ one that round-trips bitwise.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -58,14 +60,17 @@ def load_matrix(path: str | Path) -> np.ndarray:
             raise MatrixFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise MatrixFormatError(f"{path}: unsupported format version {version}")
-        body = fh.read()
-    expected = rows * cols * 8
-    if len(body) != expected:
-        raise MatrixFormatError(
-            f"{path}: payload is {len(body)} bytes, header implies {expected}"
-        )
-    x = np.frombuffer(body, dtype="<f8").reshape(rows, cols)
-    return np.ascontiguousarray(x)
+        expected = rows * cols * 8
+        # A file's size is checked first, so no header sizes an allocation beyond it; a pipe has none.
+        st = os.fstat(fh.fileno())
+        size = st.st_size - _HEADER.size if stat.S_ISREG(st.st_mode) else expected
+        if size != expected:
+            raise MatrixFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
+        x = np.empty((rows, cols), "<f8")
+        got = fh.readinto(x) + len(fh.read())
+        if got != expected:
+            raise MatrixFormatError(f"{path}: payload is {got} bytes, header implies {expected}")
+    return x
 
 
 def save_matrix_csv(x: np.ndarray, path: str | Path) -> None:

@@ -138,15 +138,6 @@ def _validate_tall(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # Largest-magnitude component made positive; ties resolved by argmax's
-    # lowest-index rule.
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0:
-        return -v
-    return v
-
-
 def _gram_resolves(hi, lo) -> bool:
     """Whether eigenvalues of X^T X spanning [lo, hi] resolve sqrt(lo); NaN never does."""
     return lo > 0 and _EPS * hi <= GRAM_COND_LIMIT * lo
@@ -279,7 +270,9 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
-    stored = np.array([_fix_sign(r) for r in rows])
+    # Each row's largest-magnitude component made positive; argmax takes the lowest index on ties.
+    lead = np.take_along_axis(rows, np.abs(rows).argmax(axis=1)[:, None], axis=1)
+    stored = np.where(lead < 0, -rows, rows)
     # Each bottom value's distance to its nearer spectral neighbour.
     pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
     gaps = np.concatenate([[math.inf], np.abs(np.diff(s)), [math.inf]])
@@ -287,7 +280,7 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
 
     keep = np.append(np.arange(k_bottom), picks.size - 1)  # the top repeats bottom n when k = n
     return SpectralResult(
-        singular_values=s.copy(),
+        singular_values=s,
         bottom_right_vectors=stored[:k_bottom],
         top_right_vector=stored[-1],
         residuals=residuals[keep],

@@ -175,6 +175,15 @@ class TestLocalize:
     def test_bad_grid_is_usage(self, stored_matrix, capsys):
         assert main(["localize", "--in", str(stored_matrix), "--c-grid", "a,b"]) == 1
 
+    @pytest.mark.parametrize("grid, error", [
+        ("0", "invalid input: c must be finite and > 0, got 0.0"),
+        (",", "usage error: empty list: ','"),
+    ])
+    def test_empty_or_nonpositive_grid_exits_1(self, stored_matrix, capsys, grid, error):
+        assert main(["localize", "--in", str(stored_matrix), "--c-grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error + "\n"
+
 
 class TestCertify:
     def test_explicit_tau_valid(self, stored_matrix, capsys):
@@ -471,7 +480,7 @@ def sweep_records(tmp_path_factory):
     """One real mini sweep reused by all report tests."""
     cfg = SweepConfig(
         alphas=(1.2, 3.0), ns=(12, 16), aspect=2.0, trials_per_cell=2,
-        base_seed=21, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,),
+        base_seed=21, k_vectors=2, c_grid=(1.0,), epsilons=(0.1, 0.3),
     )
     records, failures, _ = run_sweep(cfg, workers=1)
     assert not failures
@@ -518,11 +527,28 @@ class TestReport:
         ["--kind", "scaling"],
         ["--kind", "kth", "--regime-b", "0.7"],
         ["--kind", "transition", "--c", "3"],
+        ["--kind", "transition", "--epsilon", "0.15"],
+        ["--kind", "kth", "--epsilon", "0.15"],
     ])
     def test_rejected_report_writes_nothing(self, sweep_records, tmp_path, capsys, flags):
         dest = tmp_path / "rep"
         assert main(["report", "--records", str(sweep_records), "--out-dir", str(dest), *flags]) == 1
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # One plain line: an entry missing from the records is a ValueError, not a quoted KeyError.
+        assert len(captured.err.splitlines()) == 1 and ": '" not in captured.err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--floor", "0"), ("--slack", "-1")])
+    def test_bad_bracket_writes_nothing(self, tmp_path, capsys, flag, value):
+        records = [synth_record(alpha=1.2, n=n, trial=t, s_min=2.0 * n**0.7) for n in (50, 100, 200)
+                   for t in range(5)]
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        dest = tmp_path / "rep"
+        assert main(["report", "--records", str(path), "--kind", "scaling", "--alpha", "1.2",
+                     flag, value, "--out-dir", str(dest)]) == 1
+        assert capsys.readouterr().err == "invalid input: floor_coeff must be > 0 and slack >= 0\n"
         assert not dest.exists()
 
     def test_baiyin_on_finite_variance_slice(self, sweep_records, tmp_path, capsys):

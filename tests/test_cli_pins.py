@@ -314,8 +314,8 @@ def test_report(run, kind, make, flags, summary, csv_lines, svg_sha):
     records = make()
     write_records(records, "r.jsonl")
     config = {"command": "report", "kind": kind, "records": "r.jsonl", "c": 1.0, "epsilon": 0.1,
-              "delta": 0.25, "alpha": float(flags[1]) if flags else None, "regime_b": 0.2,
-              "out_dir": "rep"}
+              "delta": 0.25, "alpha": float(flags[1]) if flags else None, "floor": 0.3, "slack": 0.05,
+              "regime_b": 0.2, "out_dir": "rep"}
     stdout = json.dumps(config) + "\n" + json.dumps({"kind": kind, "summary": summary(records)}) + "\n"
     assert run("report", "--records", "r.jsonl", "--kind", kind, "--out-dir", "rep", *flags) == (
         0, stdout, "")

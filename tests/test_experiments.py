@@ -1,6 +1,7 @@
 """Sweep harness: determinism, record coherence, scans on synthetic data."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ class TestConfig:
         assert a == b and repr(a.aspect) == "2.0"
         assert run_trial(a, 1.5, 20, 0).seed == run_trial(b, 1.5, 20, 0).seed
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alphas", (0.0,), "alpha 0.0 must be > 0"), ("alphas", (1.5, 1.5), "alphas must be distinct"),
+        ("ns", (), "ns must be nonempty"), ("ns", (20, 20), "ns must be distinct"),
+        ("max_trials", 0, "max_trials must be >= 1"),
+    ])
+    def test_out_of_range_values_rejected(self, key, value, message):
+        kwargs = dict(alphas=(1.5,), ns=(20,), aspect=2.0, trials_per_cell=1, base_seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(**(kwargs | {key: value}))
+
     def test_n_below_three_rejected(self):
         # threshold_set needs n >= 3, so an n = 2 cell could only produce failures.
         with pytest.raises(ValueError, match="n 2 must be >= 3"):
@@ -186,6 +197,9 @@ class TestConfig:
 class TestTrialSeeds:
     def test_frozen_value(self):
         assert derive_trial_seed(7, "symmetric_pareto", 1.2, 100, 2.0, 3) == 12774865227332149186
+        # The key is the value, not numpy's repr of it (np.float64(1.2) under numpy >= 2).
+        assert derive_trial_seed(7, "symmetric_pareto", np.float64(1.2), 100, np.float64(2.0), 3) == (
+            12774865227332149186)
 
     def test_distinct_across_coordinates(self):
         base = derive_trial_seed(7, "symmetric_pareto", 1.2, 100, 2.0, 3)
@@ -206,6 +220,14 @@ class TestRunTrial:
         assert rec.certificate["valid"]
         assert rec.n_rows == 32
         assert len(rec.bottom_vectors) == 2 and len(rec.bottom_vectors[0]) == 16
+
+    def test_numpy_scalar_inputs_write_the_same_record(self, tmp_path):
+        config = SweepConfig(alphas=(1.5,), ns=(8,), aspect=2.0, trials_per_cell=1, base_seed=3)
+        path = tmp_path / "records.jsonl"
+        write_records([run_trial(config, 1.5, 8, 0),
+                       run_trial(config, np.float64(1.5), np.int64(8), np.int64(0))], path)
+        python_line, numpy_line = path.read_text().splitlines()
+        assert numpy_line == python_line
 
     def test_finite_variance_cell_uses_census_cutoff(self):
         rec = run_trial(SMALL, 3.0, 16, 0)
@@ -297,6 +319,10 @@ class TestRunSweep:
         assert submitted[:4] == [(1.2, 24, 0), (1.2, 24, 1), (3.0, 24, 0), (3.0, 24, 1)]
         assert fails == [] and recs == run_sweep(config, workers=1)[0]
 
+    def test_nonpositive_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(SMALL, workers=0)
+
     def test_canonical_order(self):
         recs, _, _ = run_sweep(SMALL, workers=2)
         keys = [(r.alpha, r.n, r.trial_index) for r in recs]
@@ -337,6 +363,7 @@ class TestRunSweep:
         recs, _, _ = run_sweep(SMALL, workers=1)
         p = tmp_path / "records.jsonl"
         write_records(recs, p)
+        p.write_text(p.read_text().replace("\n", "\n\n", 1) + " \n")  # blank lines are skipped
         back = read_records(p)
         assert len(back) == len(recs)
         assert back[0].s_min == recs[0].s_min
@@ -431,6 +458,9 @@ class TestFitScaling:
             fit_scaling(records, 1.2)
         records = [synth_record(n=n, trial=0) for n in (50, 100, 200)]
         with pytest.raises(ValueError, match="trials"):
+            fit_scaling(records, 1.2)
+        records = [synth_record(n=n, trial=t, s_min=0.0) for n in (50, 100, 200) for t in range(5)]
+        with pytest.raises(ValueError, match="nonpositive median"):
             fit_scaling(records, 1.2)
 
 
@@ -539,6 +569,8 @@ class TestBaiYin:
         ]
         with pytest.raises(ValueError, match="aspect"):
             baiyin_check(recs)
+        with pytest.raises(ValueError, match="no records"):
+            baiyin_check([])
 
 
 class TestKthVectorScan:

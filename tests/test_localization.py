@@ -155,6 +155,10 @@ class TestValidation:
             threshold_set(np.ones(10), 1.0)
         with pytest.raises(ValueError, match="unit"):
             ipr(np.full(10, 0.5))
+        with pytest.raises(ValueError, match="length >= 2"):
+            ipr(np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ipr(np.array([np.nan, 1.0]))
 
     def test_subset_mass_index_checks(self):
         u = np.zeros(5)

@@ -1,4 +1,5 @@
 """Round-trip and corruption handling for the binary matrix format."""
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,26 @@ def test_binary_round_trip_bitexact(tmp_path):
     y = load_matrix(p)
     assert y.shape == x.shape
     assert x.tobytes() == y.tobytes()  # bit-level equality, signed zeros included
+    assert y.flags.writeable and y.flags.c_contiguous
+    y *= 2
+
+
+def test_pipe_round_trip(tmp_path):
+    # A pipe has no size to check up front; its payload is counted as it is read.
+    x = np.arange(12.0).reshape(4, 3)
+    save_matrix(x, tmp_path / "m.svlm")
+    for extra, error in ((b"", None), (b"\x00", "payload is 97 bytes, header implies 96")):
+        r, w = os.pipe()
+        os.write(w, (tmp_path / "m.svlm").read_bytes() + extra)
+        os.close(w)
+        try:
+            if error is None:
+                assert load_matrix(f"/dev/fd/{r}").tobytes() == x.tobytes()
+            else:
+                with pytest.raises(MatrixFormatError, match=error):
+                    load_matrix(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 def test_header_contents(tmp_path):
@@ -55,6 +76,10 @@ def test_truncated_payload(tmp_path):
     save_matrix(np.ones((4, 3)), p)
     p.write_bytes(p.read_bytes()[:-5])
     with pytest.raises(MatrixFormatError, match="payload"):
+        load_matrix(p)
+    # A header claiming 80 GB is refused from the file's size, before any allocation.
+    p.write_bytes(struct.pack("<4sIII", b"SVLM", 1, 100000, 100000) + b"\x00" * 8)
+    with pytest.raises(MatrixFormatError, match="payload is 8 bytes, header implies 80000000000"):
         load_matrix(p)
 
 
