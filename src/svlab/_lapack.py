@@ -34,6 +34,12 @@ Golub-Kahan tridiagonal: order 2n, zero diagonal, off-diagonal d_1, e_1,
 d_2, ..., d_n (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965; dbdsvdx takes
 this route, but writes past its bounds on rank-deficient input, so is not called).
 
+* ``cholesky(g, scale, shift, lift)``: dpotrf of S g S - diag(shift) +
+  lift lift^T, S = diag(scale), built in one n x n buffer a block of
+  columns at a time, so no other n x n array is made; it returns a solve
+  (dpotrs with the factor) or None where the matrix is not positive
+  definite in floating point. ``spectra`` turns a success into a proof.
+
 Every kernel returns None where numpy's build does not export the routines
 (Accelerate or MKL builds, for example), a routine reports INFO != 0, or,
 for ``tridiagonal``, g is not finite; the caller then falls back to numpy's
@@ -58,6 +64,8 @@ _SIGNATURES = {
     "dgebrd": (11, 0),  # M N A LDA D E TAUQ TAUP WORK LWORK INFO
     "dbdsqr": (15, 1),  # UPLO N NCVT NRU NCC D E VT LDVT U LDU C LDC WORK INFO
     "dormbr": (14, 3),  # VECT SIDE TRANS M N K A LDA TAU C LDC WORK LWORK INFO
+    "dpotrf": (5, 1),  # UPLO N A LDA INFO
+    "dpotrs": (8, 1),  # UPLO N NRHS A LDA B LDB INFO
 }
 _lib: dict | None = None  # resolved on first use; {} where numpy's build lacks the symbols
 
@@ -238,3 +246,38 @@ def bidiagonal(x: np.ndarray):
         return v
 
     return s, vector
+
+
+_BLOCK = 64  # columns a cholesky buffer is filled with at a time: n x _BLOCK temporaries
+
+
+def cholesky(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None = None):
+    """solve(b), the solution z of A z = b, for A = S g S - diag(shift) + lift lift^T with
+    the symmetric g and S = diag(scale), or None where the routines are missing or dpotrf
+    finds A not positive definite.
+
+    A is built in one column-major buffer from _array, a block of columns at a
+    time, and each entry as (g_ij * scale_i) * scale_j, then minus shift_i on the
+    diagonal, then plus lift_i * lift_j; dpotrf factors its lower triangle in place.
+    """
+    if not available():
+        return None
+    n = g.shape[0]
+    a = _array(n * n).reshape((n, n), order="F")
+    source = g if g.flags.f_contiguous else g.T  # g is symmetric: read it along its rows
+    for j in range(0, n, _BLOCK):
+        cols = slice(j, min(j + _BLOCK, n))
+        block = a[:, cols]
+        np.multiply(source[:, cols], scale[:, None], out=block)
+        block *= scale[cols]
+        if lift is not None:
+            block += np.multiply.outer(lift, lift[cols])
+    a.flat[::n + 1] -= shift
+    if _call("dpotrf", "L", n, a, n):
+        return None
+
+    def solve(b: np.ndarray) -> np.ndarray | None:
+        z = _copy(b)
+        return None if _call("dpotrs", "L", n, 1, a, n, z, n) else z
+
+    return solve

@@ -10,7 +10,8 @@ and one back-transform each, about 2n^2 flops a vector on top of it.
   (dsytrd, 4n^3/3 flops); dsterf gives all its eigenvalues, bit for bit
   what numpy's ``eigvalsh`` gives, and s_i = sqrt(lambda_i) in descending
   order. ``eigh`` (syevd) builds all n vectors for about 9n^3.
-* ``gesdd``: for every matrix whose G cannot resolve s_min, X = QR by
+* ``gesdd``: for every matrix whose G resolves s_min neither by the rule
+  nor by the enclosure (both below), X = QR by
   Householder QR (dgeqrf) in one column-major copy of X, then the n x n
   factor R, which has X's singular values and right vectors (Chan's
   R-SVD), is reduced to bidiagonal form (dgebrd, 8n^3/3 flops) in place,
@@ -19,15 +20,19 @@ and one back-transform each, about 2n^2 flops a vector on top of it.
   bidiagonal. Neither Q, the n x n left factor of R, nor the N x n left
   factor of X is built, and no separate R array either.
 
-Each route holds X plus one working copy: G and its reduced copy (each
-n x n) on the gram route, the N x n copy of X on the gesdd route, plus
-O(n) vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles.
+Each route holds X plus one working copy: G and one more n x n array at a
+time (its reduced copy, or a Cholesky factor) on the gram route, the N x n
+copy of X on the gesdd route, plus O(n) vectors and LAPACK's blocked
+workspaces of O((N + n) * nb) doubles.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
-holds more copies of X; the route keeps its label), where the reduction or
-a vector's routine fails, the reduced matrix splits into blocks only in part,
-the kept vectors fail the check below, or numpy's build lacks the routines.
+holds more copies of X; the route keeps its label). Where the reduction
+gave the values and only a vector's routine fails, the reduced matrix
+splits into blocks only in part, or the kept vectors fail the check below,
+the fallback supplies the vectors alone, checked at the reduction's values,
+so no value depends on how many vectors are kept. Where the reduction fails
+or numpy's build lacks the routines, it supplies the values too.
 
 One check covers the vectors of every source, kernel or fallback: each
 kept u must satisfy ||X^T(X u) - lambda u|| <= RESIDUAL_TOL * s_1^2, with
@@ -38,15 +43,71 @@ to the fallback, and a fallback's vectors that fail it raise SpectralError.
 The rule. Forming and diagonalizing G perturbs each eigenvalue by about
 eps * lambda_max, so s_min = sqrt(lambda_min) carries a relative error of
 about eps * kappa^2 / 2, kappa = s_1 / s_n (the normal equations; Golub &
-Van Loan, *Matrix Computations*, section 5.3). The gram route is taken only
+Van Loan, *Matrix Computations*, section 5.3). The rule says G resolves s_min
 when 0 < lambda_min and eps * lambda_max <= GRAM_COND_LIMIT * lambda_min.
 That keeps the relative error of s_min near GRAM_COND_LIMIT / 2 at worst,
 and its absolute error near sqrt(eps * GRAM_COND_LIMIT) / 2 * s_1, about
 7e-13 * s_1. The rule is applied twice: first to diag(G), the squared
 column norms, which lie in [lambda_min, lambda_max], so a diagonal that
-fails proves the eigenvalues fail without an eigensolve (and without
-forming G: the squared column norms come from X); then to the eigenvalues
-themselves.
+fails proves the eigenvalues fail without an eigensolve; then to the
+eigenvalues themselves. A matrix that passes takes the gram route as above.
+
+The enclosure. A matrix that fails the rule (at its diagonal or at its
+eigenvalues) still takes the gram route where one matrix-specific proof
+gives lo <= lambda_min(G) <= hi with hi - lo <= GRAM_COND_LIMIT * lo, for G
+the exact X^T X. s_min is then reported as sqrt(rho), rho in [lo, hi], so it
+keeps the rule's promise of a relative error below GRAM_COND_LIMIT / 2;
+the other values are dsterf's, and only bottom vector 1 and s_min depend
+on the proof. Where any step fails, the R route runs as it would without
+the attempt. The terms, for an N x n X, eps = 2^-52 and gamma_k <= k eps
+(Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1):
+
+* Kato-Temple (Kato 1949; Parlett, *The Symmetric Eigenvalue Problem*,
+  section 10.5). For any u != 0 with Rayleigh quotient rho* = ||Xu||^2 /
+  ||u||^2 < b <= lambda_2(G), lambda_min >= rho* - (||G u - theta u|| /
+  ||u||)^2 / (b - rho*) for every theta, and lambda_min <= rho*. The
+  right side grows with rho*, so a lower bound on rho* may stand in.
+* Rounding of rho and r. u is the unit vector from the kernel; y = fl(X u)
+  satisfies |y - X u| <= gamma_n |X||u|, so rho = fl(y . y) has sqrt(rho*)
+  in sqrt(rho) (1 +- eta), eta = 1.1 (n eps ||X||u|| ||/sqrt(rho) + (N + n
+  + 6) eps), with the norm of u and the dot products folded in: rho* lies
+  in [rho_lo, rho_hi] = rho (1 -+ eta)^2. r = fl(X^T y - rho u) lies within
+  e_r = 1.1 ((N + n) eps || |X|^T (|X||u|) || + eps (||r|| + rho)) of
+  G u - rho u, and |X|^T (|X||u|) is summed over blocks of rows, so no
+  N x n |X| is made. With b' below, the enclosure is lo = rho_lo -
+  ((||r|| + e_r)(1 + eta))^2 / (b' - rho_lo) and hi = rho_hi, given b' > hi.
+* The scaled Cholesky (Demmel, LAPACK Working Note 14, 1989; Higham, Thm
+  10.5). Let S = diag(scale), scale_i = 1/fl(sqrt(G_ii)), and G_s = S G S,
+  whose diagonal is 1 to within 2 percent. For A = G_s - diag(shift) +
+  l l^T built in floating point from fl(X^T X), each entry is off by at
+  most (gamma_N + 3 eps) sqrt(t_i t_j), t_i = 1.02 + l_i^2 + shift_i
+  (Cauchy-Schwarz bounds |(X^T X)_ij| by the column norms), and a dpotrf
+  that succeeds is exact for A plus a term below gamma_(n+1) / (1 -
+  gamma_(n+1)) sqrt(A_ii A_jj). So A + E is positive definite with |E_ij|
+  <= c sqrt(t_i t_j), c = 1.1 (N + n + 6) eps, whence lambda_min(A) > -delta,
+  delta = c sum(t), the 2-norm of that rank-one bound. This holds for any
+  order of the inner products (not for Strassen-like products).
+* The floor (Rump, BIT 46, 2006). One Cholesky of G_s - nu I proves
+  lambda_min(G_s) >= nu - delta =: floor > 0. nu = n c / sqrt(GRAM_COND_LIMIT)
+  makes the slop delta / floor, by which every later step's rounding turns
+  into a relative error of G's eigenvalues (Demmel & Veselic, SIAM J. Matrix
+  Anal. Appl. 13, 1992), about sqrt(GRAM_COND_LIMIT): a refined vector's
+  residual cannot beat that slop times rho, and its square over a relative
+  gap must stay below GRAM_COND_LIMIT. Where the diagonal has already
+  failed the rule, this Cholesky runs before the tridiagonal reduction, so
+  a matrix it rejects never reaches dsytrd.
+* The gap. With b = hi + (w_2 - hi) / 2, w_2 dsterf's second value, a
+  dpotrf of G_s + b (S u)(S u)^T - b S^2 that succeeds gives lambda_min of
+  that matrix > -delta >= -(delta / floor) G_s, so G + b' v v^T - b' I is
+  positive definite for some v and b' = b (1 - eps) / (1 + delta / floor);
+  by rank-one interlacing, lambda_2(G) >= lambda_min(G + b' v v^T) > b'.
+  The proof is checked for b' > hi and a width within the limit before the
+  Cholesky runs.
+* Refinement. Where hi - lo is above the limit, at most two inverse-iteration steps
+  with the Cholesky factor of S (G - sigma I) S, sigma = lo (1 - 2 delta /
+  floor) just below lambda_min, replace u and recompute every term. Each
+  step shrinks the residual by at least q = (hi - sigma) / (b' - sigma);
+  where even ||r|| q^2 + e_r cannot meet the limit, no step runs.
 
 A caller that already holds X^T X passes it as full_svd's gram, which then
 stands in for forming G and for the column-norm pass; a column minor X_J
@@ -63,7 +124,7 @@ the minimizer of ||X u|| over unit vectors and s_min = s_n.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,16 +223,14 @@ def _verified(x: np.ndarray, rows: np.ndarray, lam: np.ndarray, top2: float):
     return rows, residuals
 
 
-def _kept(x: np.ndarray, vector: Callable[[int], np.ndarray | None], picks: np.ndarray,
-          lam: np.ndarray, top2: float):
-    """(rows, residuals) with rows[j] = vector(picks[j]), the eigenvector of X^T X for lam[j],
+def _kept(x: np.ndarray, vectors: Iterable[np.ndarray | None], lam: np.ndarray, top2: float):
+    """(rows, residuals) with rows[j] from vectors[j], the eigenvector of X^T X for lam[j],
     Gram-Schmidt'd against the earlier rows only, so the first does not depend on the rest.
 
-    None where vector returns None or the rows fail _verified, so the caller falls back.
+    None where a vector is None or the rows fail _verified, so the caller falls back.
     """
-    rows = np.empty((picks.size, x.shape[1]))
-    for j, p in enumerate(picks):
-        y = vector(p)
+    rows = np.empty((lam.size, x.shape[1]))
+    for j, y in enumerate(vectors):
         if y is None:
             return None
         y = y - rows[:j].T @ (rows[:j] @ y)
@@ -185,25 +244,119 @@ def _kept(x: np.ndarray, vector: Callable[[int], np.ndarray | None], picks: np.n
         return None
 
 
-def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray):
-    """(w, rows, residuals) from g = X^T X: w ascending, rows[j] the vector for w[picks[j]].
-    None when the eigenvalues fail the GRAM_COND_LIMIT rule or eigh does not converge."""
-    reduced = _lapack.tridiagonal(g)
-    if reduced is not None:
-        w, vector = reduced
-        if not _gram_resolves(w[-1], w[0]):
+_ROWS = 64  # rows of |X| made at a time for the rounding bound of the residual
+
+
+def _rayleigh(x: np.ndarray, u: np.ndarray):
+    """(u, rho, r_norm, e_r, eta) for u normalized: rho = fl(||X u||^2), r_norm = ||X^T(X u) - rho u||,
+    e_r its rounding bound and eta the relative bound on sqrt(rho); None where rho is not positive."""
+    rows, n = x.shape
+    u = u / np.linalg.norm(u)
+    y = x @ u
+    rho = float(y @ y)
+    if not (0.0 < rho < math.inf):
+        return None
+    r_norm = float(np.linalg.norm(x.T @ y - rho * u))
+    au, a2, h = np.abs(u), 0.0, np.zeros(n)
+    for i in range(0, rows, _ROWS):
+        block = np.abs(x[i:i + _ROWS])
+        a = block @ au
+        a2 += float(a @ a)
+        h += block.T @ a
+    eta = 1.1 * (n * _EPS * math.sqrt(a2 / rho) + (rows + n + 6) * _EPS)
+    e_r = 1.1 * ((rows + n) * _EPS * float(np.linalg.norm(h)) + _EPS * (r_norm + rho))
+    return u, rho, r_norm, e_r, eta
+
+
+def _scaled_floor(g: np.ndarray, rows: int):
+    """(scale, floor, c): scale the inverse column norms from diag(g), lambda_min(S G S) >= floor > 0
+    proven by one Cholesky, for G the exact X^T X of an X with rows rows and g = fl(X^T X), and c
+    the entrywise rounding constant of every scaled Cholesky; None where that Cholesky fails."""
+    n = g.shape[0]
+    scale = 1.0 / np.sqrt(np.diagonal(g))
+    c = 1.1 * (rows + n + 6) * _EPS
+    nu = n * c / math.sqrt(GRAM_COND_LIMIT)
+    if _lapack.cholesky(g, scale, np.full(n, nu)) is None:
+        return None
+    return scale, nu - c * n * (1.02 + nu), c
+
+
+def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, scaled_floor):
+    """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
+    returned unit u, from the kernel's bottom vector u, its eigenvalues w and _scaled_floor's result.
+
+    The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of
+    its prediction; None where a proof step fails or cannot meet the limit.
+    """
+    if u is None:
+        return None
+    scale, floor, c = scaled_floor
+    for step in range(3):  # the kernel's vector, then at most two refined ones
+        terms = _rayleigh(x, u)
+        if terms is None:
             return None
-        kept = _kept(x, vector, picks, w[picks], w[-1])
-        if kept is not None:
-            return (w, *kept)
-    # The kernel is missing or failed, or a vector failed a check: eigh (syevd) of g instead.
+        u, rho, r_norm, e_r, eta = terms
+        rho_lo, hi = rho * (1.0 - eta) ** 2, rho * (1.0 + eta) ** 2
+        if step == 0:  # lambda_2 > gap, once proven, holds whatever u becomes
+            if not w[1] > hi:
+                return None
+            b = hi + (w[1] - hi) / 2.0
+            lift, shift = math.sqrt(b) * scale * u, b * scale * scale
+            slop = c * float(np.sum(1.02 + lift * lift + shift)) / floor
+            gap = b * (1.0 - _EPS) / (1.0 + slop)
+        if not gap > hi:
+            return None
+        lo = rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
+        sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
+        if step == 0:  # two steps shrink the residual by q^2 at best; then prove the gap
+            q = (hi - sigma) / (gap - sigma)
+            best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
+            if hi > (1.0 + GRAM_COND_LIMIT) * best or _lapack.cholesky(g, scale, shift, lift) is None:
+                return None
+        if hi <= (1.0 + GRAM_COND_LIMIT) * lo or step == 2:
+            return lo, hi, rho, u
+        solve = _lapack.cholesky(g, scale, sigma * scale * scale)
+        z = None if solve is None else solve(scale * u)
+        del solve  # release the factor before the next one
+        if z is None or not np.isfinite(z).all():
+            return None
+        u = scale * z
+
+
+def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool):
+    """(w, rows, residuals) from g = fl(X^T X): w ascending, rows[j] the vector for w[picks[j]].
+    None where neither the GRAM_COND_LIMIT rule nor the enclosure resolves s_min, or eigh does
+    not converge."""
+    scaled_floor = None
+    if not diagonal_resolves:  # the rule has failed already: try the floor before reducing g
+        scaled_floor = _scaled_floor(g, x.shape[0])
+        if scaled_floor is None:
+            return None
+    reduced = _lapack.tridiagonal(g)
     try:
-        w, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError:
+        if reduced is None:  # no kernel: eigh's values and vectors, and only the rule
+            w, v = np.linalg.eigh(g)
+            if not (diagonal_resolves and _gram_resolves(w[-1], w[0])):
+                return None
+            return (w, *_verified(x, v[:, picks].T, w[picks], w[-1]))
+        w, vector = reduced
+        if diagonal_resolves and _gram_resolves(w[-1], w[0]):
+            kernel = (vector(p) for p in picks)
+        else:
+            kernel = [vector(p) for p in picks]
+            del reduced, vector  # release the reduced copy of g before the Cholesky buffers
+            if scaled_floor is None:
+                scaled_floor = _scaled_floor(g, x.shape[0])
+            found = None if scaled_floor is None else _enclosure(x, g, w, kernel[0], scaled_floor)
+            if found is None or found[1] > (1.0 + GRAM_COND_LIMIT) * found[0]:
+                return None
+            w[0], kernel[0] = found[2], found[3]
+        kept = _kept(x, kernel, w[picks], w[-1])
+        if kept is None:  # a kernel vector failed: eigh supplies the vectors, at w
+            kept = _verified(x, np.linalg.eigh(g)[1][:, picks].T, w[picks], w[-1])
+        return (w, *kept)
+    except np.linalg.LinAlgError:  # eigh did not converge: the R route instead
         return None
-    if not _gram_resolves(w[-1], w[0]):
-        return None
-    return (w, *_verified(x, v[:, picks].T, w[picks], w[-1]))
 
 
 def _r_factors(x: np.ndarray, picks: np.ndarray):
@@ -212,25 +365,29 @@ def _r_factors(x: np.ndarray, picks: np.ndarray):
     # X = QR, so X and R share s and V (Chan's R-SVD); X's N x n left factor is never built.
     last = x.shape[1] - 1
     reduced = _lapack.bidiagonal(x)
+    s = None
     if reduced is not None:
         s, vector = reduced
-        kept = _kept(x, vector, picks, s[last - picks] ** 2, s[0] ** 2)
+        kept = _kept(x, (vector(p) for p in picks), s[last - picks] ** 2, s[0] ** 2)
         if kept is not None:
             return (s, *kept)
         del reduced, vector  # release the kernel's copy of X before the fallback's QR
-    # The kernel is missing or failed, or a vector failed a check: gesdd of R instead.
-    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
+    # The kernel is missing or failed, or a vector failed a check: gesdd of R gives the
+    # vectors, and the values too where the kernel gave none.
+    _, s_r, vt = np.linalg.svd(np.linalg.qr(x, mode="r"))
+    if s is None:
+        s = s_r
     return (s, *_verified(x, vt[last - picks], s[last - picks] ** 2, s[0] ** 2))
 
 
 def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
     """Descending singular values, the right vectors at ascending positions picks as rows,
-    their residuals, the route and G on the gram route; g is the caller's X^T X or None."""
+    their residuals, the route and G on the gram route; g is the caller's fl(X^T X) or None."""
     d = np.einsum("ij,ij->j", x, x) if g is None else np.diagonal(g)  # diag(X^T X)
-    if _gram_resolves(d.max(), d.min()):
+    if 0.0 < d.min() and d.max() < math.inf:  # a zero column leaves s_min no relative enclosure
         if g is None:
             g = x.T @ x
-        found = _gram_factors(x, g, picks)
+        found = _gram_factors(x, g, picks, _gram_resolves(d.max(), d.min()))
         if found is not None:
             w, rows, residuals = found
             return np.sqrt(w[::-1]), rows, residuals, "gram", g

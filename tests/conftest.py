@@ -9,6 +9,14 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# A longer run of the same properties, selected with --hypothesis-profile=deep.
+settings.register_profile(
+    "deep",
+    deadline=None,
+    max_examples=500,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("suite")
 
 

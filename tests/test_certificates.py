@@ -247,8 +247,10 @@ class TestGramMinor:
         return rep
 
     def test_gesdd_route_has_no_gram(self, minor_svds):
-        # Column scales 1 to 1e6 fail the rule on diag(G), so X goes through gesdd.
+        # Column scales 1 to 1e6 fail the rule on diag(G), and columns 0 and 3 agree to
+        # 1e-9 after scaling, which the enclosure cannot resolve, so X goes through gesdd.
         x = np.random.default_rng(5).standard_normal((12, 4)) * np.array([1.0, 3.0, 1e6, 2.0])
+        x[:, 3] = 2.0 * x[:, 0] + 1e-9 * x[:, 1]
         res = full_svd(x)
         assert res.method == "gesdd" and res.gram is None
         rep = self._certify_minor(x, 10.0, res.gram, minor_svds)

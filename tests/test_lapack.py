@@ -104,6 +104,25 @@ class TestForeignMemory:
             vector(p)
         assert "rows" in below
 
+    @pytest.mark.parametrize("kind", ["zero", "identity", "tied_diagonal", "rank_one", "block_diagonal"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 130])
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_cholesky_stays_in_bounds(self, padded, definite, n, kind):
+        # dpotrf factors the built matrix in its buffer, and dpotrs solves in a copy of b;
+        # n = 130 fills the buffer in three blocks of columns. A negative shift adds to the
+        # diagonal, so each kind is positive definite; a shift of 1e3 makes it indefinite.
+        g = _inputs(n)[kind]
+        scale = 1.0 / np.sqrt(np.abs(np.diagonal(g)) + 1.0)
+        shift = np.full(n, -1.0 if definite else 1e3)
+        solve = _lapack.cholesky(g, scale, shift, np.linspace(0.0, 1.0, n))
+        if not definite:
+            assert solve is None
+            return
+        z = solve(np.ones(n))
+        a = scale[:, None] * g * scale - np.diag(shift) + np.outer(*[np.linspace(0.0, 1.0, n)] * 2)
+        assert np.allclose(a @ z, 1.0, atol=1e-10)
+        assert len(padded) >= 3
+
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
 @pytest.mark.parametrize("aspect", [1.2, 3.0])
@@ -112,9 +131,12 @@ def test_r_route_holds_one_copy_of_x(aspect):
     # is the blocked workspaces, (N + n) * nb and 2n * nb doubles with LAPACK's block
     # size nb (32 for OpenBLAS), and vectors of length N or n. np.linalg.qr would
     # hold two copies of X (one untraced) and build R and a copy of R besides.
+    # A zero column makes lambda_min(X^T X) zero, which no relative enclosure
+    # resolves, so X goes to the R route without forming G.
     n = 400
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((int(aspect * n), n)) * np.logspace(0, 4, n)  # column norms fail the gram rule
+    x = rng.standard_normal((int(aspect * n), n)) * np.logspace(0, 4, n)
+    x[:, 7] = 0.0
     assert full_svd(x, k_bottom=2).method == "gesdd"
     tracemalloc.start()
     try:
@@ -126,9 +148,30 @@ def test_r_route_holds_one_copy_of_x(aspect):
     assert x.nbytes < peak <= x.nbytes + 8 * n * 256
 
 
+@pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
+def test_enclosure_holds_two_gram_sized_arrays():
+    # The enclosure keeps G (returned on the result) and one more n x n array at a
+    # time: the reduced copy of G, then each Cholesky buffer, never two at once; the
+    # rest is dsytrd's n * nb workspace, the n x 64 blocks a buffer is filled with,
+    # the 64-row blocks of |X| and vectors of length N or n.
+    n = 400
+    x = _matrix(0.8, n=n, seed=4)
+    assert full_svd(x, k_bottom=2).method == "gram"
+    w = np.linalg.eigvalsh(x.T @ x)
+    assert np.finfo(float).eps * w[-1] > 1e-8 * w[0]  # the rule fails: the enclosure ran
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        full_svd(x, k_bottom=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 2 * 8 * n * n < peak <= 2 * 8 * n * n + 8 * n * 256
+
+
 def test_routes_agree_without_symbols(monkeypatch):
     # Builds whose numpy does not export the routines take eigh of G or gesdd of R.
-    mats = [_matrix(3.0), _matrix(0.5)]
+    mats = [_matrix(3.0), _matrix(0.1)]
     with_kernels = [full_svd(x, k_bottom=3) for x in mats]
     monkeypatch.setattr(_lapack, "_lib", {})
     assert not _lapack.available()
@@ -156,7 +199,9 @@ def test_kernels_run_on_bundled_openblas(monkeypatch):
     assert _lapack.available()
     monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh fallback ran"))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("gesdd fallback ran"))
-    for alpha, n, method in [(1.5, 50, "gram"), (3.0, 200, "gram"), (0.5, 50, "gesdd"), (0.8, 200, "gesdd")]:
+    # (0.5, 50) and (0.8, 200) fail the rule and keep the gram route through the enclosure.
+    table = [(1.5, 50, "gram"), (3.0, 200, "gram"), (0.5, 50, "gram"), (0.8, 200, "gram"), (0.1, 50, "gesdd")]
+    for alpha, n, method in table:
         assert full_svd(_matrix(alpha, n=n), k_bottom=2).method == method
 
 

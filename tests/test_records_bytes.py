@@ -1,15 +1,19 @@
-"""Byte-exact records.jsonl lines, pinned on hand-built records and on an R-route sweep.
+"""Byte-exact records.jsonl lines, pinned on hand-built records and on a sweep for each route.
 
 The records hold the same Python objects run_trial puts there: dicts of a
 LocalizationReport's and a CertificateReport's fields, with the report's own
 lists and tuples inside. Every float is a literal, so the text is the same
-on every platform. The R-route sweep's floats come from numpy's bundled
-OpenBLAS, and its sha256 pins them there, one hash per kernel set.
+on every platform. The sweeps' floats come from numpy's bundled OpenBLAS,
+and each sweep's sha256 pins them there, one hash per kernel set: one sweep
+whose trials take the R route, and one whose trials fail the GRAM_COND_LIMIT
+rule and keep the gram route through the scaled enclosure.
 """
 import dataclasses
 import hashlib
 import json
 import math
+
+import numpy as np
 
 from svlab import _lapack
 from svlab.certificates import CertificateReport
@@ -24,7 +28,7 @@ from svlab.experiments import (
     write_records,
 )
 from svlab.localization import LocalizationReport
-from svlab.spectra import full_svd
+from svlab.spectra import GRAM_COND_LIMIT, full_svd
 
 
 def _record(trial, columns, upper):
@@ -120,33 +124,61 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
     assert path.read_text(encoding="ascii") == deep
 
 
-# The R-route sweep's sha256 on each OpenBLAS kernel set, as _lapack.core_name()
+# Each pinned sweep's sha256 on each OpenBLAS kernel set, as _lapack.core_name()
 # names it, each measured in a fresh process under OPENBLAS_CORETYPE on one
 # machine. OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set,
 # and Prescott and Core2 the Katmai set.
 R_ROUTE_SHA256 = {
-    "SkylakeX": "8940cfaa10e86468919b6f97fcf8840e226b2142e8d433d2da30f21fd7aa0085",
-    "Haswell": "a478a4e1dc99c801b7c7b92802dacb72f8d994515fef9994900bc03f6b4ca0b5",
-    "Sandybridge": "6cfd5f00ca012ac0a8bce37d8d0dfe880661eb52b5353b7c525a42a308d4c27b",
-    "Nehalem": "b13d99d98672f535795e6b664efd74f88b459171aeeb2b35353a1dc6e330bf63",
-    "Katmai": "5b088bef4e4f8826ba6ea251796cef08aa648812f7279a26f30bfb2f981b51ec",
+    "SkylakeX": "6eaf9e3c476a3577369fb2a67090d3d6667adae331b5f14db16a30d672092635",
+    "Haswell": "4b56a7a91cb7ee6a936967272a276569d4a2c7fcab883d870185ac1b533f49ae",
+    "Sandybridge": "fec3162a790d4f2f6fdb9560d75a1deca8cb0ed56c037451c96c094223242fa5",
+    "Nehalem": "4b8cd1692e82880ba10062619873f87ac6de9a078f5ce9bdea8c2e94d60b6118",
+    "Katmai": "982eac1f3c92e4f4de34d8fc2d68043829d92d391599bc77a0741d1785ff131e",
+}
+VERIFIED_GRAM_SHA256 = {
+    "SkylakeX": "dc591b95179ac22eee97bdf14f3e3819d71098eb7b31206e2006aa270371abb7",
+    "Haswell": "7ca686a8d7eb0c9f35796a342d88f82ab3baa1c7dc7fa581a1c5be317c9081fe",
+    "Sandybridge": "ab0e6860a88c77222ec8002a1e1c4ca47947672c4576690f679dc365c5cc613f",
+    "Nehalem": "c1627fc754ee5e35b923aef1bb4289b3a05c99289b43b9e10178c5e827179907",
+    "Katmai": "4f7996d89296870587791bf479534c482184430a22da6ae24dd3638e112897e6",
 }
 
 
-def test_r_route_sweep_bytes(tmp_path):
-    # Both trials fail the column-norm rule, so X is decomposed through its R
-    # factor (QR, then the bidiagonal form of R); any change to that route must
-    # keep every byte. n = 40 keeps OpenBLAS single-threaded, so the bytes hold
-    # at any thread count. The kernel set moves the last bits, so each set has
-    # its own hash, and a set with none fails with the hash it wrote.
-    config = SweepConfig(alphas=(0.5, 0.8), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
+def _eigenvalues_fail_rule(x):
+    w = np.linalg.eigvalsh(x.T @ x)
+    return not (w[0] > 0 and np.finfo(float).eps * w[-1] <= GRAM_COND_LIMIT * w[0])
+
+
+def _sweep_digest(config, tmp_path, route):
     for alpha in config.alphas:
-        seed = derive_trial_seed(config.base_seed, config.law_kind.value, alpha, 40, config.aspect, 0)
-        x = sample_matrix(EnsembleConfig(n=40, aspect=config.aspect, law=config.law_for(alpha), seed=seed))
-        assert full_svd(x, k_bottom=2).method == "gesdd"
+        for trial in range(config.trials_per_cell):
+            seed = derive_trial_seed(config.base_seed, config.law_kind.value, alpha, 40, config.aspect, trial)
+            x = sample_matrix(EnsembleConfig(n=40, aspect=config.aspect, law=config.law_for(alpha), seed=seed))
+            assert route(x)
     records, failures, _ = run_sweep(config)
     assert failures == []
     path = tmp_path / "records.jsonl"
     write_records(records, path)
-    core, digest = _lapack.core_name(), hashlib.sha256(path.read_bytes()).hexdigest()
+    return _lapack.core_name(), hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_r_route_sweep_bytes(tmp_path):
+    # Each trial's X^T X resolves s_min neither by the rule nor by the scaled
+    # enclosure, so X is decomposed through its R factor (QR, then the bidiagonal
+    # form of R); any change to that route must keep every byte. n = 40 keeps
+    # OpenBLAS single-threaded, so the bytes hold at any thread count. The kernel
+    # set moves the last bits, so each set has its own hash, and a set with none
+    # fails with the hash it wrote.
+    config = SweepConfig(alphas=(0.1, 0.3), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
+    core, digest = _sweep_digest(config, tmp_path, lambda x: full_svd(x, k_bottom=2).method == "gesdd")
     assert digest == R_ROUTE_SHA256.get(core), f"kernel set {core}: records.jsonl sha256 {digest}"
+
+
+def test_verified_gram_sweep_bytes(tmp_path):
+    # Each trial's eigenvalues fail the GRAM_COND_LIMIT rule, and the scaled
+    # enclosure keeps it on the gram route: s_min and bottom vector 1 come from
+    # the proven Rayleigh quotient and its vector, the rest from dsterf and dstein.
+    config = SweepConfig(alphas=(0.8,), ns=(40,), aspect=2.0, trials_per_cell=2, base_seed=15, k_vectors=2)
+    core, digest = _sweep_digest(
+        config, tmp_path, lambda x: _eigenvalues_fail_rule(x) and full_svd(x, k_bottom=2).method == "gram")
+    assert digest == VERIFIED_GRAM_SHA256.get(core), f"kernel set {core}: records.jsonl sha256 {digest}"

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from svlab import _lapack
+from svlab import _lapack, spectra
 from svlab.certificates import upper_certificate
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.experiments import derive_trial_seed
 from svlab.matrixio import save_matrix
-from svlab.spectra import SpectralError, full_svd, operator_norm
+from svlab.spectra import GRAM_COND_LIMIT, SpectralError, full_svd, operator_norm
 
 
 def _random_matrices(count=20, seed=5150):
@@ -35,8 +35,9 @@ def _random_matrices(count=20, seed=5150):
 
 
 def _r_route_matrix(n=40, seed=0):
-    """A Pareto(0.5) matrix whose X^T X cannot resolve s_min, so full_svd takes the R route."""
-    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
+    """A Pareto(0.3) matrix whose X^T X resolves s_min neither by the rule nor by the scaled
+    enclosure, so full_svd takes the R route."""
+    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.3)
     return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
 
 
@@ -47,6 +48,18 @@ def _alpha_tenth_matrix():
     seed = derive_trial_seed(11, "symmetric_pareto", 0.1, 40, 2.0, 0)
     law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.1)
     return sample_matrix(EnsembleConfig(n=40, aspect=2.0, law=law, seed=seed))
+
+
+def _enclosed_matrix(n=200, seed=4):
+    """A Pareto(0.8) matrix whose eigenvalues fail the GRAM_COND_LIMIT rule, and whose
+    s_min the scaled enclosure resolves, so full_svd keeps the gram route."""
+    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.8)
+    return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+
+
+def _fails_rule(x):
+    w = np.linalg.eigvalsh(x.T @ x)
+    return not (w[0] > 0 and np.finfo(float).eps * w[-1] <= GRAM_COND_LIMIT * w[0])
 
 
 def _spy_vectors(monkeypatch, kernel, change):
@@ -83,7 +96,7 @@ class TestHandExamples:
         # s_min and the bottom vector do not depend on how many vectors are kept,
         # on either route, up to keeping all of them.
         methods = set()
-        for x in [*_random_matrices(6), _r_route_matrix(), _alpha_tenth_matrix()]:
+        for x in [*_random_matrices(6), _r_route_matrix(), _alpha_tenth_matrix(), _enclosed_matrix()]:
             one = full_svd(x, k_bottom=1)
             methods.add(one.method)
             for k in (2, x.shape[1]):
@@ -91,6 +104,7 @@ class TestHandExamples:
                 assert more.method == one.method and one.s_min == more.s_min
                 assert np.array_equal(one.bottom_right_vectors[0], more.bottom_right_vectors[0])
         assert methods == {"gram", "gesdd"}
+        assert _fails_rule(_enclosed_matrix()) and full_svd(_enclosed_matrix()).method == "gram"
 
     def test_zero_matrix(self):
         # R = 0: every singular value ties at zero, so the bidiagonal kernel's
@@ -328,22 +342,46 @@ class TestRoute:
         assert full_svd(x, k_bottom=2).method == "gram"
 
     def test_unequal_column_norms_skip_eigh(self, monkeypatch):
-        # diag(X^T X) alone spans 1e10 / 1, which already fails the rule.
+        # diag(X^T X) alone spans 1e10 / 1, which already fails the rule, so the
+        # scaled floor's Cholesky runs before any reduction. Scaled, the first X is
+        # the identity: the enclosure proves its s_min and the gram route stays. In
+        # the second, columns 2 and 3 agree to 1e-9 after scaling, the floor fails,
+        # and the R route runs without reducing G at all.
         def no_eigh(a):
             raise AssertionError("eigh called")
 
+        calls = []
+        real_call = _lapack._call
+
+        def counting(name, *args):
+            calls.append(name)
+            return real_call(name, *args)
+
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(_lapack, "_call", counting)
         x = np.vstack([np.diag([1e5, 3.0, 2.0, 1.0]), np.zeros((2, 4))])
         res = full_svd(x, k_bottom=2)
-        assert res.method == "gesdd"
+        assert calls[:3] == ["dpotrf", "dsytrd", "dsytrd"] and "dgeqrf" not in calls
+        assert res.method == "gram" and res.s_min == 1.0
         assert res.singular_values.tolist() == pytest.approx([1e5, 3.0, 2.0, 1.0], rel=1e-12)
+        calls.clear()
+        x[3, 3], x[2, 3] = 1e-9, 1.0
+        res = full_svd(x, k_bottom=2)
+        assert calls[:2] == ["dpotrf", "dgeqrf"] and "dsytrd" not in calls
+        assert res.method == "gesdd"
+        assert res.singular_values == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-12)
 
-    def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
+    @pytest.mark.parametrize("second", [2.0, 1e-4 * (1.0 + 2e-12)])
+    def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch, second):
         # An orthogonal rotation with +-1/2 entries gives every column the same
-        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not,
-        # and no eigenvector of G is computed.
+        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not. The
+        # kept vectors come first, while the reduced copy of G is alive, then the
+        # floor's Cholesky. Where s_min's neighbour is 2 the enclosure proves it
+        # (a Cholesky for the floor and one for the gap, and no QR). A planted
+        # near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to prove, so
+        # the R route runs after the floor.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))])
+        x = np.vstack([np.diag([5.0, 3.0, second, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
         calls = []
         real_call = _lapack._call
@@ -354,9 +392,15 @@ class TestRoute:
 
         monkeypatch.setattr(_lapack, "_call", counting)
         res = full_svd(x)
-        assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"] and "dormtr" not in calls
-        assert calls[3:7] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]  # each a workspace query, then the call
-        assert res.method == "gesdd"
+        assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"]
+        after = calls[3:].index("dpotrf") + 3
+        assert set(calls[3:after]) == {"dstein", "dormtr"}
+        if second == 2.0:
+            assert calls[after:] == ["dpotrf", "dpotrf"]
+            assert res.method == "gram"
+        else:
+            assert calls[after + 1:after + 5] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
+            assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
 
 
@@ -381,9 +425,10 @@ class TestShiftedSolves:
         _spy_vectors(monkeypatch, "tridiagonal",
                      lambda p, v: v + 1e-3 * np.linspace(-1.0, 1.0, v.size))
         res = full_svd(x, k_bottom=2)
-        s, vecs = self._from_eigh(x, 2)
+        _, vecs = self._from_eigh(x, 2)
         assert res.method == "gram"
-        assert np.array_equal(res.singular_values, s)
+        # eigh supplies the vectors only: the values stay dsterf's, which are eigvalsh's.
+        assert np.array_equal(res.singular_values, np.sqrt(np.linalg.eigvalsh(x.T @ x)[::-1]))
         assert np.array_equal(res.bottom_right_vectors, np.array(vecs[:2]))
         assert np.array_equal(res.top_right_vector, vecs[2])
         monkeypatch.undo()
@@ -532,10 +577,11 @@ class TestGesddFallback:
 
     @pytest.mark.parametrize("aspect", [1.2, 3.0])
     def test_svd_of_r_only(self, monkeypatch, aspect):
-        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
+        # Pareto(0.3) matrices that neither the rule nor the enclosure resolves.
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.3)
         real_svd = np.linalg.svd
         real_call = _lapack._call
-        for seed in range(3):
+        for seed in (0, 1, 5):
             x = sample_matrix(EnsembleConfig(n=40, aspect=aspect, law=law, seed=seed))
             sizes = {"dgeqrf": set(), "dgebrd": set()}
 
@@ -563,7 +609,9 @@ class TestGesddFallback:
             assert np.linalg.norm(x @ (got - ref).T, axis=0).max() <= tol
 
     def test_perturbed_vector_takes_gesdd_of_r(self, monkeypatch):
+        # gesdd of R supplies the vectors only; the values stay dbdsqr's.
         x = _r_route_matrix()
+        kernel_values = _lapack.bidiagonal(x)[0]
         _spy_vectors(monkeypatch, "bidiagonal",
                      lambda p, v: v + 1e-3 * np.linspace(-1.0, 1.0, v.size) if p == 0 else v)
         res = full_svd(x, k_bottom=2)
@@ -571,8 +619,24 @@ class TestGesddFallback:
         want = [vt[-1], vt[-2], vt[0]]
         want = [v if v[np.abs(v).argmax()] > 0 else -v for v in want]
         assert res.method == "gesdd"
-        assert np.array_equal(res.singular_values, s)
+        assert np.array_equal(res.singular_values, kernel_values)
+        assert np.abs(s - kernel_values).max() <= 1e-12 * s[0]
         assert np.array_equal(np.vstack([res.bottom_right_vectors, res.top_right_vector]), want)
+
+    def test_alpha_tenth_s_min_does_not_depend_on_k(self):
+        # From k = 20 on one kept vector fails its check. gesdd of R then supplies the
+        # vectors alone, checked at dbdsqr's values, so s_min stays dbdsqr's; its own
+        # value was 3.9e49, at least 4.6e27 times too high. Bottom vector 1 is gesdd's
+        # from k = 20 on, so it differs from the k = 1 vector there.
+        # (On SkylakeX kernels s_min reads 4985793.355872099 for every k; the kernel set
+        # moves it, since R has already lost s_min at alpha = 0.1.)
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.1)
+        x = sample_matrix(EnsembleConfig(n=200, aspect=2.0, law=law, seed=200))
+        one = full_svd(x, k_bottom=1)
+        for k in (5, 20, 55, 200):
+            res = full_svd(x, k_bottom=k)
+            assert res.method == one.method == "gesdd"
+            assert np.array_equal(res.singular_values, one.singular_values)
 
     def test_alpha_tenth_keeps_the_kernel_value(self, monkeypatch):
         # Base seed 11, alpha = 0.1, n = 40, trial 0: the kernel's vectors pass their
@@ -586,6 +650,51 @@ class TestGesddFallback:
         with mpmath.workdps(300):
             ref = min(mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False))
             assert abs(res.s_min - ref) <= 1e-6 * ref
+
+
+class TestEnclosure:
+    """The scaled Kato-Temple enclosure of lambda_min(X^T X) that keeps rule-failing matrices
+    on the gram route, called directly so it runs where the route does not take it too."""
+
+    @given(alpha=st.floats(0.5, 1.5), n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    def test_enclosure_holds(self, alpha, n, seed):
+        mpmath = pytest.importorskip("mpmath")
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+        g = x.T @ x
+        floor = spectra._scaled_floor(g, x.shape[0])
+        w, vector = _lapack.tridiagonal(g)
+        found = None if floor is None else spectra._enclosure(x, g, w, vector(0), floor)
+        assume(found is not None)
+        lo, hi, rho, u = found
+        assert lo <= rho <= hi and np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+        with mpmath.workdps(50):
+            a = mpmath.matrix(x.tolist())
+            lam = min(mpmath.eigsy(a.T * a, eigvals_only=True))
+            assert mpmath.mpf(lo) <= lam <= mpmath.mpf(hi)
+
+    def test_near_tie_has_no_gap(self):
+        # Orthogonal columns of norms 1e5, 7, 5, 3, 1 + 1e-12 and 1: the diagonal fails
+        # the rule, the floor holds (X^T X scaled is the identity up to rounding), but
+        # lambda_2 / lambda_1 - 1 = 2e-12 leaves no gap the proof can carry, so the R route runs.
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((12, 6)))
+        x = q * np.array([1e5, 7.0, 5.0, 3.0, 1.0 + 1e-12, 1.0])
+        g = x.T @ x
+        floor = spectra._scaled_floor(g, x.shape[0])
+        assert floor is not None
+        w, vector = _lapack.tridiagonal(g)
+        assert spectra._enclosure(x, g, w, vector(0), floor) is None
+        res = full_svd(x)
+        assert res.method == "gesdd"
+        assert res.s_min == pytest.approx(1.0, rel=1e-12)
+
+    def test_reported_s_min_keeps_the_promise(self):
+        # Rule-failing matrices on the gram route: s_min within GRAM_COND_LIMIT / 2 of gesvd's.
+        for x in [_enclosed_matrix(), _enclosed_matrix(seed=6)]:
+            res = full_svd(x, k_bottom=2)
+            assert _fails_rule(x) and res.method == "gram"
+            ref = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")[-1]
+            assert abs(res.s_min - ref) <= GRAM_COND_LIMIT / 2 * ref
 
 
 class TestGesvdOracle:
