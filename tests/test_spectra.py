@@ -371,15 +371,13 @@ class TestRoute:
         assert res.method == "gesdd"
         assert res.singular_values == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-12)
 
-    @pytest.mark.parametrize("second", [2.0, 1e-4 * (1.0 + 2e-12)])
-    def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch, second):
+    @staticmethod
+    def _equal_norm_calls(monkeypatch, second):
         # An orthogonal rotation with +-1/2 entries gives every column the same
         # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not. The
         # kept vectors come first, while the reduced copy of G is alive, then the
-        # floor's Cholesky. Where s_min's neighbour is 2 the enclosure proves it
-        # (a Cholesky for the floor and one for the gap, and no QR). A planted
-        # near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to prove, so
-        # the R route runs after the floor.
+        # floor's Cholesky. Returns full_svd's result, the LAPACK calls in order
+        # and the index of the floor's dpotrf.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, second, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
@@ -395,13 +393,22 @@ class TestRoute:
         assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"]
         after = calls[3:].index("dpotrf") + 3
         assert set(calls[3:after]) == {"dstein", "dormtr"}
-        if second == 2.0:
-            assert calls[after:] == ["dpotrf", "dpotrf"]
-            assert res.method == "gram"
-        else:
-            assert calls[after + 1:after + 5] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
-            assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
+        return res, calls, after
+
+    def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
+        # s_min's neighbour is 2, so the enclosure proves it: a Cholesky for the
+        # floor and one for the gap, and no QR.
+        res, calls, after = self._equal_norm_calls(monkeypatch, 2.0)
+        assert calls[after:] == ["dpotrf", "dpotrf"]
+        assert res.method == "gram"
+
+    def test_equal_column_norms_near_tie_takes_r_route(self, monkeypatch):
+        # A planted near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to
+        # prove, so the R route runs after the floor.
+        res, calls, after = self._equal_norm_calls(monkeypatch, 1e-4 * (1.0 + 2e-12))
+        assert calls[after + 1:after + 5] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
+        assert res.method == "gesdd"
 
 
 class TestShiftedSolves:
