@@ -34,18 +34,21 @@ Golub-Kahan tridiagonal: order 2n, zero diagonal, off-diagonal d_1, e_1,
 d_2, ..., d_n (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965; dbdsvdx takes
 this route, but writes past its bounds on rank-deficient input, so is not called).
 
-* ``cholesky(g, scale, shift, lift)``: dpotrf of S g S - diag(shift) +
-  lift lift^T, S = diag(scale), built in one n x n buffer a block of
-  columns at a time, so no other n x n array is made; it returns a solve
-  (dpotrs with the factor) or None where the matrix is not positive
-  definite in floating point. ``spectra`` turns a success into a proof.
+* ``cholesky(g, scale, shift, lift)``: whether dpotrf finds S g S -
+  diag(shift) + lift lift^T, S = diag(scale), positive definite in
+  floating point. The matrix is built in g's own lower triangle from its
+  upper one, a block of columns at a time, and g is restored afterwards, so
+  no other n x n array is made; ``gram`` makes X^T X, or copies a caller's,
+  in a buffer it may take. ``spectra`` turns a success into a proof.
+  ``cholesky_solve(g, scale, shift, b)`` solves with that factor (dpotrs)
+  before g is restored.
 
-Every kernel returns None where numpy's build does not export the routines
-(Accelerate or MKL builds, for example), a routine reports INFO != 0, or,
-for ``tridiagonal``, g is not finite; the caller then falls back to numpy's
-public calls. ``bidiagonal`` expects a finite x. Every array handed to
-LAPACK comes from ``_array``. ``core_name`` names the OpenBLAS kernel set the
-process runs on, for the sweep manifest.
+Every kernel returns None (``cholesky`` False) where numpy's build does
+not export the routines (Accelerate or MKL builds, for example), a routine
+reports INFO != 0, or, for ``tridiagonal``, g is not finite; the caller
+then falls back to numpy's public calls. ``bidiagonal`` expects a finite
+x. Every array handed to LAPACK comes from ``_array``. ``core_name`` names
+the OpenBLAS kernel set the process runs on, for the sweep manifest.
 """
 from __future__ import annotations
 
@@ -248,36 +251,70 @@ def bidiagonal(x: np.ndarray):
     return s, vector
 
 
-_BLOCK = 64  # columns a cholesky buffer is filled with at a time: n x _BLOCK temporaries
+def gram(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """X^T X in a buffer from _array, which cholesky may write: a copy of g where the caller
+    holds it, else formed bit for bit as numpy's x.T @ x (one syrk, so exactly symmetric)."""
+    if g is not None:
+        return _copy(g)
+    n = x.shape[1]
+    return np.matmul(x.T, x, out=_array(n * n).reshape((n, n)))
 
 
-def cholesky(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None = None):
-    """solve(b), the solution z of A z = b, for A = S g S - diag(shift) + lift lift^T with
-    the symmetric g and S = diag(scale), or None where the routines are missing or dpotrf
-    finds A not positive definite.
+_BLOCK = 64  # columns of g's lower triangle filled at a time: n x _BLOCK temporaries
+_TRIL = np.tri(_BLOCK, dtype=bool)  # the lower triangle of a diagonal block, its diagonal included
 
-    A is built in one column-major buffer from _array, a block of columns at a
-    time, and each entry as (g_ij * scale_i) * scale_j, then minus shift_i on the
-    diagonal, then plus lift_i * lift_j; dpotrf factors its lower triangle in place.
-    """
-    if not available():
-        return None
-    n = g.shape[0]
-    a = _array(n * n).reshape((n, n), order="F")
-    source = g if g.flags.f_contiguous else g.T  # g is symmetric: read it along its rows
+
+def _fill_lower(a: np.ndarray, build) -> None:
+    """Overwrite a's lower triangle, its diagonal included, with build(panel, j, cols), where panel
+    is a[j:, cols] as a's upper triangle gives it; the strict upper triangle is only read."""
+    n = a.shape[0]
     for j in range(0, n, _BLOCK):
         cols = slice(j, min(j + _BLOCK, n))
-        block = a[:, cols]
-        np.multiply(source[:, cols], scale[:, None], out=block)
-        block *= scale[cols]
+        width = cols.stop - j
+        panel = build(a[cols, j:].T, j, cols)  # a new array: the reads end before the writes
+        a[cols.stop:, cols] = panel[width:]
+        np.copyto(a[cols, cols], panel[:width], where=_TRIL[:width, :width])
+
+
+def _factored(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None, then=None):
+    """then(a, n) on the Cholesky factor of A = S g S - diag(shift) + lift lift^T, S = diag(scale),
+    built and factored in g's lower triangle (a, column-major), or False where dpotrf fails; g is
+    restored either way.
+
+    Each entry of A is built as (g_ij * scale_i) * scale_j, then plus lift_i * lift_j, and then
+    minus shift_i on the diagonal. dpotrf leaves the strict upper triangle alone, from which, and
+    a copy of the diagonal, the lower triangle is restored, so g ends bit for bit as it began.
+    """
+    n = g.shape[0]
+    a = g if g.flags.f_contiguous else g.T  # g is symmetric: either order is g, and a column-major
+    diagonal = _copy(np.diagonal(a))
+
+    def build(panel, j, cols):
+        out = np.multiply(panel, scale[j:, None])
+        out *= scale[cols]
         if lift is not None:
-            block += np.multiply.outer(lift, lift[cols])
+            out += np.multiply.outer(lift[j:], lift[cols])
+        return out
+
+    _fill_lower(a, build)
     a.flat[::n + 1] -= shift
-    if _call("dpotrf", "L", n, a, n):
+    try:
+        return not _call("dpotrf", "L", n, a, n) and (then is None or then(a, n))
+    finally:
+        _fill_lower(a, lambda panel, j, cols: panel.copy())
+        a.flat[::n + 1] = diagonal
+
+
+def cholesky(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None = None) -> bool:
+    """Whether dpotrf finds A = S g S - diag(shift) + lift lift^T positive definite, S = diag(scale),
+    for the symmetric g from gram, which ends as it began; False also where the routines are missing."""
+    return available() and _factored(g, scale, shift, lift)
+
+
+def cholesky_solve(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """A^{-1} b for A = S g S - diag(shift) as cholesky builds it, from its factor (dpotrs), or None
+    where cholesky would be False or dpotrs fails."""
+    if not available():
         return None
-
-    def solve(b: np.ndarray) -> np.ndarray | None:
-        z = _copy(b)
-        return None if _call("dpotrs", "L", n, 1, a, n, z, n) else z
-
-    return solve
+    z = _copy(b)
+    return z if _factored(g, scale, shift, None, lambda a, n: not _call("dpotrs", "L", n, 1, a, n, z, n)) else None

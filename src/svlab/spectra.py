@@ -20,10 +20,15 @@ and one back-transform each, about 2n^2 flops a vector on top of it.
   bidiagonal. Neither Q, the n x n left factor of R, nor the N x n left
   factor of X is built, and no separate R array either.
 
-Each route holds X plus one working copy: G and one more n x n array at a
-time (its reduced copy, or a Cholesky factor) on the gram route, the N x n
-copy of X on the gesdd route, plus O(n) vectors and LAPACK's blocked
-workspaces of O((N + n) * nb) doubles.
+Each route holds X plus one working copy: G and its reduced copy on the
+gram route (the enclosure's Choleskys below write in G's own lower
+triangle and restore it), the N x n copy of X on the gesdd route, plus O(n)
+vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles. A
+matrix that tries the gram route and ends on the gesdd route holds G alone
+where the floor below rejects it before the reduction, and G with its
+reduced copy where a later step does; G is released before the N x n copy
+is made, so such a call peaks at max(N n, n^2) or max(N n, 2 n^2) doubles
+over X. A caller's G (below) is copied before a Cholesky writes in it.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
@@ -56,18 +61,19 @@ The enclosure. A matrix that fails the rule (at its diagonal or at its
 eigenvalues) still takes the gram route where one matrix-specific proof
 gives lo <= lambda_min(G) <= hi with hi - lo <= GRAM_COND_LIMIT * lo, for G
 the exact X^T X. s_min is then reported as sqrt(rho), rho in [lo, hi], so it
-keeps the rule's promise of a relative error below GRAM_COND_LIMIT / 2;
-the other values are dsterf's, and only bottom vector 1 and s_min depend
-on the proof. Where any step fails, the R route runs as it would without
-the attempt. The terms, for an N x n X, eps = 2^-52 and gamma_k <= k eps
-(Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1):
+keeps the rule's promise of a relative error below GRAM_COND_LIMIT / 2.
+Only bottom vector 1 and s_min depend on the proof, and the route does not
+depend on how many vectors are kept. Where any step fails, the R route runs
+as it would without the attempt. The terms, for an N x n X, eps = 2^-52 and
+gamma_k <= k eps (Higham, *Accuracy and Stability of Numerical Algorithms*,
+section 3.1):
 
 * Kato-Temple (Kato 1949; Parlett, *The Symmetric Eigenvalue Problem*,
   section 10.5). For any u != 0 with Rayleigh quotient rho* = ||Xu||^2 /
   ||u||^2 < b <= lambda_2(G), lambda_min >= rho* - (||G u - theta u|| /
   ||u||)^2 / (b - rho*) for every theta, and lambda_min <= rho*. The
   right side grows with rho*, so a lower bound on rho* may stand in.
-* Rounding of rho and r. u is the unit vector from the kernel; y = fl(X u)
+* Rounding of rho and r. u is the kernel's unit bottom vector; y = fl(X u)
   satisfies |y - X u| <= gamma_n |X||u|, so rho = fl(y . y) has sqrt(rho*)
   in sqrt(rho) (1 +- eta), eta = 1.1 (n eps ||X||u|| ||/sqrt(rho) + (N + n
   + 6) eps), with the norm of u and the dot products folded in: rho* lies
@@ -87,27 +93,45 @@ the attempt. The terms, for an N x n X, eps = 2^-52 and gamma_k <= k eps
   <= c sqrt(t_i t_j), c = 1.1 (N + n + 6) eps, whence lambda_min(A) > -delta,
   delta = c sum(t), the 2-norm of that rank-one bound. This holds for any
   order of the inner products (not for Strassen-like products).
+* Underflow. The bounds above count relative rounding only. A product or
+  sum that lands among the subnormals is off by up to eps * tiny / 2
+  absolutely (tiny = 2^-1022), so a sum of at most N + n terms by (N + n)
+  eps * tiny. Where every G_ii and rho are at least tiny / eps, that is at
+  most (N + n) eps^2 times the scale of the term it joins, which the factor
+  1.1 in every constant covers; below that, no enclosure is tried.
 * The floor (Rump, BIT 46, 2006). One Cholesky of G_s - nu I proves
   lambda_min(G_s) >= nu - delta =: floor > 0. nu = n c / sqrt(GRAM_COND_LIMIT)
   makes the slop delta / floor, by which every later step's rounding turns
   into a relative error of G's eigenvalues (Demmel & Veselic, SIAM J. Matrix
-  Anal. Appl. 13, 1992), about sqrt(GRAM_COND_LIMIT): a refined vector's
-  residual cannot beat that slop times rho, and its square over a relative
-  gap must stay below GRAM_COND_LIMIT. Where the diagonal has already
-  failed the rule, this Cholesky runs before the tridiagonal reduction, so
-  a matrix it rejects never reaches dsytrd.
+  Anal. Appl. 13, 1992), about sqrt(GRAM_COND_LIMIT). floor is known in
+  closed form before the Cholesky proves it, so every check below runs
+  before either Cholesky. Where the diagonal has already failed the rule,
+  this Cholesky runs before the tridiagonal reduction, so a matrix it
+  rejects never reaches dsytrd.
 * The gap. With b = hi + (w_2 - hi) / 2, w_2 dsterf's second value, a
   dpotrf of G_s + b (S u)(S u)^T - b S^2 that succeeds gives lambda_min of
   that matrix > -delta >= -(delta / floor) G_s, so G + b' v v^T - b' I is
   positive definite for some v and b' = b (1 - eps) / (1 + delta / floor);
   by rank-one interlacing, lambda_2(G) >= lambda_min(G + b' v v^T) > b'.
-  The proof is checked for b' > hi and a width within the limit before the
-  Cholesky runs.
-* Refinement. Where hi - lo is above the limit, at most two inverse-iteration steps
-  with the Cholesky factor of S (G - sigma I) S, sigma = lo (1 - 2 delta /
-  floor) just below lambda_min, replace u and recompute every term. Each
+  The proof is checked for b' > hi and a predicted width within the limit
+  (next bullet) before either Cholesky runs, and the kernel's other kept
+  vectors are computed after the proof.
+* Refinement. Where hi - lo is above the limit, at most two inverse-iteration
+  steps with the Cholesky factor of S (G - sigma I) S, sigma = lo (1 - 2 delta
+  / floor) just below lambda_min, replace u and recompute every term. Each
   step shrinks the residual by at least q = (hi - sigma) / (b' - sigma);
-  where even ||r|| q^2 + e_r cannot meet the limit, no step runs.
+  where even ||r|| q^2 + e_r cannot meet the limit, no Cholesky runs. Among
+  sampled Pareto matrices (aspect 2, n = 400 and 800), 3 of 7 enclosed at
+  alpha = 0.5 took one step, and none of 43 at alpha in {0.8, 1.2, 1.5}.
+
+The other values on an enclosed matrix are dsterf's, each off by about eps
+* lambda_max, so s_j for j >= 2 carries a relative error near eps *
+kappa_j^2 / 2, kappa_j = s_1 / s_j: the rule bounds that by GRAM_COND_LIMIT
+/ 2, and the enclosure does not bound it at all. Against gesvd, s_2 and s_3
+of enclosed Pareto matrices (aspect 2, n = 400 and 800, 8 trials each) came
+within 2.5e-8 at alpha = 0.8 and 1.2e-11 at alpha = 1.2, and within 2.7e-7
+(n = 400) and 3.9e-5 (n = 800, on a trial that took a refinement step) at
+alpha = 0.5. On the R route they carry about eps * kappa_j.
 
 A caller that already holds X^T X passes it as full_svd's gram, which then
 stands in for forming G and for the column-norm pass; a column minor X_J
@@ -123,6 +147,7 @@ the minimizer of ||X u|| over unit vectors and s_min = s_n.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -245,16 +270,18 @@ def _kept(x: np.ndarray, vectors: Iterable[np.ndarray | None], lam: np.ndarray, 
 
 
 _ROWS = 64  # rows of |X| made at a time for the rounding bound of the residual
+_NO_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS  # G_ii and rho below this get no enclosure
 
 
 def _rayleigh(x: np.ndarray, u: np.ndarray):
     """(u, rho, r_norm, e_r, eta) for u normalized: rho = fl(||X u||^2), r_norm = ||X^T(X u) - rho u||,
-    e_r its rounding bound and eta the relative bound on sqrt(rho); None where rho is not positive."""
+    e_r its rounding bound and eta the relative bound on sqrt(rho); None where rho is below _NO_UNDERFLOW
+    or not finite."""
     rows, n = x.shape
     u = u / np.linalg.norm(u)
     y = x @ u
     rho = float(y @ y)
-    if not (0.0 < rho < math.inf):
+    if not (_NO_UNDERFLOW <= rho < math.inf):
         return None
     r_norm = float(np.linalg.norm(x.T @ y - rho * u))
     au, a2, h = np.abs(u), 0.0, np.zeros(n)
@@ -268,29 +295,40 @@ def _rayleigh(x: np.ndarray, u: np.ndarray):
     return u, rho, r_norm, e_r, eta
 
 
-def _scaled_floor(g: np.ndarray, rows: int):
-    """(scale, floor, c): scale the inverse column norms from diag(g), lambda_min(S G S) >= floor > 0
-    proven by one Cholesky, for G the exact X^T X of an X with rows rows and g = fl(X^T X), and c
-    the entrywise rounding constant of every scaled Cholesky; None where that Cholesky fails."""
+def _floor_terms(g: np.ndarray, rows: int):
+    """(scale, nu, floor, c) for g = fl(X^T X) of an X with rows rows: scale the inverse column norms
+    from diag(g), c the entrywise rounding constant of every scaled Cholesky, and lambda_min(S G S) >=
+    floor > 0 once dpotrf of S g S - nu I succeeds; None where a G_ii is below _NO_UNDERFLOW."""
     n = g.shape[0]
-    scale = 1.0 / np.sqrt(np.diagonal(g))
+    d = np.diagonal(g)
+    if not d.min() >= _NO_UNDERFLOW:
+        return None
     c = 1.1 * (rows + n + 6) * _EPS
     nu = n * c / math.sqrt(GRAM_COND_LIMIT)
-    if _lapack.cholesky(g, scale, np.full(n, nu)) is None:
-        return None
-    return scale, nu - c * n * (1.02 + nu), c
+    floor = nu - c * n * (1.02 + nu)
+    return (1.0 / np.sqrt(d), nu, floor, c) if floor > 0.0 else None
 
 
-def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, scaled_floor):
+def _floor_holds(g: np.ndarray, rows: int) -> bool:
+    """Whether one Cholesky proves _floor_terms's floor; g must be one _lapack.cholesky may write."""
+    terms = _floor_terms(g, rows)
+    return terms is not None and _lapack.cholesky(g, terms[0], np.full(g.shape[0], terms[1]))
+
+
+def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_proven: bool):
     """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
-    returned unit u, from the kernel's bottom vector u, its eigenvalues w and _scaled_floor's result.
+    returned unit u, from the kernel's bottom vector u and the eigenvalues w of g = fl(X^T X).
 
-    The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of
-    its prediction; None where a proof step fails or cannot meet the limit.
+    Every check that needs no Cholesky runs on the kernel's vector first; then the floor's
+    Cholesky (unless floor_proven says it has run), the gap's, and at most two refinement
+    steps. The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of its
+    prediction; None where a proof step fails or the prediction misses the limit. g must be one
+    _lapack.cholesky may write.
     """
-    if u is None:
+    floor_terms = _floor_terms(g, x.shape[0])
+    if u is None or floor_terms is None:
         return None
-    scale, floor, c = scaled_floor
+    scale, nu, floor, c = floor_terms
     for step in range(3):  # the kernel's vector, then at most two refined ones
         terms = _rayleigh(x, u)
         if terms is None:
@@ -308,29 +346,28 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
             return None
         lo = rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
         sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
-        if step == 0:  # two steps shrink the residual by q^2 at best; then prove the gap
+        if step == 0:  # two steps shrink the residual by q^2 at best; then prove the floor and the gap
             q = (hi - sigma) / (gap - sigma)
             best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
-            if hi > (1.0 + GRAM_COND_LIMIT) * best or _lapack.cholesky(g, scale, shift, lift) is None:
+            if not (hi <= (1.0 + GRAM_COND_LIMIT) * best
+                    and (floor_proven or _lapack.cholesky(g, scale, np.full(g.shape[0], nu)))
+                    and _lapack.cholesky(g, scale, shift, lift)):
                 return None
         if hi <= (1.0 + GRAM_COND_LIMIT) * lo or step == 2:
             return lo, hi, rho, u
-        solve = _lapack.cholesky(g, scale, sigma * scale * scale)
-        z = None if solve is None else solve(scale * u)
-        del solve  # release the factor before the next one
+        z = _lapack.cholesky_solve(g, scale, sigma * scale * scale, scale * u)
         if z is None or not np.isfinite(z).all():
             return None
         u = scale * z
 
 
-def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool):
+def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool, owned: bool):
     """(w, rows, residuals) from g = fl(X^T X): w ascending, rows[j] the vector for w[picks[j]].
     None where neither the GRAM_COND_LIMIT rule nor the enclosure resolves s_min, or eigh does
-    not converge."""
-    scaled_floor = None
-    if not diagonal_resolves:  # the rule has failed already: try the floor before reducing g
-        scaled_floor = _scaled_floor(g, x.shape[0])
-        if scaled_floor is None:
+    not converge. The Choleskys write in g where owned says it is full_svd's own, else in a copy."""
+    if not diagonal_resolves:  # the rule has failed already: prove the floor before reducing g
+        g, owned = (g if owned else _lapack.gram(x, g)), True
+        if not _floor_holds(g, x.shape[0]):
             return None
     reduced = _lapack.tridiagonal(g)
     try:
@@ -340,17 +377,13 @@ def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray, diagonal_reso
                 return None
             return (w, *_verified(x, v[:, picks].T, w[picks], w[-1]))
         w, vector = reduced
-        if diagonal_resolves and _gram_resolves(w[-1], w[0]):
-            kernel = (vector(p) for p in picks)
-        else:
-            kernel = [vector(p) for p in picks]
-            del reduced, vector  # release the reduced copy of g before the Cholesky buffers
-            if scaled_floor is None:
-                scaled_floor = _scaled_floor(g, x.shape[0])
-            found = None if scaled_floor is None else _enclosure(x, g, w, kernel[0], scaled_floor)
-            if found is None or found[1] > (1.0 + GRAM_COND_LIMIT) * found[0]:
+        kernel = (vector(p) for p in picks)
+        if not (diagonal_resolves and _gram_resolves(w[-1], w[0])):
+            found = _enclosure(x, g if owned else _lapack.gram(x, g), w, vector(0), not diagonal_resolves)
+            if found is None or not found[1] <= (1.0 + GRAM_COND_LIMIT) * found[0]:
                 return None
-            w[0], kernel[0] = found[2], found[3]
+            w[0] = found[2]
+            kernel = itertools.chain([found[3]], (vector(p) for p in picks[1:]))
         kept = _kept(x, kernel, w[picks], w[-1])
         if kept is None:  # a kernel vector failed: eigh supplies the vectors, at w
             kept = _verified(x, np.linalg.eigh(g)[1][:, picks].T, w[picks], w[-1])
@@ -385,9 +418,10 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
     their residuals, the route and G on the gram route; g is the caller's fl(X^T X) or None."""
     d = np.einsum("ij,ij->j", x, x) if g is None else np.diagonal(g)  # diag(X^T X)
     if 0.0 < d.min() and d.max() < math.inf:  # a zero column leaves s_min no relative enclosure
-        if g is None:
-            g = x.T @ x
-        found = _gram_factors(x, g, picks, _gram_resolves(d.max(), d.min()))
+        owned = g is None
+        if owned:
+            g = _lapack.gram(x)
+        found = _gram_factors(x, g, picks, _gram_resolves(d.max(), d.min()), owned)
         if found is not None:
             w, rows, residuals = found
             return np.sqrt(w[::-1]), rows, residuals, "gram", g
@@ -398,11 +432,13 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
 def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
-    Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, the
-    values come from the tridiagonal reduction of X^T X (4n^3/3 flops),
-    otherwise from the bidiagonal reduction of X's R factor (QR, then
-    8n^3/3 flops); each stored vector then costs about 2n^2 flops, and
-    SpectralResult.method records the route. The stored vectors must satisfy
+    Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, or its
+    enclosure proves s_min to the same limit, the values come from the
+    tridiagonal reduction of X^T X (4n^3/3 flops), otherwise from the
+    bidiagonal reduction of X's R factor (QR, then 8n^3/3 flops); each stored
+    vector then costs about 2n^2 flops, and SpectralResult.method records the
+    route. On an enclosed matrix only s_min keeps the rule's accuracy; the
+    module docstring gives the other values' error. The stored vectors must satisfy
     ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2 and be orthonormal to
     ORTHO_TOL. eigh of X^T X or gesdd of R stands in where a kernel fails or
     its vectors fail that check; SpectralError (with the worst residual

@@ -108,20 +108,42 @@ class TestForeignMemory:
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 130])
     @pytest.mark.parametrize("definite", [True, False])
     def test_cholesky_stays_in_bounds(self, padded, definite, n, kind):
-        # dpotrf factors the built matrix in its buffer, and dpotrs solves in a copy of b;
-        # n = 130 fills the buffer in three blocks of columns. A negative shift adds to the
+        # dpotrf factors the built matrix in g's lower triangle, and g is then restored;
+        # n = 130 fills it in three blocks of columns. A negative shift adds to the
         # diagonal, so each kind is positive definite; a shift of 1e3 makes it indefinite.
-        g = _inputs(n)[kind]
+        g = _lapack._copy(_inputs(n)[kind])
+        before = g.copy()
         scale = 1.0 / np.sqrt(np.abs(np.diagonal(g)) + 1.0)
         shift = np.full(n, -1.0 if definite else 1e3)
-        solve = _lapack.cholesky(g, scale, shift, np.linspace(0.0, 1.0, n))
-        if not definite:
-            assert solve is None
-            return
-        z = solve(np.ones(n))
-        a = scale[:, None] * g * scale - np.diag(shift) + np.outer(*[np.linspace(0.0, 1.0, n)] * 2)
-        assert np.allclose(a @ z, 1.0, atol=1e-10)
-        assert len(padded) >= 3
+        assert _lapack.cholesky(g, scale, shift, np.linspace(0.0, 1.0, n)) == definite
+        assert np.array_equal(g, before)
+        assert len(padded) >= 2
+
+    @pytest.mark.parametrize("kind", ["zero", "identity", "tied_diagonal", "rank_one", "block_diagonal"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 130])
+    def test_cholesky_solve_stays_in_bounds(self, padded, n, kind):
+        # dpotrs solves in a copy of b with the factor in g's lower triangle, before g is restored.
+        g = _lapack._copy(_inputs(n)[kind])
+        before = g.copy()
+        scale = 1.0 / np.sqrt(np.abs(np.diagonal(g)) + 1.0)
+        shift = np.full(n, -1.0)
+        z = _lapack.cholesky_solve(g, scale, shift, np.ones(n))
+        assert np.allclose((scale[:, None] * before * scale - np.diag(shift)) @ z, 1.0, atol=1e-10)
+        assert np.array_equal(g, before)
+        assert _lapack.cholesky_solve(g, scale, np.full(n, 1e3), np.ones(n)) is None
+
+
+def test_cholesky_decides_and_restores_g():
+    # At n = 600 dpotrf runs blocked, on several threads where OpenBLAS has them. It
+    # must leave g's strict upper triangle alone, so that g comes back bit for bit,
+    # and its verdict must be right on either side of lambda_min.
+    g = _lapack.gram(np.random.default_rng(2).standard_normal((700, 600)))
+    before = g.copy()
+    lam = np.linalg.eigvalsh(before)[0]
+    for shift, definite in [(0.9 * lam, True), (1.1 * lam, False)]:
+        assert _lapack.cholesky(g, np.ones(600), np.full(600, shift)) == (definite and _lapack.available())
+        assert np.array_equal(g, before)
+    assert np.array_equal(before, before.T)
 
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
@@ -131,13 +153,18 @@ def test_r_route_holds_one_copy_of_x(aspect):
     # is the blocked workspaces, (N + n) * nb and 2n * nb doubles with LAPACK's block
     # size nb (32 for OpenBLAS), and vectors of length N or n. np.linalg.qr would
     # hold two copies of X (one untraced) and build R and a copy of R besides.
-    # A zero column makes lambda_min(X^T X) zero, which no relative enclosure
-    # resolves, so X goes to the R route without forming G.
+    # Pareto(0.3) column norms fail the rule, so G is formed and the floor's Cholesky
+    # runs in G's own lower triangle; it fails, and G is released before the copy of
+    # X is made, so G's n^2 doubles stay below that copy's N n.
     n = 400
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((int(aspect * n), n)) * np.logspace(0, 4, n)
-    x[:, 7] = 0.0
-    assert full_svd(x, k_bottom=2).method == "gesdd"
+    law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.3)
+    x = sample_matrix(EnsembleConfig(n=n, aspect=aspect, law=law, seed=3))
+    calls = []
+    real_call = _lapack._call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        assert full_svd(x, k_bottom=2).method == "gesdd"
+    assert calls[:2] == ["dpotrf", "dgeqrf"]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -150,10 +177,10 @@ def test_r_route_holds_one_copy_of_x(aspect):
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
 def test_enclosure_holds_two_gram_sized_arrays():
-    # The enclosure keeps G (returned on the result) and one more n x n array at a
-    # time: the reduced copy of G, then each Cholesky buffer, never two at once; the
-    # rest is dsytrd's n * nb workspace, the n x 64 blocks a buffer is filled with,
-    # the 64-row blocks of |X| and vectors of length N or n.
+    # The enclosure keeps G (returned on the result) and its reduced copy, and each
+    # Cholesky runs in G's own lower triangle; the rest is dsytrd's n * nb workspace,
+    # the n x 64 panels G's lower triangle is filled with, the 64-row blocks of |X|
+    # and vectors of length N or n.
     n = 400
     x = _matrix(0.8, n=n, seed=4)
     assert full_svd(x, k_bottom=2).method == "gram"

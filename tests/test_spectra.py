@@ -374,10 +374,10 @@ class TestRoute:
     @staticmethod
     def _equal_norm_calls(monkeypatch, second):
         # An orthogonal rotation with +-1/2 entries gives every column the same
-        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not. The
-        # kept vectors come first, while the reduced copy of G is alive, then the
-        # floor's Cholesky. Returns full_svd's result, the LAPACK calls in order
-        # and the index of the floor's dpotrf.
+        # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
+        # Bottom vector 1 comes first, and every check of the enclosure that needs
+        # no Cholesky runs on it before any other vector. Returns full_svd's result
+        # and the LAPACK calls after that vector's.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, second, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
@@ -390,24 +390,22 @@ class TestRoute:
 
         monkeypatch.setattr(_lapack, "_call", counting)
         res = full_svd(x)
-        assert calls[:3] == ["dsytrd", "dsytrd", "dsterf"]
-        after = calls[3:].index("dpotrf") + 3
-        assert set(calls[3:after]) == {"dstein", "dormtr"}
+        assert calls[:5] == ["dsytrd", "dsytrd", "dsterf", "dstein", "dormtr"]
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
-        return res, calls, after
+        return res, calls[5:]
 
     def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
         # s_min's neighbour is 2, so the enclosure proves it: a Cholesky for the
-        # floor and one for the gap, and no QR.
-        res, calls, after = self._equal_norm_calls(monkeypatch, 2.0)
-        assert calls[after:] == ["dpotrf", "dpotrf"]
+        # floor and one for the gap, then the top vector, and no QR.
+        res, rest = self._equal_norm_calls(monkeypatch, 2.0)
+        assert rest == ["dpotrf", "dpotrf", "dstein", "dormtr"]
         assert res.method == "gram"
 
     def test_equal_column_norms_near_tie_takes_r_route(self, monkeypatch):
         # A planted near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to
-        # prove, so the R route runs after the floor.
-        res, calls, after = self._equal_norm_calls(monkeypatch, 1e-4 * (1.0 + 2e-12))
-        assert calls[after + 1:after + 5] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
+        # prove, so the R route runs without a Cholesky or another vector of G.
+        res, rest = self._equal_norm_calls(monkeypatch, 1e-4 * (1.0 + 2e-12))
+        assert rest[:4] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"] and "dpotrf" not in rest
         assert res.method == "gesdd"
 
 
@@ -668,10 +666,9 @@ class TestEnclosure:
         mpmath = pytest.importorskip("mpmath")
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
         x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
-        g = x.T @ x
-        floor = spectra._scaled_floor(g, x.shape[0])
+        g = _lapack.gram(x)
         w, vector = _lapack.tridiagonal(g)
-        found = None if floor is None else spectra._enclosure(x, g, w, vector(0), floor)
+        found = spectra._enclosure(x, g, w, vector(0), False)
         assume(found is not None)
         lo, hi, rho, u = found
         assert lo <= rho <= hi and np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
@@ -686,14 +683,41 @@ class TestEnclosure:
         # lambda_2 / lambda_1 - 1 = 2e-12 leaves no gap the proof can carry, so the R route runs.
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((12, 6)))
         x = q * np.array([1e5, 7.0, 5.0, 3.0, 1.0 + 1e-12, 1.0])
-        g = x.T @ x
-        floor = spectra._scaled_floor(g, x.shape[0])
-        assert floor is not None
+        g = _lapack.gram(x)
+        assert spectra._floor_holds(g, x.shape[0])
         w, vector = _lapack.tridiagonal(g)
-        assert spectra._enclosure(x, g, w, vector(0), floor) is None
+        assert spectra._enclosure(x, g, w, vector(0), True) is None
         res = full_svd(x)
         assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scales", [[1e-150, 1.0, 1.0, 1.0], [1e-150] * 4])
+    def test_underflow_takes_r_route(self, monkeypatch, scales):
+        # Below tiny / eps, a product that underflows can miss the rounding bounds, so
+        # no Cholesky runs. First a column of norm 1e-150 (G_11 near 1e-300): the
+        # diagonal fails the rule. Then every column scaled alike, kappa = 5e4: the
+        # diagonal passes, the eigenvalues fail, and rho is near 1e-308.
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))]) * scales
+        calls = []
+        real_call = _lapack._call
+        monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        res = full_svd(x)
+        assert res.method == "gesdd" and "dpotrf" not in calls
+
+    def test_refinement_keeps_the_gram_route(self, monkeypatch):
+        # Pareto(0.5), n = 40, seed 1: the kernel's vector leaves the enclosure wider
+        # than the limit, one inverse-iteration step (a dpotrs with the factor of
+        # S (G - sigma I) S) narrows it, and s_min keeps its promise.
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=0.5)
+        x = sample_matrix(EnsembleConfig(n=40, aspect=2.0, law=law, seed=1))
+        calls = []
+        real_call = _lapack._call
+        monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        res = full_svd(x)
+        assert _fails_rule(x) and res.method == "gram" and calls.count("dpotrs") == 1
+        ref = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")[-1]
+        assert abs(res.s_min - ref) <= GRAM_COND_LIMIT / 2 * ref
 
     def test_reported_s_min_keeps_the_promise(self):
         # Rule-failing matrices on the gram route: s_min within GRAM_COND_LIMIT / 2 of gesvd's.
