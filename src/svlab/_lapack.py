@@ -11,7 +11,11 @@ that does work proportional only to the vectors that are asked for:
   eigenvalues. These are the calls numpy's ``eigvalsh`` makes (syevd
   without vectors), on the same layout and workspace, so the values agree
   with it bit for bit (syevd alone first rescales a g whose largest entry
-  lies outside about [1e-146, 1e146]).
+  lies outside about [1e-146, 1e146]). dsytrd runs in g's own storage:
+  with UPLO = 'L' it writes only g's lower triangle (Anderson et al.,
+  *LAPACK Users' Guide*, 3rd ed.), so once the kept vectors are
+  back-transformed, g is restored bit for bit from its strict upper
+  triangle and a copy of its diagonal, and no second n x n array is made.
 * ``bidiagonal(x)``: dgeqrf of the tall x (N x n) in one column-major
   copy, whose top n x n block then holds R with the reflectors below its
   diagonal; these are zeroed, dgebrd reduces the block in place with
@@ -37,9 +41,10 @@ this route, but writes past its bounds on rank-deficient input, so is not called
 * ``cholesky(g, scale, shift, lift)``: whether dpotrf finds S g S -
   diag(shift) + lift lift^T, S = diag(scale), positive definite in
   floating point. The matrix is built in g's own lower triangle from its
-  upper one, a block of columns at a time, and g is restored afterwards, so
-  no other n x n array is made; ``gram`` makes X^T X, or copies a caller's,
-  in a buffer it may take. ``spectra`` turns a success into a proof.
+  upper one, a block of columns at a time, and g is restored the same way
+  afterwards, so no other n x n array is made; ``gram`` makes X^T X, or
+  copies a caller's, in a buffer that these kernels may take. ``spectra``
+  turns a success into a proof.
   ``cholesky_solve(g, scale, shift, b)`` solves with that factor (dpotrs)
   before g is restored.
 
@@ -47,8 +52,9 @@ Every kernel returns None (``cholesky`` False) where numpy's build does
 not export the routines (Accelerate or MKL builds, for example), a routine
 reports INFO != 0, or, for ``tridiagonal``, g is not finite; the caller
 then falls back to numpy's public calls. ``bidiagonal`` expects a finite
-x. Every array handed to LAPACK comes from ``_array``. ``core_name`` names
-the OpenBLAS kernel set the process runs on, for the sweep manifest.
+x. Every array a kernel allocates for LAPACK comes from ``_array``; g is
+the caller's. ``core_name`` names the OpenBLAS kernel set the process runs
+on, for the sweep manifest.
 """
 from __future__ import annotations
 
@@ -174,20 +180,28 @@ def _tridiagonal_vector(d: np.ndarray, e: np.ndarray, lam: float, index: int) ->
 
 
 def tridiagonal(g: np.ndarray):
-    """Eigenvalues of the symmetric g in ascending order, and vector(p) for the p-th (0-based).
+    """Eigenvalues of the symmetric g ascending, vector(p) for the p-th (0-based), and restore().
 
-    None where the routines are missing, g is not finite, or dsytrd or dsterf
-    fails; vector(p) is None where the tridiagonal splits in part or dstein or dormtr fails.
+    g is reduced in its own storage: dsytrd writes the tridiagonal and its reflectors in g's lower
+    triangle and leaves the strict upper one alone, from which, and a copy of the diagonal,
+    restore() rebuilds g bit for bit. vector(p) reads the reflectors, so restore() runs once the
+    kept vectors are back-transformed. None, with g as it began, where the routines are missing,
+    g is not finite, or dsytrd or dsterf fails; vector(p) is None where the tridiagonal splits in
+    part or dstein or dormtr fails.
     """
     if not (available() and np.isfinite(g).all()):
         return None
     n = g.shape[0]
-    a, d, e, tau = _copy(g), _array(n), _array(n - 1), _array(n - 1)
+    a = g if g.flags.f_contiguous else g.T  # g is symmetric: either order is g, and a column-major
+    diagonal = _copy(np.diagonal(a))
+    d, e, tau = _array(n), _array(n - 1), _array(n - 1)
     work = _workspace("dsytrd", "L", n, a, n, d, e, tau)
     if work is None or _call("dsytrd", "L", n, a, n, d, e, tau, work, work.size):
+        _restore(a, diagonal)
         return None
     w, f = _copy(d), _copy(e)
     if _call("dsterf", n, w, f):
+        _restore(a, diagonal)
         return None
 
     def vector(p: int) -> np.ndarray | None:
@@ -197,7 +211,7 @@ def tridiagonal(g: np.ndarray):
             return None
         return z
 
-    return w, vector
+    return w, vector, lambda: _restore(a, diagonal)
 
 
 def bidiagonal(x: np.ndarray):
@@ -252,8 +266,8 @@ def bidiagonal(x: np.ndarray):
 
 
 def gram(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """X^T X in a buffer from _array, which cholesky may write: a copy of g where the caller
-    holds it, else formed bit for bit as numpy's x.T @ x (one syrk, so exactly symmetric)."""
+    """X^T X in a buffer from _array, which tridiagonal and cholesky may write: a copy of g where
+    the caller holds it, else formed bit for bit as numpy's x.T @ x (one syrk, so exactly symmetric)."""
     if g is not None:
         return _copy(g)
     n = x.shape[1]
@@ -274,6 +288,14 @@ def _fill_lower(a: np.ndarray, build) -> None:
         panel = build(a[cols, j:].T, j, cols)  # a new array: the reads end before the writes
         a[cols.stop:, cols] = panel[width:]
         np.copyto(a[cols, cols], panel[:width], where=_TRIL[:width, :width])
+
+
+def _restore(a: np.ndarray, diagonal: np.ndarray) -> None:
+    """a's lower triangle rebuilt from its strict upper one and diagonal, a copy of a's diagonal
+    taken before a LAPACK routine (called with UPLO = 'L', so never reading or writing above the
+    diagonal) overwrote the lower triangle."""
+    _fill_lower(a, lambda panel, j, cols: panel.copy())
+    a.flat[::a.shape[0] + 1] = diagonal
 
 
 def _factored(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None, then=None):
@@ -301,8 +323,7 @@ def _factored(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndar
     try:
         return not _call("dpotrf", "L", n, a, n) and (then is None or then(a, n))
     finally:
-        _fill_lower(a, lambda panel, j, cols: panel.copy())
-        a.flat[::n + 1] = diagonal
+        _restore(a, diagonal)
 
 
 def cholesky(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None = None) -> bool:

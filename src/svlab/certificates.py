@@ -6,9 +6,10 @@ submatrix X_J, and by interlacing
     s_min(X) <= s_min(X_J) <= ||X_J||,
 
 so either quantity of the minor is a certified upper bound computable
-without touching the full spectrum. One full_svd of X_J gives both; where
-the caller's spectrum of X holds X's Gram matrix G, that call takes
-G[J, J], which equals X_J^T X_J, as its gram.
+without touching the full spectrum. One values-only decomposition of X_J
+gives both, through the routes full_svd takes; where the caller's spectrum
+of X holds X's Gram matrix G, it reduces G[J, J], which equals X_J^T X_J,
+in place, and X_J itself is copied only where the route reads it.
 
 The default cutoff comes from balancing the expected number of large
 entries per column against a log-size budget, which needs the law's
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixio import _check_matrix
-from .spectra import SpectralResult, full_svd, operator_norm  # noqa: F401 (perfbench wraps it here)
+from .matrixio import _NOT_FINITE, _as_matrix
+from .spectra import SpectralResult, _minor_extremes
+from .spectra import full_svd, operator_norm  # noqa: F401 (perfbench wraps them here)
 
 __all__ = [
     "CertificateReport",
@@ -47,8 +49,8 @@ class CertificateReport:
 
     minor_op_norm and minor_smin are X_J's extremes: the column length when
     |J| = 1, X's own s_top and s_min when J is every column, and otherwise
-    one verified full_svd of X_J, given G[J, J] as its gram where X's G is
-    known. certified_upper is minor_smin.
+    the values full_svd of X_J would report (given G[J, J] as its gram where
+    X's G is known), computed without its vectors. certified_upper is minor_smin.
     observed_smin is X's s_min as the caller decomposed it. valid means the
     bound is sound against it up to CERT_SLACK * s_top; with no qualifying
     columns the bound is vacuous (+inf), valid False.
@@ -132,12 +134,16 @@ def certificate_cutoff(
 
 
 def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
-    """Indices of columns whose max |entry| is <= tau, sorted ascending."""
-    x = _check_matrix(x)
+    """Indices of columns whose max |entry| is <= tau, sorted ascending; ValueError where X is
+    not finite."""
+    x = _as_matrix(x)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
-    # max |x_ij| per column without an N x n np.abs temporary
-    return np.flatnonzero(np.maximum(x.max(axis=0), -x.min(axis=0)) <= tau)
+    # max |x_ij| per column without an N x n np.abs temporary; a NaN or an inf reaches it
+    col_max = np.maximum(x.max(axis=0), -x.min(axis=0))
+    if not np.isfinite(col_max).all():
+        raise ValueError(_NOT_FINITE)
+    return np.flatnonzero(col_max <= tau)
 
 
 def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> CertificateReport:
@@ -146,9 +152,10 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
     spectrum is the caller's verified full_svd of X; X itself is never
     decomposed here. Both extremes of X_J come from one place: the column
     length when |J| = 1, spectrum's s_min and s_top when J holds every
-    column, since X_J is then X, and otherwise one verified full_svd of X_J.
-    That call takes G[J, J] as its gram exactly when X took the gram route
-    (spectrum.gram is set), and picks its own route from it.
+    column, since X_J is then X, and otherwise one values-only decomposition
+    of X_J, bit for bit full_svd's s_min and s_top of it. That takes G[J, J]
+    exactly when X took the gram route (spectrum.gram is set), and picks its
+    own route from it. X is checked for finite entries once, by small_column_set.
     Soundness checked: certified_upper >= s_min - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -161,8 +168,7 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
         norm_xj, smin_xj = spectrum.s_top, spectrum.s_min
     else:  # cols is sorted, unique and in range
         g = None if spectrum.gram is None else spectrum.gram[np.ix_(cols, cols)]
-        res_j = full_svd(np.take(x, cols, axis=1), k_bottom=1, gram=g)
-        smin_xj, norm_xj = res_j.s_min, res_j.s_top
+        smin_xj, norm_xj = _minor_extremes(x, cols, g)
     return CertificateReport(
         tau=float(tau),
         columns=cols.tolist(),
@@ -176,10 +182,21 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
     )
 
 
+_CENSUS_BLOCK = 1 << 15  # entries of |X| held at a time by heavy_census
+
+
 def heavy_census(x: np.ndarray, c: float = CENSUS_C) -> int:
-    """Count of entries with |x_ij| above census_cutoff(N, c), N the row count."""
-    x = _check_matrix(x)
+    """Count of entries with |x_ij| above census_cutoff(N, c), N the row count; ValueError
+    where X is not finite."""
+    x = _as_matrix(x)
     if not (0.0 < c < 0.5):
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     t = census_cutoff(x.shape[0], c)
-    return int(np.count_nonzero(x > t) + np.count_nonzero(x < -t))  # no N x n np.abs temporary
+    step = max(1, _CENSUS_BLOCK // x.shape[1])
+    buf, count = np.empty((step, x.shape[1])), 0
+    for i in range(0, x.shape[0], step):  # |X| a block of rows at a time, in one buffer
+        block = np.abs(x[i:i + step], out=buf[:min(step, x.shape[0] - i)])
+        if not block.max() < math.inf:  # a NaN or an inf reaches the block's max
+            raise ValueError(_NOT_FINITE)
+        count += int(np.count_nonzero(block > t))
+    return count

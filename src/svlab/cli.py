@@ -37,7 +37,7 @@ from .experiments import (
     write_records,
     write_summary,
 )
-from .localization import localization_report
+from .localization import localization_report, localization_reports  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError, load_matrix, save_matrix, save_matrix_csv
 from .spectra import SpectralError, full_svd
 from .svgplot import line_chart, vector_profile
@@ -144,12 +144,11 @@ def cmd_localize(args) -> int:
         "out": str(args.out) if args.out else None,
         "plot": str(args.plot) if args.plot else None,
     }
-    lines = []
-    for k in range(1, args.k + 1):
-        u = res.bottom_right_vectors[k - 1]
-        for c in args.c_grid:
-            rep = localization_report(u, c, args.epsilons, degenerate=res.degenerate_flags[k - 1])
-            lines.append(json.dumps({"k": k, "c": c, **dataclasses.asdict(rep)}, separators=(",", ":")))
+    lines = [
+        json.dumps({"k": k, "c": c, **dataclasses.asdict(rep)}, separators=(",", ":"))
+        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
+        for c, rep in zip(args.c_grid, localization_reports(u, args.c_grid, args.epsilons, flag))
+    ]
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
         print(json.dumps(config))

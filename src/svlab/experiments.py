@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, _lapack
 from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
-from .localization import localization_report
+from .localization import localization_report, localization_reports  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError
 from .spectra import full_svd
 
@@ -227,12 +227,11 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
     x = sample_matrix(EnsembleConfig(n=n, aspect=config.aspect, law=law, seed=seed))
     res = full_svd(x, k_bottom=config.k_vectors)
 
-    reports: list[dict] = []
-    for k in range(1, config.k_vectors + 1):
-        u = res.bottom_right_vectors[k - 1]
-        for c in config.c_grid:
-            rep = localization_report(u, c, config.epsilons, degenerate=res.degenerate_flags[k - 1])
-            reports.append({"k": k, "c": c, **_fields(rep)})
+    reports = [
+        {"k": k, "c": c, **_fields(rep)}
+        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
+        for c, rep in zip(config.c_grid, localization_reports(u, config.c_grid, config.epsilons, flag))
+    ]
 
     bounds = law.tail_bounds
     tau, note = certificate_cutoff(

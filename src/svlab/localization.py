@@ -21,6 +21,7 @@ __all__ = [
     "top_mass",
     "ipr",
     "localization_report",
+    "localization_reports",
 ]
 
 UNIT_TOL = 1e-10
@@ -152,23 +153,42 @@ class LocalizationReport:
     degenerate: bool
 
 
+def localization_reports(
+    u: np.ndarray,
+    c_grid: list[float],
+    epsilons: list[float],
+    degenerate: bool = False,
+) -> list[LocalizationReport]:
+    """The LocalizationReport of u at each threshold constant c in c_grid, in order.
+
+    The statistics that do not depend on c, min_mass_profile and ipr, are
+    computed once and shared by value; each report's own list holds them.
+    """
+    u = _check_unit(u)
+    n = u.size
+    sets = [threshold_set(u, c) for c in c_grid]
+    profile, spread = min_mass_profile(u, epsilons), ipr(u)
+    reports = []
+    for c, idx in zip(c_grid, sets):
+        mass = subset_mass(u, idx)
+        reports.append(LocalizationReport(
+            n=n,
+            c_threshold=float(c),
+            threshold_indices=idx.tolist(),
+            threshold_mass=mass * mass,
+            cardinality_bound=cardinality_bound(float(c), n),
+            min_mass_profile=list(profile),
+            ipr=spread,
+            degenerate=bool(degenerate),
+        ))
+    return reports
+
+
 def localization_report(
     u: np.ndarray,
     c: float,
     epsilons: list[float],
     degenerate: bool = False,
 ) -> LocalizationReport:
-    u = _check_unit(u)
-    n = u.size
-    idx = threshold_set(u, c)
-    mass = subset_mass(u, idx)
-    return LocalizationReport(
-        n=n,
-        c_threshold=float(c),
-        threshold_indices=idx.tolist(),
-        threshold_mass=mass * mass,
-        cardinality_bound=cardinality_bound(float(c), n),
-        min_mass_profile=min_mass_profile(u, epsilons),
-        ipr=ipr(u),
-        degenerate=bool(degenerate),
-    )
+    """The LocalizationReport of u at the one threshold constant c."""
+    return localization_reports(u, [c], epsilons, degenerate)[0]

@@ -31,12 +31,21 @@ class MatrixFormatError(Exception):
     """Raised for malformed or truncated matrix files."""
 
 
-def _check_matrix(x: np.ndarray) -> np.ndarray:
+_NOT_FINITE = "matrix entries must all be finite"
+
+
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    """x as a nonempty 2-D float64 array; its entries are not checked."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ValueError(f"expected a nonempty 2-D array, got shape {x.shape}")
+    return x
+
+
+def _check_matrix(x: np.ndarray) -> np.ndarray:
+    x = _as_matrix(x)
     if not np.all(np.isfinite(x)):
-        raise ValueError("matrix entries must all be finite")
+        raise ValueError(_NOT_FINITE)
     return x
 
 

@@ -7,9 +7,12 @@ inverse iteration on the reduced matrix, at the value the reduction gave,
 and one back-transform each, about 2n^2 flops a vector on top of it.
 
 * ``gram``: G = X^T X is formed once and reduced to tridiagonal form
-  (dsytrd, 4n^3/3 flops); dsterf gives all its eigenvalues, bit for bit
-  what numpy's ``eigvalsh`` gives, and s_i = sqrt(lambda_i) in descending
-  order. ``eigh`` (syevd) builds all n vectors for about 9n^3.
+  (dsytrd, 4n^3/3 flops) in its own lower triangle; dsterf gives all its
+  eigenvalues, bit for bit what numpy's ``eigvalsh`` gives, and s_i =
+  sqrt(lambda_i) in descending order. Once the kept vectors are
+  back-transformed, G is restored from its strict upper triangle, which
+  dsytrd never touches, and a copy of its diagonal. ``eigh`` (syevd)
+  builds all n vectors for about 9n^3.
 * ``gesdd``: for every matrix whose G resolves s_min neither by the rule
   nor by the enclosure (both below), X = QR by
   Householder QR (dgeqrf) in one column-major copy of X, then the n x n
@@ -20,15 +23,14 @@ and one back-transform each, about 2n^2 flops a vector on top of it.
   bidiagonal. Neither Q, the n x n left factor of R, nor the N x n left
   factor of X is built, and no separate R array either.
 
-Each route holds X plus one working copy: G and its reduced copy on the
-gram route (the enclosure's Choleskys below write in G's own lower
+Each route holds X plus one working copy: G on the gram route (the
+reduction and the enclosure's Choleskys below all write in G's own lower
 triangle and restore it), the N x n copy of X on the gesdd route, plus O(n)
 vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles. A
-matrix that tries the gram route and ends on the gesdd route holds G alone
-where the floor below rejects it before the reduction, and G with its
-reduced copy where a later step does; G is released before the N x n copy
-is made, so such a call peaks at max(N n, n^2) or max(N n, 2 n^2) doubles
-over X. A caller's G (below) is copied before a Cholesky writes in it.
+matrix that tries the gram route and ends on the gesdd route releases G
+before the N x n copy is made, so such a call peaks at max(N n, n^2)
+doubles over X. A caller's G (below) is copied once, and the copy is what
+the route writes in and returns.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
@@ -114,8 +116,9 @@ section 3.1):
   positive definite for some v and b' = b (1 - eps) / (1 + delta / floor);
   by rank-one interlacing, lambda_2(G) >= lambda_min(G + b' v v^T) > b'.
   The proof is checked for b' > hi and a predicted width within the limit
-  (next bullet) before either Cholesky runs, and the kernel's other kept
-  vectors are computed after the proof.
+  (next bullet) before the kernel's other kept vectors are back-transformed,
+  and those before either Cholesky runs, since the Choleskys need G
+  restored and the vectors need its reflectors.
 * Refinement. Where hi - lo is above the limit, at most two inverse-iteration
   steps with the Cholesky factor of S (G - sigma I) S, sigma = lo (1 - 2 delta
   / floor) just below lambda_min, replace u and recompute every term. Each
@@ -135,7 +138,11 @@ alpha = 0.5. On the R route they carry about eps * kappa_j.
 
 A caller that already holds X^T X passes it as full_svd's gram, which then
 stands in for forming G and for the column-norm pass; a column minor X_J
-takes G[J, J], which is exactly X_J^T X_J.
+takes G[J, J], which is exactly X_J^T X_J. ``svlab.certificates`` needs
+only a minor's s_min and s_top, so it takes them from ``_minor_extremes``,
+which runs the same routes on G[J, J] with no vector kept: it reduces
+G[J, J] in place and copies X_J only where the enclosure or the R route
+reads it.
 
 Whichever route ran, this module also owns a deterministic sign
 convention, near-degeneracy flags, and the operator norm.
@@ -147,7 +154,7 @@ the minimizer of ||X u|| over unit vectors and s_min = s_n.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -236,13 +243,13 @@ def _verified(x: np.ndarray, rows: np.ndarray, lam: np.ndarray, top2: float):
     RESIDUAL_TOL * top2 or the rows are not orthonormal to ORTHO_TOL; a NaN fails.
     """
     residuals = np.linalg.norm(x.T @ (x @ rows.T) - rows.T * lam, axis=0)
-    worst = float(residuals.max())
+    worst = float(residuals.max(initial=0.0))
     if not worst <= RESIDUAL_TOL * top2:
         raise SpectralError(
             f"residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * s1^2 = {RESIDUAL_TOL * top2:.3e}",
             worst_residual=worst,
         )
-    ortho_err = float(np.abs(rows @ rows.T - np.eye(lam.size)).max())
+    ortho_err = float(np.abs(rows @ rows.T - np.eye(lam.size)).max(initial=0.0))
     if not ortho_err <= ORTHO_TOL:
         raise SpectralError(f"stored vectors deviate from orthonormality by {ortho_err:.3e}", worst)
     return rows, residuals
@@ -309,84 +316,114 @@ def _floor_terms(g: np.ndarray, rows: int):
     return (1.0 / np.sqrt(d), nu, floor, c) if floor > 0.0 else None
 
 
-def _floor_holds(g: np.ndarray, rows: int) -> bool:
-    """Whether one Cholesky proves _floor_terms's floor; g must be one _lapack.cholesky may write."""
-    terms = _floor_terms(g, rows)
+def _floor_holds(g: np.ndarray, terms) -> bool:
+    """Whether one Cholesky proves the floor of terms, g's _floor_terms (None proves nothing); g must
+    be one _lapack.cholesky may write."""
     return terms is not None and _lapack.cholesky(g, terms[0], np.full(g.shape[0], terms[1]))
 
 
-def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_proven: bool):
-    """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
-    returned unit u, from the kernel's bottom vector u and the eigenvalues w of g = fl(X^T X).
+def _kato_temple(terms, gap: float):
+    """(rho_lo, hi, lo) from _rayleigh's terms and a proven gap <= lambda_2; None where gap <= hi."""
+    u, rho, r_norm, e_r, eta = terms
+    rho_lo, hi = rho * (1.0 - eta) ** 2, rho * (1.0 + eta) ** 2
+    if not gap > hi:
+        return None
+    return rho_lo, hi, rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
 
-    Every check that needs no Cholesky runs on the kernel's vector first; then the floor's
-    Cholesky (unless floor_proven says it has run), the gap's, and at most two refinement
-    steps. The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of its
-    prediction; None where a proof step fails or the prediction misses the limit. g must be one
-    _lapack.cholesky may write.
-    """
-    floor_terms = _floor_terms(g, x.shape[0])
+
+def _enclosure_plan(x: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_terms):
+    """Every check of the enclosure that needs no Cholesky, run on the kernel's bottom vector u with
+    w the eigenvalues of g = fl(X^T X) and floor_terms its _floor_terms: the gap b' between w_1 and
+    w_2, and the prediction that two refinement steps would meet the limit. The plan that
+    _enclosure proves, or None where a check fails."""
     if u is None or floor_terms is None:
         return None
-    scale, nu, floor, c = floor_terms
-    for step in range(3):  # the kernel's vector, then at most two refined ones
-        terms = _rayleigh(x, u)
-        if terms is None:
-            return None
-        u, rho, r_norm, e_r, eta = terms
-        rho_lo, hi = rho * (1.0 - eta) ** 2, rho * (1.0 + eta) ** 2
-        if step == 0:  # lambda_2 > gap, once proven, holds whatever u becomes
-            if not w[1] > hi:
-                return None
-            b = hi + (w[1] - hi) / 2.0
-            lift, shift = math.sqrt(b) * scale * u, b * scale * scale
-            slop = c * float(np.sum(1.02 + lift * lift + shift)) / floor
-            gap = b * (1.0 - _EPS) / (1.0 + slop)
-        if not gap > hi:
-            return None
-        lo = rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
+    scale, _, floor, c = floor_terms
+    terms = _rayleigh(x, u)
+    if terms is None:
+        return None
+    u, rho, r_norm, e_r, eta = terms
+    hi = rho * (1.0 + eta) ** 2
+    if not w[1] > hi:  # lambda_2 > gap, once proven, holds whatever u becomes
+        return None
+    b = hi + (w[1] - hi) / 2.0
+    lift, shift = math.sqrt(b) * scale * u, b * scale * scale
+    slop = c * float(np.sum(1.02 + lift * lift + shift)) / floor
+    gap = b * (1.0 - _EPS) / (1.0 + slop)
+    bounds = _kato_temple(terms, gap)
+    if bounds is None:
+        return None
+    rho_lo, hi, lo = bounds
+    sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
+    q = (hi - sigma) / (gap - sigma)  # two steps shrink the residual by q^2 at best
+    best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
+    return (terms, bounds, gap, slop, lift, shift) if hi <= (1.0 + GRAM_COND_LIMIT) * best else None
+
+
+def _enclosure(x: np.ndarray, g: np.ndarray, floor_terms, plan, floor_proven: bool):
+    """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
+    returned unit u, from _enclosure_plan's plan: the floor's Cholesky (unless floor_proven says it
+    has run), the gap's, and at most two refinement steps, in g = fl(X^T X), which _lapack.cholesky
+    may write. The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of its
+    prediction; None where a proof step fails.
+    """
+    scale = floor_terms[0]
+    terms, bounds, gap, slop, lift, shift = plan
+    if not ((floor_proven or _floor_holds(g, floor_terms)) and _lapack.cholesky(g, scale, shift, lift)):
+        return None
+    for _ in range(2):
+        _, hi, lo = bounds
+        if hi <= (1.0 + GRAM_COND_LIMIT) * lo:
+            break
         sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
-        if step == 0:  # two steps shrink the residual by q^2 at best; then prove the floor and the gap
-            q = (hi - sigma) / (gap - sigma)
-            best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
-            if not (hi <= (1.0 + GRAM_COND_LIMIT) * best
-                    and (floor_proven or _lapack.cholesky(g, scale, np.full(g.shape[0], nu)))
-                    and _lapack.cholesky(g, scale, shift, lift)):
-                return None
-        if hi <= (1.0 + GRAM_COND_LIMIT) * lo or step == 2:
-            return lo, hi, rho, u
-        z = _lapack.cholesky_solve(g, scale, sigma * scale * scale, scale * u)
+        z = _lapack.cholesky_solve(g, scale, sigma * scale * scale, scale * terms[0])
         if z is None or not np.isfinite(z).all():
             return None
-        u = scale * z
-
-
-def _gram_factors(x: np.ndarray, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool, owned: bool):
-    """(w, rows, residuals) from g = fl(X^T X): w ascending, rows[j] the vector for w[picks[j]].
-    None where neither the GRAM_COND_LIMIT rule nor the enclosure resolves s_min, or eigh does
-    not converge. The Choleskys write in g where owned says it is full_svd's own, else in a copy."""
-    if not diagonal_resolves:  # the rule has failed already: prove the floor before reducing g
-        g, owned = (g if owned else _lapack.gram(x, g)), True
-        if not _floor_holds(g, x.shape[0]):
+        terms = _rayleigh(x, scale * z)
+        bounds = None if terms is None else _kato_temple(terms, gap)
+        if bounds is None:
             return None
+    return bounds[2], bounds[1], terms[1], terms[0]
+
+
+def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool):
+    """(w, rows, residuals) from g = fl(X^T X) of an X with n_rows rows: w ascending, rows[j] the
+    vector for w[picks[j]]; picks is empty (values only) or starts at 0. matrix() returns X, and
+    only the enclosure and the vectors' checks call it. g is this call's own: it is reduced in
+    place and restored before any Cholesky runs in it. None where neither the GRAM_COND_LIMIT
+    rule nor the enclosure resolves s_min, or eigh does not converge."""
+    floor_terms = _floor_terms(g, n_rows)  # from g's diagonal, which the reduction overwrites
+    if not (diagonal_resolves or _floor_holds(g, floor_terms)):
+        return None  # the rule has failed already, and the floor with it, before g is reduced
     reduced = _lapack.tridiagonal(g)
     try:
         if reduced is None:  # no kernel: eigh's values and vectors, and only the rule
             w, v = np.linalg.eigh(g)
             if not (diagonal_resolves and _gram_resolves(w[-1], w[0])):
                 return None
-            return (w, *_verified(x, v[:, picks].T, w[picks], w[-1]))
-        w, vector = reduced
-        kernel = (vector(p) for p in picks)
-        if not (diagonal_resolves and _gram_resolves(w[-1], w[0])):
-            found = _enclosure(x, g if owned else _lapack.gram(x, g), w, vector(0), not diagonal_resolves)
+            return (w, *_verified(matrix(), v[:, picks].T, w[picks], w[-1]))
+        w, vector, restore = reduced
+        enclose = not (diagonal_resolves and _gram_resolves(w[-1], w[0]))
+        try:
+            # Bottom vector 1 first: the enclosure starts from it, and runs every check that
+            # needs no Cholesky before the other kept vectors are back-transformed.
+            first = vector(0) if enclose or picks.size else None
+            plan = _enclosure_plan(matrix(), w, first, floor_terms) if enclose else None
+            if enclose and plan is None:
+                return None
+            rest = [vector(p) for p in picks[1:]]
+        finally:
+            restore()  # g again, for the Choleskys, eigh and the caller
+        if enclose:
+            found = _enclosure(matrix(), g, floor_terms, plan, not diagonal_resolves)
             if found is None or not found[1] <= (1.0 + GRAM_COND_LIMIT) * found[0]:
                 return None
-            w[0] = found[2]
-            kernel = itertools.chain([found[3]], (vector(p) for p in picks[1:]))
-        kept = _kept(x, kernel, w[picks], w[-1])
+            w[0], first = found[2], found[3]
+        if not picks.size:  # no vector to check, so X itself is not read
+            return w, np.empty((0, g.shape[0])), np.empty(0)
+        kept = _kept(matrix(), [first, *rest], w[picks], w[-1])
         if kept is None:  # a kernel vector failed: eigh supplies the vectors, at w
-            kept = _verified(x, np.linalg.eigh(g)[1][:, picks].T, w[picks], w[-1])
+            kept = _verified(matrix(), np.linalg.eigh(g)[1][:, picks].T, w[picks], w[-1])
         return (w, *kept)
     except np.linalg.LinAlgError:  # eigh did not converge: the R route instead
         return None
@@ -413,20 +450,29 @@ def _r_factors(x: np.ndarray, picks: np.ndarray):
     return (s, *_verified(x, vt[last - picks], s[last - picks] ** 2, s[0] ** 2))
 
 
-def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None):
+def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None,
+                   cols: np.ndarray | None = None):
     """Descending singular values, the right vectors at ascending positions picks as rows,
-    their residuals, the route and G on the gram route; g is the caller's fl(X^T X) or None."""
-    d = np.einsum("ij,ij->j", x, x) if g is None else np.diagonal(g)  # diag(X^T X)
+    their residuals, the route and G on the gram route, of x or, where cols is given, of the
+    column minor X_J = x[:, cols], which is copied only where a step reads it. g is X^T X
+    (G[J, J] for the minor), which this call reduces in place and restores, or None.
+    SpectralError where the R route's fallback does not converge."""
+    # X_J is copied on first use and kept, so the enclosure's steps and the R route share one copy.
+    matrix = (lambda: x) if cols is None else functools.cache(lambda: np.take(x, cols, axis=1))
+    d = np.einsum("ij,ij->j", matrix(), matrix()) if g is None else np.diagonal(g)  # diag(X^T X)
     if 0.0 < d.min() and d.max() < math.inf:  # a zero column leaves s_min no relative enclosure
-        owned = g is None
-        if owned:
-            g = _lapack.gram(x)
-        found = _gram_factors(x, g, picks, _gram_resolves(d.max(), d.min()), owned)
+        resolves = _gram_resolves(d.max(), d.min())
+        if g is None:
+            g = _lapack.gram(matrix())
+        found = _gram_factors(matrix, x.shape[0], g, picks, resolves)
         if found is not None:
             w, rows, residuals = found
             return np.sqrt(w[::-1]), rows, residuals, "gram", g
         del g  # release G before the R route's copy of X
-    return (*_r_factors(x, picks), "gesdd", None)
+    try:
+        return (*_r_factors(matrix(), picks), "gesdd", None)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
 
 def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -> SpectralResult:
@@ -458,10 +504,9 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
     # Ascending positions of the stored vectors: bottom 1..k, then the top,
     # which is bottom vector n itself when k = n.
     picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
-    try:
-        s, rows, residuals, method, gram = _right_factors(x, picks, gram)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
+    if gram is not None:
+        gram = _lapack.gram(x, gram)  # the route reduces it in place
+    s, rows, residuals, method, gram = _right_factors(x, picks, gram)
 
     # Each row's largest-magnitude component made positive; argmax takes the lowest index on ties.
     lead = np.take_along_axis(rows, np.abs(rows).argmax(axis=1)[:, None], axis=1)
@@ -482,6 +527,15 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
         degenerate_flags=flags,
         gram=gram,
     )
+
+
+def _minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray | None) -> tuple[float, float]:
+    """(s_min, s_top) of the column minor X_J = x[:, cols], bit for bit those of
+    full_svd(np.take(x, cols, axis=1), gram=gram), through the same route but with no vector
+    kept, so no residual checks them. cols is sorted and unique, 2 <= |J| <= rows, and x is
+    finite. gram, G[J, J] or None, is reduced in place and restored."""
+    s = _right_factors(x, np.empty(0, np.intp), gram, cols)[0]
+    return float(s[-1]), float(s[0])
 
 
 def operator_norm(x: np.ndarray) -> float:

@@ -1,12 +1,15 @@
 """Certificate soundness, cutoff algebra, heavy-entry census."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import svlab.certificates as certificates
+from svlab import _lapack
 from svlab.certificates import (
     census_cutoff,
     certificate_cutoff,
@@ -98,6 +101,22 @@ class TestSmallColumns:
             small_column_set(np.ones((2, 2)), 0.0)
 
 
+class TestNonFiniteScans:
+    """small_column_set and heavy_census reject a non-finite X from the reductions they make:
+    the column extremes, and the max of each block of |X|."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (7, 1), (19, 2)])
+    def test_nonfinite_raises(self, monkeypatch, bad, where):
+        monkeypatch.setattr(certificates, "_CENSUS_BLOCK", 8)  # heavy_census takes |X| 2 rows at a time
+        x = np.ones((20, 3))
+        x[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            small_column_set(x, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            heavy_census(x, 0.1)
+
+
 def _near_cutoff(data, rows, cols, t):
     """A rows x cols matrix of +-0.0, exactly +-t, their neighbours and other values."""
     edge = [0.0, -0.0, t, -t, *(s * np.nextafter(t, e) for s in (1.0, -1.0) for e in (0.0, math.inf))]
@@ -118,6 +137,9 @@ class TestAbsFreeScans:
         t = census_cutoff(rows, c)
         x = _near_cutoff(data, rows, cols, t)
         assert heavy_census(x, c) == np.count_nonzero(np.abs(x) > t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certificates, "_CENSUS_BLOCK", 7)  # blocks of max(1, 7 // cols) rows
+            assert heavy_census(x, c) == np.count_nonzero(np.abs(x) > t)
 
 
 class TestUpperCertificate:
@@ -171,12 +193,10 @@ class TestAllColumnsMinor:
 
     @pytest.fixture
     def no_minor_svd(self, monkeypatch):
-        import svlab.certificates as certificates
-
         def unreachable(*args, **kwargs):
-            raise AssertionError("full_svd called on the minor")
+            raise AssertionError("the minor was decomposed")
 
-        monkeypatch.setattr(certificates, "full_svd", unreachable)
+        monkeypatch.setattr(certificates, "_minor_extremes", unreachable)
 
     def test_extremes_are_observed(self, no_minor_svd):
         x = np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 1.5], [0.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
@@ -189,7 +209,7 @@ class TestAllColumnsMinor:
 
     def test_sweep_cell_matches_explicit_minor(self, minor_svds):
         # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff;
-        # trial 0 drops one, and its minor takes one full_svd given G[J, J].
+        # trial 0 drops one, and its minor's values come from G[J, J].
         config = SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=2,
                              base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
         for trial, exact in [(1, True), (0, False)]:
@@ -210,16 +230,16 @@ class TestAllColumnsMinor:
 
 @pytest.fixture
 def minor_svds(monkeypatch):
-    """Records the full_svd calls upper_certificate makes on a minor: shape, and whether a gram was passed."""
-    import svlab.certificates as certificates
-
+    """Records the decompositions upper_certificate makes of a minor: its shape, and whether
+    G[J, J] was passed."""
     calls = []
+    real = certificates._minor_extremes
 
-    def counting(x, k_bottom=1, gram=None):
-        calls.append((x.shape, gram is not None))
-        return full_svd(x, k_bottom=k_bottom, gram=gram)
+    def counting(x, cols, gram):
+        calls.append(((x.shape[0], cols.size), gram is not None))
+        return real(x, cols, gram)
 
-    monkeypatch.setattr(certificates, "full_svd", counting)
+    monkeypatch.setattr(certificates, "_minor_extremes", counting)
     return calls
 
 
@@ -292,10 +312,110 @@ class TestGramMinor:
         assert full_svd(x[:, cols], gram=res.gram[np.ix_(cols, cols)]).method == "gram"
         bad = res.gram.copy()
         bad[3, 3] *= 1.5  # one entry; the eigenvalues still pass the rule
-        # The checks run against X, so a G that is not X^T X fails the eigh fallback too.
+        # full_svd checks its kept vectors against X, so a G that is not X^T X fails the
+        # eigh fallback too. The certificate keeps no vector of the minor, so nothing checks
+        # its values against X: it trusts spectrum.gram as full_svd returned it.
         with pytest.raises(SpectralError, match="^residual"):
-            upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
+            full_svd(x[:, cols], gram=bad[np.ix_(cols, cols)])
+        rep = upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
         assert minor_svds == [((40, 9), True)]
+        assert rep.minor_smin == float(np.sqrt(np.linalg.eigvalsh(bad[np.ix_(cols, cols)])[0]))
+
+
+class TestValuesOnlyMinor:
+    """A partial minor's s_min and s_top come from G[J, J] with no vector kept, bit for bit
+    what full_svd of X_J reports, and X_J is copied only where its route reads it."""
+
+    @staticmethod
+    def _trial(alpha, n, seed=11):
+        law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha, normalize_variance=alpha > 2.0)
+        x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
+        tau, _ = certificate_cutoff(x.shape[0], alpha, law.tail_bounds.c_upper)
+        return x, tau
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_matches_full_svd_of_minor(self, alpha, n):
+        # alpha = 0.3 and 0.8 put X itself on the R route or the enclosure, so spectrum.gram
+        # is None on some of them; the minor then forms its own G from X_J, as full_svd does.
+        x, tau = self._trial(alpha, n)
+        res = full_svd(x)
+        for spectrum in (res, dataclasses.replace(res, gram=None)):
+            rep = upper_certificate(x, tau, spectrum)
+            cols = np.asarray(rep.columns)
+            if not 2 <= cols.size < n:
+                continue
+            gram = None if spectrum.gram is None else spectrum.gram[np.ix_(cols, cols)]
+            ref = full_svd(np.take(x, cols, axis=1), gram=gram)
+            assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+            assert rep.certified_upper == rep.minor_smin
+        if alpha > 2.0:
+            assert res.method == "gram" and 2 <= upper_certificate(x, tau, res).column_count < n
+
+    def test_rule_path_copies_no_minor(self):
+        # G[J, J] passes the rule, so no step reads X_J: the call holds G[J, J] (made by
+        # the caller), dsytrd's m * nb workspace, the m x 64 panels that restore G[J, J]
+        # and vectors of length m, and never an N x m array.
+        x, tau = self._trial(3.0, 400)
+        res = full_svd(x)
+        cols = small_column_set(x, tau)
+        m, rows = cols.size, x.shape[0]
+        gram = res.gram[np.ix_(cols, cols)]
+        before = gram.copy()
+        w = np.linalg.eigvalsh(gram)
+        assert np.finfo(float).eps * w[-1] <= 1e-8 * w[0] and 2 <= m < x.shape[1]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = certificates._minor_extremes(x, cols, gram)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * 256 < 8 * rows * m
+        assert np.array_equal(gram, before)  # reduced in place, then restored
+        ref = full_svd(np.take(x, cols, axis=1), gram=before)
+        assert got == (ref.s_min, ref.s_top)
+
+    @staticmethod
+    def _lapack_calls(monkeypatch):
+        calls = []
+        real_call = _lapack._call
+        monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        return calls
+
+    def test_enclosed_minor_keeps_no_vector(self, monkeypatch, minor_svds):
+        # The minor is the first four columns, rotated so their norms agree (the diagonal
+        # passes the rule) with singular values 5, 3, 2 and 1e-4 (its eigenvalues fail it);
+        # column 4 exceeds tau. The enclosure proves the minor's s_min from bottom vector 1
+        # alone, after one reduction of G[J, J]: no other vector is back-transformed.
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        x = np.zeros((7, 5))
+        x[:4, :4] = np.diag([5.0, 3.0, 2.0, 1e-4]) @ h
+        x[6, 4] = 100.0
+        gram = x.T @ x
+        ref = full_svd(x[:, :4], gram=gram[:4, :4])
+        assert ref.method == "gram"
+        calls = self._lapack_calls(monkeypatch)
+        rep = upper_certificate(x, 10.0, dataclasses.replace(full_svd(x), gram=gram))
+        assert minor_svds == [((7, 4), True)]
+        assert calls[-7:] == ["dsytrd", "dsytrd", "dsterf", "dstein", "dormtr", "dpotrf", "dpotrf"]
+        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+
+    def test_rule_failing_minor_reaches_r_route(self, monkeypatch, minor_svds):
+        # Columns 0 and 1 differ by 1e-7: G[J, J] is reduced once, its eigenvalues fail the
+        # rule and the enclosure rejects it, so the R route decomposes the copy of X_J.
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(-1, 1, (2, 10))
+        x = np.column_stack([a, a + 1e-7 * b, 50.0 + rng.uniform(0, 1, 10)])
+        gram = x.T @ x
+        ref = full_svd(x[:, :2], gram=gram[:2, :2])
+        assert ref.method == "gesdd"
+        spectrum = dataclasses.replace(full_svd(x), gram=gram)
+        calls = self._lapack_calls(monkeypatch)
+        rep = upper_certificate(x, 10.0, spectrum)
+        assert minor_svds == [((10, 2), True)]
+        assert calls.count("dsytrd") == 2 and "dgeqrf" in calls
+        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
 
 
 class TestHeavyCensus:

@@ -68,12 +68,18 @@ class TestForeignMemory:
     @pytest.mark.parametrize("n", [2, 3, 5, 40])
     @pytest.mark.parametrize("kernel", ["tridiagonal", "bidiagonal"])
     def test_no_write_past_bounds(self, padded, kernel, n, kind):
-        # bidiagonal takes a square x here, so R fills its whole copy.
-        a = _inputs(n)[kind]
-        values, vector = getattr(_lapack, kernel)(a)
+        # bidiagonal takes a square x here, so R fills its whole copy. tridiagonal
+        # reduces g in g's own storage, a padded buffer here too, and restore() must
+        # then give g back bit for bit.
+        a = _lapack._copy(_inputs(n)[kind])
+        before = a.copy()
+        values, vector, *restore = getattr(_lapack, kernel)(a)
         assert np.all(np.isfinite(values))
         for p in range(n):
             vector(p)  # None is allowed; writing past an array is not
+        for r in restore:
+            r()
+        assert np.array_equal(a, before)
         assert len(padded) > 10
 
     @pytest.mark.parametrize("kind", ["zero", "identity", "rank_one"])
@@ -147,6 +153,23 @@ def test_cholesky_decides_and_restores_g():
 
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
+def test_tridiagonal_reduces_and_restores_g():
+    # At n = 600 dsytrd runs blocked (dlatrd panels, then dsyr2k on the trailing lower
+    # triangle), on several threads where OpenBLAS has them. It must leave g's strict
+    # upper triangle alone, so that restore() gives g back bit for bit, and its values
+    # must be eigvalsh's bit for bit, as they were when it reduced a copy of g.
+    g = _lapack.gram(np.random.default_rng(3).standard_normal((700, 600)))
+    before = g.copy()
+    w, vector, restore = _lapack.tridiagonal(g)
+    assert not np.array_equal(g, before)  # the reduction ran in g
+    u = vector(0)
+    restore()
+    assert np.array_equal(g, before)
+    assert np.array_equal(w, np.linalg.eigvalsh(before))
+    assert np.linalg.norm(before @ u - w[0] * u) <= 1e-10 * w[-1]
+
+
+@pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
 @pytest.mark.parametrize("aspect", [1.2, 3.0])
 def test_r_route_holds_one_copy_of_x(aspect):
     # The R route copies X once and factors it in place; what it allocates on top
@@ -176,16 +199,19 @@ def test_r_route_holds_one_copy_of_x(aspect):
 
 
 @pytest.mark.skipif(not _lapack.available(), reason="numpy's LAPACK symbols are not exported")
-def test_enclosure_holds_two_gram_sized_arrays():
-    # The enclosure keeps G (returned on the result) and its reduced copy, and each
-    # Cholesky runs in G's own lower triangle; the rest is dsytrd's n * nb workspace,
-    # the n x 64 panels G's lower triangle is filled with, the 64-row blocks of |X|
-    # and vectors of length N or n.
+@pytest.mark.parametrize("alpha, rule", [(0.8, False), (3.0, True)], ids=["enclosure", "rule"])
+def test_gram_route_holds_one_gram_sized_array(alpha, rule):
+    # The gram route keeps G (returned on the result) and nothing else of its size:
+    # dsytrd reduces G in its own lower triangle and G is restored from its upper one,
+    # and each Cholesky of the enclosure runs in the restored G the same way. The rest
+    # is dsytrd's n * nb workspace, the n x 64 panels G's lower triangle is filled
+    # with, the 64-row blocks of |X|, and vectors of length N or n.
     n = 400
-    x = _matrix(0.8, n=n, seed=4)
-    assert full_svd(x, k_bottom=2).method == "gram"
+    x = _matrix(alpha, n=n, seed=4)
+    res = full_svd(x, k_bottom=2)
+    assert res.method == "gram" and np.array_equal(res.gram, x.T @ x)
     w = np.linalg.eigvalsh(x.T @ x)
-    assert np.finfo(float).eps * w[-1] > 1e-8 * w[0]  # the rule fails: the enclosure ran
+    assert (np.finfo(float).eps * w[-1] <= 1e-8 * w[0]) == rule  # else the enclosure ran
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -193,7 +219,7 @@ def test_enclosure_holds_two_gram_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert 2 * 8 * n * n < peak <= 2 * 8 * n * n + 8 * n * 256
+    assert 8 * n * n < peak <= 8 * n * n + 8 * n * 256
 
 
 def test_routes_agree_without_symbols(monkeypatch):

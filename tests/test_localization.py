@@ -12,6 +12,7 @@ from svlab.localization import (
     cardinality_bound,
     ipr,
     localization_report,
+    localization_reports,
     min_mass_profile,
     subset_mass,
     threshold_set,
@@ -207,3 +208,24 @@ class TestReport:
         assert rep.cardinality_bound == cardinality_bound(0.5, 64)
         assert rep.min_mass_profile == min_mass_profile(u, [0.1, 0.2])
         assert rep.ipr == ipr(u)
+
+    # Entries from a few magnitudes, so |u_i| ties often, and a c grid that may repeat a value.
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 3.0]), min_size=3, max_size=40),
+        st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=6),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_grid_matches_one_c_at_a_time(self, vals, c_grid, epsilons, degenerate):
+        u = _as_unit(np.asarray(vals))
+        assume(all(math.ceil((1.0 - e) * u.size - 1e-9) >= 1 for e in epsilons))
+        reports = localization_reports(u, c_grid, epsilons, degenerate)
+        assert reports == [localization_report(u, c, epsilons, degenerate) for c in c_grid]
+        for c, rep in zip(c_grid, reports):  # and the primitives, each computed on its own
+            idx = threshold_set(u, c)
+            assert rep.threshold_indices == idx.tolist() and rep.c_threshold == c
+            assert rep.threshold_mass == subset_mass(u, idx) ** 2
+            assert rep.cardinality_bound == cardinality_bound(c, u.size)
+            assert rep.min_mass_profile == min_mass_profile(u, epsilons)
+            assert rep.ipr == ipr(u) and rep.degenerate is degenerate and rep.n == u.size
+        assert len({id(rep.min_mass_profile) for rep in reports}) == len(reports)

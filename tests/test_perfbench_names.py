@@ -58,6 +58,8 @@ def test_hooks_record_the_certificate_spans(monkeypatch, tmp_path, capsys):
     for cert in certs:
         assert cert.attrs["cols"] == 24 and cert.attrs["column_count"] == rec.certificate["column_count"]
     assert len(by_name["spectra.full_svd.x"]) == 2
-    minors = by_name["spectra.full_svd.minor"]
-    assert len(minors) == 2
-    assert all(tracer.spans[m.parent].name == "certificates.upper_certificate" for m in minors)
+    # The minor's s_min and s_top come from a values-only decomposition that is not
+    # full_svd, so its time is the certificate's self time and no minor span is
+    # recorded; likewise each vector's reports come from localization_reports.
+    assert "spectra.full_svd.minor" not in by_name
+    assert "localization.localization_report" not in by_name

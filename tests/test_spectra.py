@@ -57,6 +57,18 @@ def _enclosed_matrix(n=200, seed=4):
     return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
 
 
+def _enclose(x, floor_proven=False):
+    """The enclosure as the gram route runs it on X's own G: its plan from the kernel's bottom
+    vector while G holds the reduction, then the proof once G is restored."""
+    g = _lapack.gram(x)
+    terms = spectra._floor_terms(g, x.shape[0])
+    w, vector, restore = _lapack.tridiagonal(g)
+    u = vector(0)
+    restore()
+    plan = spectra._enclosure_plan(x, w, u, terms)
+    return None if plan is None else spectra._enclosure(x, g, terms, plan, floor_proven)
+
+
 def _fails_rule(x):
     w = np.linalg.eigvalsh(x.T @ x)
     return not (w[0] > 0 and np.finfo(float).eps * w[-1] <= GRAM_COND_LIMIT * w[0])
@@ -67,8 +79,8 @@ def _spy_vectors(monkeypatch, kernel, change):
     real = getattr(_lapack, kernel)
 
     def spied(a):
-        values, vector = real(a)
-        return values, lambda p: change(p, vector(p))
+        values, vector, *restore = real(a)  # tridiagonal also returns its restore()
+        return values, lambda p: change(p, vector(p)), *restore
 
     monkeypatch.setattr(_lapack, kernel, spied)
 
@@ -395,10 +407,12 @@ class TestRoute:
         return res, calls[5:]
 
     def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
-        # s_min's neighbour is 2, so the enclosure proves it: a Cholesky for the
-        # floor and one for the gap, then the top vector, and no QR.
+        # s_min's neighbour is 2, so the enclosure proves it, and no QR runs. Once its
+        # checks that need no Cholesky pass, the top vector is back-transformed while G
+        # holds its reflectors; then G is restored, and the Choleskys for the floor and
+        # the gap run in it.
         res, rest = self._equal_norm_calls(monkeypatch, 2.0)
-        assert rest == ["dpotrf", "dpotrf", "dstein", "dormtr"]
+        assert rest == ["dstein", "dormtr", "dpotrf", "dpotrf"]
         assert res.method == "gram"
 
     def test_equal_column_norms_near_tie_takes_r_route(self, monkeypatch):
@@ -521,6 +535,68 @@ class TestShiftedSolves:
             gap = min(gaps[j - 1] if j > 0 else math.inf, gaps[j] if j < n - 1 else math.inf)
             ref = v[:, j] * np.sign(v[:, j] @ u)
             assert np.linalg.norm(u - ref) <= 1e-8 * top2 / gap
+
+
+def _near_tie_matrix():
+    """Equal column norms (the diagonal passes the rule), eigenvalues that fail it, and a planted
+    near-tie above s_min, so G is reduced and the enclosure then rejects it before any Cholesky."""
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    return np.vstack([np.diag([5.0, 3.0, 1e-4 * (1.0 + 2e-12), 1e-4]) @ h, np.zeros((2, 4))])
+
+
+class TestGramRestored:
+    """The gram route reduces G in its own storage; every exit gives it back bit for bit."""
+
+    @staticmethod
+    def _failing(monkeypatch, routine):
+        # routine runs, then reports failure, so it has written in G first.
+        real_call = _lapack._call
+
+        def call(name, *args):
+            info = real_call(name, *args)
+            query = isinstance(args[-1], int) and args[-1] == -1
+            return 1 if name == routine and not query else info
+
+        monkeypatch.setattr(_lapack, "_call", call)
+
+    @pytest.mark.parametrize("exit_, method", [
+        ("rule", "gram"), ("enclosure", "gram"), ("refinement", "gram"), ("floor", "gesdd"),
+        ("near_tie", "gesdd"), ("dsytrd", "gram"), ("dsterf", "gram"), ("no_symbols", "gram"),
+    ])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_every_exit_restores_g(self, monkeypatch, exit_, method, given):
+        pareto = {"enclosure": 0.8, "refinement": 0.5}
+        if exit_ in pareto:
+            law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=pareto[exit_])
+            x = sample_matrix(EnsembleConfig(n=40, aspect=2.0, law=law, seed=1))
+        elif exit_ == "floor":
+            x = _r_route_matrix()
+        elif exit_ == "near_tie":
+            x = _near_tie_matrix()
+        else:
+            x = TestShiftedSolves._x(n=40, seed=2)
+        if exit_ in ("dsytrd", "dsterf"):
+            self._failing(monkeypatch, exit_)
+        if exit_ == "no_symbols":
+            monkeypatch.setattr(_lapack, "_lib", {})
+        calls, grams = [], []
+        real_call, real_gram = _lapack._call, _lapack.gram
+        monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        monkeypatch.setattr(_lapack, "gram", lambda *args: grams.append(real_gram(*args)) or grams[-1])
+        assert _fails_rule(x) == (exit_ in ("enclosure", "refinement", "floor", "near_tie"))
+        exact = x.T @ x
+        caller = exact.copy()
+        res = full_svd(x, k_bottom=2, gram=caller if given else None)
+        assert res.method == method
+        assert len(grams) == 1 and np.array_equal(grams[0], exact)  # one G, and it came back
+        assert np.array_equal(caller, exact)
+        if method == "gram":
+            assert res.gram is grams[0]
+        else:
+            assert res.gram is None
+        routes = {"refinement": "dpotrs", "floor": "dgeqrf", "near_tie": "dgeqrf"}
+        assert exit_ not in routes or routes[exit_] in calls
+        assert (exit_ == "floor") == ("dsytrd" not in calls and _lapack.available())
 
 
 class TestGivenGram:
@@ -666,9 +742,7 @@ class TestEnclosure:
         mpmath = pytest.importorskip("mpmath")
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
         x = sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
-        g = _lapack.gram(x)
-        w, vector = _lapack.tridiagonal(g)
-        found = spectra._enclosure(x, g, w, vector(0), False)
+        found = _enclose(x)
         assume(found is not None)
         lo, hi, rho, u = found
         assert lo <= rho <= hi and np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
@@ -684,9 +758,8 @@ class TestEnclosure:
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((12, 6)))
         x = q * np.array([1e5, 7.0, 5.0, 3.0, 1.0 + 1e-12, 1.0])
         g = _lapack.gram(x)
-        assert spectra._floor_holds(g, x.shape[0])
-        w, vector = _lapack.tridiagonal(g)
-        assert spectra._enclosure(x, g, w, vector(0), True) is None
+        assert spectra._floor_holds(g, spectra._floor_terms(g, x.shape[0]))
+        assert _enclose(x, floor_proven=True) is None
         res = full_svd(x)
         assert res.method == "gesdd"
         assert res.s_min == pytest.approx(1.0, rel=1e-12)
