@@ -42,9 +42,9 @@ this route, but writes past its bounds on rank-deficient input, so is not called
   diag(shift) + lift lift^T, S = diag(scale), positive definite in
   floating point. The matrix is built in g's own lower triangle from its
   upper one, a block of columns at a time, and g is restored the same way
-  afterwards, so no other n x n array is made; ``gram`` makes X^T X, or
-  copies a caller's, in a buffer that these kernels may take. ``spectra``
-  turns a success into a proof.
+  afterwards, so no other n x n array is made; ``gram`` makes X^T X in a
+  buffer that these kernels may take. ``spectra`` turns a success into a
+  proof.
   ``cholesky_solve(g, scale, shift, b)`` solves with that factor (dpotrs)
   before g is restored.
 
@@ -265,11 +265,9 @@ def bidiagonal(x: np.ndarray):
     return s, vector
 
 
-def gram(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """X^T X in a buffer from _array, which tridiagonal and cholesky may write: a copy of g where
-    the caller holds it, else formed bit for bit as numpy's x.T @ x (one syrk, so exactly symmetric)."""
-    if g is not None:
-        return _copy(g)
+def gram(x: np.ndarray) -> np.ndarray:
+    """X^T X in a buffer from _array, which tridiagonal and cholesky may write, formed bit for bit
+    as numpy's x.T @ x (one syrk, so exactly symmetric)."""
     n = x.shape[1]
     return np.matmul(x.T, x, out=_array(n * n).reshape((n, n)))
 

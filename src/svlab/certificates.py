@@ -49,8 +49,8 @@ class CertificateReport:
 
     minor_op_norm and minor_smin are X_J's extremes: the column length when
     |J| = 1, X's own s_top and s_min when J is every column, and otherwise
-    the values full_svd of X_J would report (given G[J, J] as its gram where
-    X's G is known), computed without its vectors. certified_upper is minor_smin.
+    the values full_svd's routes give, with no vector kept, on G[J, J] where
+    X's G is known and on X_J^T X_J where not. certified_upper is minor_smin.
     observed_smin is X's s_min as the caller decomposed it. valid means the
     bound is sound against it up to CERT_SLACK * s_top; with no qualifying
     columns the bound is vacuous (+inf), valid False.
@@ -149,25 +149,32 @@ def small_column_set(x: np.ndarray, tau: float) -> np.ndarray:
 def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> CertificateReport:
     """Certified upper bound on s_min(X) from the small-column minor.
 
-    spectrum is the caller's verified full_svd of X; X itself is never
-    decomposed here. Both extremes of X_J come from one place: the column
-    length when |J| = 1, spectrum's s_min and s_top when J holds every
-    column, since X_J is then X, and otherwise one values-only decomposition
-    of X_J, bit for bit full_svd's s_min and s_top of it. That takes G[J, J]
-    exactly when X took the gram route (spectrum.gram is set), and picks its
-    own route from it. X is checked for finite entries once, by small_column_set.
+    spectrum must be full_svd's own result for this X; X itself is never
+    decomposed here. ValueError where its shapes do not fit X: n values, and
+    an n x n gram where one is set. Its content is not checked against X
+    (diag(G[J, J]) against X_J's column norms would cost a pass over X).
+    Both extremes of X_J come from one place: the column length when |J| =
+    1, spectrum's s_min and s_top when J holds every column, since X_J is
+    then X, and otherwise one values-only decomposition of X_J through
+    full_svd's routes. That takes G[J, J] exactly when X took the gram route
+    (spectrum.gram is set), and picks its own route from it. X is checked for
+    finite entries once, by small_column_set.
     Soundness checked: certified_upper >= s_min - CERT_SLACK * s_top.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = small_column_set(x, tau)
+    n, gram = x.shape[1], spectrum.gram
+    if spectrum.singular_values.size != n or (gram is not None and np.shape(gram) != (n, n)):
+        raise ValueError(f"spectrum has {spectrum.singular_values.size} values and a gram of shape "
+                         f"{np.shape(gram)}, not full_svd's of an X with {n} columns")
     if cols.size == 0:
         norm_xj = smin_xj = math.inf
     elif cols.size == 1:  # single column: both extremes equal its length
         norm_xj = smin_xj = float(np.linalg.norm(x[:, cols]))
-    elif cols.size == x.shape[1]:  # X_J is X, already decomposed by the caller
+    elif cols.size == n:  # X_J is X, already decomposed by the caller
         norm_xj, smin_xj = spectrum.s_top, spectrum.s_min
     else:  # cols is sorted, unique and in range
-        g = None if spectrum.gram is None else spectrum.gram[np.ix_(cols, cols)]
+        g = None if gram is None else gram[np.ix_(cols, cols)]
         smin_xj, norm_xj = _minor_extremes(x, cols, g)
     return CertificateReport(
         tau=float(tau),

@@ -24,6 +24,7 @@ from .experiments import (
     KthVectorRow,
     SweepConfig,
     TransitionRow,
+    _localization_entries,
     baiyin_check,
     bracket_check,
     fit_scaling,
@@ -37,7 +38,7 @@ from .experiments import (
     write_records,
     write_summary,
 )
-from .localization import localization_report, localization_reports  # noqa: F401 (perfbench wraps it here)
+from .localization import localization_report  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError, load_matrix, save_matrix, save_matrix_csv
 from .spectra import SpectralError, full_svd
 from .svgplot import line_chart, vector_profile
@@ -144,11 +145,8 @@ def cmd_localize(args) -> int:
         "out": str(args.out) if args.out else None,
         "plot": str(args.plot) if args.plot else None,
     }
-    lines = [
-        json.dumps({"k": k, "c": c, **dataclasses.asdict(rep)}, separators=(",", ":"))
-        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
-        for c, rep in zip(args.c_grid, localization_reports(u, args.c_grid, args.epsilons, flag))
-    ]
+    entries = _localization_entries(res, args.c_grid, args.epsilons)
+    lines = [json.dumps(entry, separators=(",", ":")) for entry in entries]
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
         print(json.dumps(config))

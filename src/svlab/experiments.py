@@ -32,7 +32,7 @@ from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from .localization import localization_report, localization_reports  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError
-from .spectra import full_svd
+from .spectra import SpectralResult, full_svd
 
 __all__ = [
     "SweepConfig",
@@ -218,6 +218,16 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
+def _localization_entries(res: SpectralResult, c_grid, epsilons) -> list[dict]:
+    """{"k": k, "c": c, **report} for each kept bottom vector k of res and each c in c_grid, in
+    that order: a trial record's localization, and the lines svlab localize prints."""
+    return [
+        {"k": k, "c": c, **_fields(rep)}
+        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
+        for c, rep in zip(c_grid, localization_reports(u, c_grid, epsilons, flag))
+    ]
+
+
 def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> TrialRecord:
     alpha, n, trial_index = float(alpha), int(n), int(trial_index)
     law = config.law_for(alpha)
@@ -226,12 +236,6 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
     )
     x = sample_matrix(EnsembleConfig(n=n, aspect=config.aspect, law=law, seed=seed))
     res = full_svd(x, k_bottom=config.k_vectors)
-
-    reports = [
-        {"k": k, "c": c, **_fields(rep)}
-        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
-        for c, rep in zip(config.c_grid, localization_reports(u, config.c_grid, config.epsilons, flag))
-    ]
 
     bounds = law.tail_bounds
     tau, note = certificate_cutoff(
@@ -252,7 +256,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         kth_values=res.singular_values[::-1][:config.k_vectors].tolist(),
         degenerate_flags=res.degenerate_flags,
         bottom_vectors=res.bottom_right_vectors.tolist(),
-        localization=reports,
+        localization=_localization_entries(res, config.c_grid, config.epsilons),
         certificate=_fields(cert),
         heavy_count=heavy_census(x, config.census_c),
         census_c=config.census_c,

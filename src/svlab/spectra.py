@@ -29,8 +29,8 @@ triangle and restore it), the N x n copy of X on the gesdd route, plus O(n)
 vectors and LAPACK's blocked workspaces of O((N + n) * nb) doubles. A
 matrix that tries the gram route and ends on the gesdd route releases G
 before the N x n copy is made, so such a call peaks at max(N n, n^2)
-doubles over X. A caller's G (below) is copied once, and the copy is what
-the route writes in and returns.
+doubles over X. The route forms G itself; the only G a caller brings is a
+column minor's G[J, J] (below), which the route writes in and restores.
 
 Either route falls back to numpy's public call on its matrix, ``eigh`` of
 G or gesdd of R (``np.linalg.svd`` of ``np.linalg.qr(x, mode="r")``, which
@@ -55,9 +55,10 @@ when 0 < lambda_min and eps * lambda_max <= GRAM_COND_LIMIT * lambda_min.
 That keeps the relative error of s_min near GRAM_COND_LIMIT / 2 at worst,
 and its absolute error near sqrt(eps * GRAM_COND_LIMIT) / 2 * s_1, about
 7e-13 * s_1. The rule is applied twice: first to diag(G), the squared
-column norms, which lie in [lambda_min, lambda_max], so a diagonal that
-fails proves the eigenvalues fail without an eigensolve; then to the
-eigenvalues themselves. A matrix that passes takes the gram route as above.
+column norms, read from G before it is reduced; they lie in [lambda_min,
+lambda_max], so a diagonal that fails proves the eigenvalues fail without
+an eigensolve. Then it is applied to the eigenvalues themselves. A matrix
+that passes takes the gram route as above.
 
 The enclosure. A matrix that fails the rule (at its diagonal or at its
 eigenvalues) still takes the gram route where one matrix-specific proof
@@ -115,10 +116,10 @@ section 3.1):
   that matrix > -delta >= -(delta / floor) G_s, so G + b' v v^T - b' I is
   positive definite for some v and b' = b (1 - eps) / (1 + delta / floor);
   by rank-one interlacing, lambda_2(G) >= lambda_min(G + b' v v^T) > b'.
-  The proof is checked for b' > hi and a predicted width within the limit
-  (next bullet) before the kernel's other kept vectors are back-transformed,
-  and those before either Cholesky runs, since the Choleskys need G
-  restored and the vectors need its reflectors.
+  The order follows from what each step reads. The kernel's kept vectors
+  are back-transformed first, since they need G's reflectors. Then G is
+  restored, and b' > hi and a predicted width within the limit (next bullet)
+  are checked. Only then does either Cholesky run, since both need G restored.
 * Refinement. Where hi - lo is above the limit, at most two inverse-iteration
   steps with the Cholesky factor of S (G - sigma I) S, sigma = lo (1 - 2 delta
   / floor) just below lambda_min, replace u and recompute every term. Each
@@ -136,13 +137,12 @@ within 2.5e-8 at alpha = 0.8 and 1.2e-11 at alpha = 1.2, and within 2.7e-7
 (n = 400) and 3.9e-5 (n = 800, on a trial that took a refinement step) at
 alpha = 0.5. On the R route they carry about eps * kappa_j.
 
-A caller that already holds X^T X passes it as full_svd's gram, which then
-stands in for forming G and for the column-norm pass; a column minor X_J
-takes G[J, J], which is exactly X_J^T X_J. ``svlab.certificates`` needs
-only a minor's s_min and s_top, so it takes them from ``_minor_extremes``,
-which runs the same routes on G[J, J] with no vector kept: it reduces
-G[J, J] in place and copies X_J only where the enclosure or the R route
-reads it.
+full_svd always forms its own G. ``svlab.certificates`` needs only a
+column minor X_J's s_min and s_top, so it takes them from
+``_minor_extremes``, which runs the same routes with no vector kept on
+G[J, J] of X's G. That is X_J^T X_J in exact arithmetic, though not always
+bit for bit fl(X_J^T X_J), which sums in another order. It reduces G[J, J]
+in place and copies X_J only where the enclosure or the R route reads it.
 
 Whichever route ran, this module also owns a deterministic sign
 convention, near-degeneracy flags, and the operator norm.
@@ -200,8 +200,8 @@ class SpectralResult:
     the factors: "gram" (the eigenvalues of X^T X and its kept eigenvectors,
     or its eigh) or "gesdd" (the SVD of X's R factor: its bidiagonal
     reduction, or gesdd itself).
-    gram is X^T X on the gram route and None on the gesdd route; a caller
-    passes its principal submatrices on as a column minor's gram. It is left
+    gram is X^T X on the gram route and None on the gesdd route;
+    upper_certificate takes a column minor's G[J, J] from it. It is left
     out of repr and equality.
     """
 
@@ -331,11 +331,17 @@ def _kato_temple(terms, gap: float):
     return rho_lo, hi, rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
 
 
-def _enclosure_plan(x: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_terms):
-    """Every check of the enclosure that needs no Cholesky, run on the kernel's bottom vector u with
-    w the eigenvalues of g = fl(X^T X) and floor_terms its _floor_terms: the gap b' between w_1 and
-    w_2, and the prediction that two refinement steps would meet the limit. The plan that
-    _enclosure proves, or None where a check fails."""
+def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_terms,
+               floor_proven: bool):
+    """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
+    returned unit u, started from the kernel's bottom vector u, with w the eigenvalues of g =
+    fl(X^T X), which _lapack.cholesky may write, and floor_terms its _floor_terms. Every check that
+    needs no Cholesky runs first: the gap b' between w_1 and w_2, and the prediction that two
+    refinement steps would meet the limit. Then come the floor's Cholesky (unless floor_proven says
+    it has run), the gap's, and at most two refinement steps. The enclosure may be wider than
+    GRAM_COND_LIMIT where refinement fell short of its prediction; None where a check or a proof
+    step fails, or u or floor_terms is None.
+    """
     if u is None or floor_terms is None:
         return None
     scale, _, floor, c = floor_terms
@@ -357,19 +363,8 @@ def _enclosure_plan(x: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_te
     sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
     q = (hi - sigma) / (gap - sigma)  # two steps shrink the residual by q^2 at best
     best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
-    return (terms, bounds, gap, slop, lift, shift) if hi <= (1.0 + GRAM_COND_LIMIT) * best else None
-
-
-def _enclosure(x: np.ndarray, g: np.ndarray, floor_terms, plan, floor_proven: bool):
-    """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
-    returned unit u, from _enclosure_plan's plan: the floor's Cholesky (unless floor_proven says it
-    has run), the gap's, and at most two refinement steps, in g = fl(X^T X), which _lapack.cholesky
-    may write. The enclosure may be wider than GRAM_COND_LIMIT where refinement fell short of its
-    prediction; None where a proof step fails.
-    """
-    scale = floor_terms[0]
-    terms, bounds, gap, slop, lift, shift = plan
-    if not ((floor_proven or _floor_holds(g, floor_terms)) and _lapack.cholesky(g, scale, shift, lift)):
+    if not (hi <= (1.0 + GRAM_COND_LIMIT) * best and (floor_proven or _floor_holds(g, floor_terms))
+            and _lapack.cholesky(g, scale, shift, lift)):
         return None
     for _ in range(2):
         _, hi, lo = bounds
@@ -386,36 +381,37 @@ def _enclosure(x: np.ndarray, g: np.ndarray, floor_terms, plan, floor_proven: bo
     return bounds[2], bounds[1], terms[1], terms[0]
 
 
-def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray, diagonal_resolves: bool):
+def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray):
     """(w, rows, residuals) from g = fl(X^T X) of an X with n_rows rows: w ascending, rows[j] the
     vector for w[picks[j]]; picks is empty (values only) or starts at 0. matrix() returns X, and
     only the enclosure and the vectors' checks call it. g is this call's own: it is reduced in
-    place and restored before any Cholesky runs in it. None where neither the GRAM_COND_LIMIT
-    rule nor the enclosure resolves s_min, or eigh does not converge."""
-    floor_terms = _floor_terms(g, n_rows)  # from g's diagonal, which the reduction overwrites
-    if not (diagonal_resolves or _floor_holds(g, floor_terms)):
+    place and restored before any Cholesky runs in it. None where a diagonal entry of g is zero
+    or not finite, neither the GRAM_COND_LIMIT rule nor the enclosure resolves s_min, or eigh
+    does not converge."""
+    d = np.diagonal(g)  # the squared column norms, which the reduction overwrites
+    if not (0.0 < d.min() and d.max() < math.inf):  # a zero column leaves s_min no relative enclosure
+        return None
+    resolves = _gram_resolves(d.max(), d.min())  # a diagonal that fails proves the eigenvalues fail
+    floor_terms = _floor_terms(g, n_rows)
+    if not (resolves or _floor_holds(g, floor_terms)):
         return None  # the rule has failed already, and the floor with it, before g is reduced
     reduced = _lapack.tridiagonal(g)
     try:
         if reduced is None:  # no kernel: eigh's values and vectors, and only the rule
             w, v = np.linalg.eigh(g)
-            if not (diagonal_resolves and _gram_resolves(w[-1], w[0])):
+            if not (resolves and _gram_resolves(w[-1], w[0])):
                 return None
             return (w, *_verified(matrix(), v[:, picks].T, w[picks], w[-1]))
         w, vector, restore = reduced
-        enclose = not (diagonal_resolves and _gram_resolves(w[-1], w[0]))
+        enclose = not (resolves and _gram_resolves(w[-1], w[0]))
         try:
-            # Bottom vector 1 first: the enclosure starts from it, and runs every check that
-            # needs no Cholesky before the other kept vectors are back-transformed.
+            # The enclosure starts from bottom vector 1, so it is computed even where none is kept.
             first = vector(0) if enclose or picks.size else None
-            plan = _enclosure_plan(matrix(), w, first, floor_terms) if enclose else None
-            if enclose and plan is None:
-                return None
             rest = [vector(p) for p in picks[1:]]
         finally:
             restore()  # g again, for the Choleskys, eigh and the caller
-        if enclose:
-            found = _enclosure(matrix(), g, floor_terms, plan, not diagonal_resolves)
+        if enclose:  # where the diagonal failed the rule, the floor was proven above
+            found = _enclosure(matrix(), g, w, first, floor_terms, not resolves)
             if found is None or not found[1] <= (1.0 + GRAM_COND_LIMIT) * found[0]:
                 return None
             w[0], first = found[2], found[3]
@@ -454,28 +450,25 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None,
                    cols: np.ndarray | None = None):
     """Descending singular values, the right vectors at ascending positions picks as rows,
     their residuals, the route and G on the gram route, of x or, where cols is given, of the
-    column minor X_J = x[:, cols], which is copied only where a step reads it. g is X^T X
-    (G[J, J] for the minor), which this call reduces in place and restores, or None.
-    SpectralError where the R route's fallback does not converge."""
+    column minor X_J = x[:, cols], which is copied only where a step reads it. g is G[J, J] for
+    the minor, which this call reduces in place and restores, or None, and then this call forms
+    X^T X itself. SpectralError where the R route's fallback does not converge."""
     # X_J is copied on first use and kept, so the enclosure's steps and the R route share one copy.
     matrix = (lambda: x) if cols is None else functools.cache(lambda: np.take(x, cols, axis=1))
-    d = np.einsum("ij,ij->j", matrix(), matrix()) if g is None else np.diagonal(g)  # diag(X^T X)
-    if 0.0 < d.min() and d.max() < math.inf:  # a zero column leaves s_min no relative enclosure
-        resolves = _gram_resolves(d.max(), d.min())
-        if g is None:
-            g = _lapack.gram(matrix())
-        found = _gram_factors(matrix, x.shape[0], g, picks, resolves)
-        if found is not None:
-            w, rows, residuals = found
-            return np.sqrt(w[::-1]), rows, residuals, "gram", g
-        del g  # release G before the R route's copy of X
+    if g is None:
+        g = _lapack.gram(matrix())
+    found = _gram_factors(matrix, x.shape[0], g, picks)
+    if found is not None:
+        w, rows, residuals = found
+        return np.sqrt(w[::-1]), rows, residuals, "gram", g
+    del g  # release G before the R route's copy of X
     try:
         return (*_r_factors(matrix(), picks), "gesdd", None)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
 
 
-def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -> SpectralResult:
+def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     """All singular values of X, keeping the bottom k right vectors and the top one.
 
     Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, or its
@@ -490,23 +483,15 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
     its vectors fail that check; SpectralError (with the worst residual
     attached) is raised where the fallback's vectors fail it too, or the
     backend fails to converge.
-
-    gram, when given, is X^T X as the caller already holds it (G[J, J] for
-    a column minor X_J); it replaces forming X^T X and its diagonal, while
-    every check still runs against X.
     """
     x = _validate_tall(x)
     n = x.shape[1]
     if not (1 <= k_bottom <= n):
         raise ValueError(f"k_bottom must be in [1, {n}], got {k_bottom}")
-    if gram is not None and np.shape(gram) != (n, n):
-        raise ValueError(f"gram must have shape {(n, n)}, got {np.shape(gram)}")
     # Ascending positions of the stored vectors: bottom 1..k, then the top,
     # which is bottom vector n itself when k = n.
     picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
-    if gram is not None:
-        gram = _lapack.gram(x, gram)  # the route reduces it in place
-    s, rows, residuals, method, gram = _right_factors(x, picks, gram)
+    s, rows, residuals, method, gram = _right_factors(x, picks, None)
 
     # Each row's largest-magnitude component made positive; argmax takes the lowest index on ties.
     lead = np.take_along_axis(rows, np.abs(rows).argmax(axis=1)[:, None], axis=1)
@@ -530,10 +515,10 @@ def full_svd(x: np.ndarray, k_bottom: int = 1, gram: np.ndarray | None = None) -
 
 
 def _minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray | None) -> tuple[float, float]:
-    """(s_min, s_top) of the column minor X_J = x[:, cols], bit for bit those of
-    full_svd(np.take(x, cols, axis=1), gram=gram), through the same route but with no vector
-    kept, so no residual checks them. cols is sorted and unique, 2 <= |J| <= rows, and x is
-    finite. gram, G[J, J] or None, is reduced in place and restored."""
+    """(s_min, s_top) of the column minor X_J = x[:, cols] through full_svd's routes with no
+    vector kept, so no residual checks them: on gram = G[J, J], which is reduced in place and
+    restored, or, where gram is None, on X_J^T X_J formed as full_svd forms it, and then bit
+    for bit full_svd's of X_J. cols is sorted and unique, 2 <= |J| <= rows, and x is finite."""
     s = _right_factors(x, np.empty(0, np.intp), gram, cols)[0]
     return float(s[-1]), float(s[0])
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import svlab.certificates as certificates
-from svlab import _lapack
+from svlab import _lapack, spectra
 from svlab.certificates import (
     census_cutoff,
     certificate_cutoff,
@@ -25,6 +25,17 @@ from svlab.spectra import SpectralError, full_svd
 
 def _certify(x, tau):
     return upper_certificate(x, tau, full_svd(x))
+
+
+def _minor_factors(x, cols, g_jj):
+    """(s, rows, residuals, route, G) of X_J = x[:, cols] through full_svd's routes on a copy of
+    g_jj = G[J, J], keeping bottom vector 1 and the top one as full_svd does. No value depends on
+    how many vectors are kept, so s is bit for bit the minor's values-only s. G[J, J] sliced from
+    X's G need not be bit for bit fl(X_J^T X_J), so full_svd of X_J, which forms its own, is no
+    reference for it."""
+    cols = np.asarray(cols)
+    picks = np.array([0, cols.size - 1])
+    return spectra._right_factors(np.take(x, cols, axis=1), picks, g_jj.copy())
 
 
 def _heavy(n, alpha, seed, aspect=2.0):
@@ -283,7 +294,7 @@ class TestGramMinor:
         a, b = rng.uniform(-1, 1, (2, 10))
         x = np.column_stack([a, a + 1e-7 * b, 50.0 + rng.uniform(0, 1, 10)])
         gram = x.T @ x
-        assert full_svd(x[:, :2], gram=gram[:2, :2]).method == "gesdd"
+        assert _minor_factors(x, [0, 1], gram[:2, :2])[3] == "gesdd"
         rep = self._certify_minor(x, 10.0, gram, minor_svds)
         ref = full_svd(x[:, rep.columns], k_bottom=1)
         assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
@@ -296,10 +307,10 @@ class TestGramMinor:
         res = full_svd(x)
         assert res.method == "gram"
         monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
-        minor = full_svd(x[:, :2], gram=res.gram[:2, :2], k_bottom=2)
-        assert minor.method == "gram"
-        assert minor.singular_values.tolist() == [4.0, 3.0]
-        assert minor.bottom_right_vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        s, rows, _, route, _ = _minor_factors(x, [0, 1], res.gram[:2, :2])
+        assert route == "gram"
+        assert s.tolist() == [4.0, 3.0]
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         rep = self._certify_minor(x, 5.0, res.gram, minor_svds)
         assert (rep.minor_smin, rep.minor_op_norm) == (3.0, 4.0)
 
@@ -309,14 +320,14 @@ class TestGramMinor:
         x[0, 9] = 100.0  # only column 9 exceeds tau
         res = full_svd(x)
         cols = np.arange(9)
-        assert full_svd(x[:, cols], gram=res.gram[np.ix_(cols, cols)]).method == "gram"
+        assert _minor_factors(x, cols, res.gram[np.ix_(cols, cols)])[3] == "gram"
         bad = res.gram.copy()
         bad[3, 3] *= 1.5  # one entry; the eigenvalues still pass the rule
-        # full_svd checks its kept vectors against X, so a G that is not X^T X fails the
-        # eigh fallback too. The certificate keeps no vector of the minor, so nothing checks
-        # its values against X: it trusts spectrum.gram as full_svd returned it.
+        # The routes check kept vectors against X, so a G that is not X^T X fails the eigh
+        # fallback too. The certificate keeps no vector of the minor, so nothing checks its
+        # values against X: it trusts spectrum.gram as full_svd returned it.
         with pytest.raises(SpectralError, match="^residual"):
-            full_svd(x[:, cols], gram=bad[np.ix_(cols, cols)])
+            _minor_factors(x, cols, bad[np.ix_(cols, cols)])
         rep = upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
         assert minor_svds == [((40, 9), True)]
         assert rep.minor_smin == float(np.sqrt(np.linalg.eigvalsh(bad[np.ix_(cols, cols)])[0]))
@@ -324,7 +335,8 @@ class TestGramMinor:
 
 class TestValuesOnlyMinor:
     """A partial minor's s_min and s_top come from G[J, J] with no vector kept, bit for bit
-    what full_svd of X_J reports, and X_J is copied only where its route reads it."""
+    what the same routes report with vectors kept, and X_J is copied only where its route
+    reads it."""
 
     @staticmethod
     def _trial(alpha, n, seed=11):
@@ -345,9 +357,11 @@ class TestValuesOnlyMinor:
             cols = np.asarray(rep.columns)
             if not 2 <= cols.size < n:
                 continue
-            gram = None if spectrum.gram is None else spectrum.gram[np.ix_(cols, cols)]
-            ref = full_svd(np.take(x, cols, axis=1), gram=gram)
-            assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+            if spectrum.gram is None:
+                ref = full_svd(np.take(x, cols, axis=1)).singular_values
+            else:
+                ref = _minor_factors(x, cols, spectrum.gram[np.ix_(cols, cols)])[0]
+            assert (rep.minor_smin, rep.minor_op_norm) == (ref[-1], ref[0])
             assert rep.certified_upper == rep.minor_smin
         if alpha > 2.0:
             assert res.method == "gram" and 2 <= upper_certificate(x, tau, res).column_count < n
@@ -373,8 +387,8 @@ class TestValuesOnlyMinor:
             tracemalloc.stop()
         assert peak <= 8 * m * 256 < 8 * rows * m
         assert np.array_equal(gram, before)  # reduced in place, then restored
-        ref = full_svd(np.take(x, cols, axis=1), gram=before)
-        assert got == (ref.s_min, ref.s_top)
+        s = _minor_factors(x, cols, before)[0]
+        assert got == (s[-1], s[0])
 
     @staticmethod
     def _lapack_calls(monkeypatch):
@@ -393,13 +407,13 @@ class TestValuesOnlyMinor:
         x[:4, :4] = np.diag([5.0, 3.0, 2.0, 1e-4]) @ h
         x[6, 4] = 100.0
         gram = x.T @ x
-        ref = full_svd(x[:, :4], gram=gram[:4, :4])
-        assert ref.method == "gram"
+        s, _, _, route, _ = _minor_factors(x, np.arange(4), gram[:4, :4])
+        assert route == "gram"
         calls = self._lapack_calls(monkeypatch)
         rep = upper_certificate(x, 10.0, dataclasses.replace(full_svd(x), gram=gram))
         assert minor_svds == [((7, 4), True)]
         assert calls[-7:] == ["dsytrd", "dsytrd", "dsterf", "dstein", "dormtr", "dpotrf", "dpotrf"]
-        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+        assert (rep.minor_smin, rep.minor_op_norm) == (s[-1], s[0])
 
     def test_rule_failing_minor_reaches_r_route(self, monkeypatch, minor_svds):
         # Columns 0 and 1 differ by 1e-7: G[J, J] is reduced once, its eigenvalues fail the
@@ -408,14 +422,14 @@ class TestValuesOnlyMinor:
         a, b = rng.uniform(-1, 1, (2, 10))
         x = np.column_stack([a, a + 1e-7 * b, 50.0 + rng.uniform(0, 1, 10)])
         gram = x.T @ x
-        ref = full_svd(x[:, :2], gram=gram[:2, :2])
-        assert ref.method == "gesdd"
+        s, _, _, route, _ = _minor_factors(x, [0, 1], gram[:2, :2])
+        assert route == "gesdd"
         spectrum = dataclasses.replace(full_svd(x), gram=gram)
         calls = self._lapack_calls(monkeypatch)
         rep = upper_certificate(x, 10.0, spectrum)
         assert minor_svds == [((10, 2), True)]
         assert calls.count("dsytrd") == 2 and "dgeqrf" in calls
-        assert (rep.minor_smin, rep.minor_op_norm) == (ref.s_min, ref.s_top)
+        assert (rep.minor_smin, rep.minor_op_norm) == (s[-1], s[0])
 
 
 class TestHeavyCensus:

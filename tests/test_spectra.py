@@ -1,4 +1,5 @@
 """Spectral contracts: residuals, ordering, sign convention, minors, norms."""
+import dataclasses
 import math
 
 import numpy as np
@@ -58,15 +59,14 @@ def _enclosed_matrix(n=200, seed=4):
 
 
 def _enclose(x, floor_proven=False):
-    """The enclosure as the gram route runs it on X's own G: its plan from the kernel's bottom
-    vector while G holds the reduction, then the proof once G is restored."""
+    """The enclosure as the gram route runs it on X's own G: from the kernel's bottom vector,
+    once G is restored."""
     g = _lapack.gram(x)
     terms = spectra._floor_terms(g, x.shape[0])
     w, vector, restore = _lapack.tridiagonal(g)
     u = vector(0)
     restore()
-    plan = spectra._enclosure_plan(x, w, u, terms)
-    return None if plan is None else spectra._enclosure(x, g, terms, plan, floor_proven)
+    return spectra._enclosure(x, g, w, u, terms, floor_proven)
 
 
 def _fails_rule(x):
@@ -387,9 +387,10 @@ class TestRoute:
     def _equal_norm_calls(monkeypatch, second):
         # An orthogonal rotation with +-1/2 entries gives every column the same
         # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
-        # Bottom vector 1 comes first, and every check of the enclosure that needs
-        # no Cholesky runs on it before any other vector. Returns full_svd's result
-        # and the LAPACK calls after that vector's.
+        # Bottom vector 1 comes first, then the other kept vectors; then G is
+        # restored, and every check of the enclosure that needs no Cholesky runs
+        # before either Cholesky. Returns full_svd's result and the LAPACK calls
+        # after bottom vector 1's.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, second, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
@@ -407,19 +408,21 @@ class TestRoute:
         return res, calls[5:]
 
     def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
-        # s_min's neighbour is 2, so the enclosure proves it, and no QR runs. Once its
-        # checks that need no Cholesky pass, the top vector is back-transformed while G
-        # holds its reflectors; then G is restored, and the Choleskys for the floor and
-        # the gap run in it.
+        # s_min's neighbour is 2, so the enclosure proves it, and no QR runs. The top
+        # vector is back-transformed while G holds its reflectors; then G is restored,
+        # and once the checks that need no Cholesky pass, the Choleskys for the floor
+        # and the gap run in it.
         res, rest = self._equal_norm_calls(monkeypatch, 2.0)
         assert rest == ["dstein", "dormtr", "dpotrf", "dpotrf"]
         assert res.method == "gram"
 
     def test_equal_column_norms_near_tie_takes_r_route(self, monkeypatch):
         # A planted near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to
-        # prove, so the R route runs without a Cholesky or another vector of G.
+        # prove, so after the top vector's back-transform the R route runs without
+        # a Cholesky.
         res, rest = self._equal_norm_calls(monkeypatch, 1e-4 * (1.0 + 2e-12))
-        assert rest[:4] == ["dgeqrf", "dgeqrf", "dgebrd", "dgebrd"] and "dpotrf" not in rest
+        assert rest[:6] == ["dstein", "dormtr", "dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
+        assert "dpotrf" not in rest
         assert res.method == "gesdd"
 
 
@@ -476,7 +479,7 @@ class TestShiftedSolves:
         assert calls.count("dstein") == calls.count("dormtr") == 5 and calls.count("dsytrd") == 2
         assert np.array_equal(res.top_right_vector, res.bottom_right_vectors[-1])
         assert res.residuals.shape == (6,) and res.residuals[-1] == res.residuals[-2]
-        assert np.array_equal(res.gram, x.T @ x)  # the kernel reduces a copy
+        assert np.array_equal(res.gram, x.T @ x)  # reduced in place, then restored
 
     def test_all_vectors_match_eigh(self, monkeypatch):
         # k_bottom = n through either kernel alone: every vector satisfies the
@@ -539,13 +542,15 @@ class TestShiftedSolves:
 
 def _near_tie_matrix():
     """Equal column norms (the diagonal passes the rule), eigenvalues that fail it, and a planted
-    near-tie above s_min, so G is reduced and the enclosure then rejects it before any Cholesky."""
+    near-tie above s_min, so G is reduced and restored, and the enclosure then rejects it before
+    any Cholesky."""
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
     return np.vstack([np.diag([5.0, 3.0, 1e-4 * (1.0 + 2e-12), 1e-4]) @ h, np.zeros((2, 4))])
 
 
 class TestGramRestored:
-    """The gram route reduces G in its own storage; every exit gives it back bit for bit."""
+    """The gram route reduces G in its own storage; every exit gives it back bit for bit, both
+    to full_svd, which forms G itself, and to the caller of _minor_extremes, which brings it."""
 
     @staticmethod
     def _failing(monkeypatch, routine):
@@ -579,28 +584,35 @@ class TestGramRestored:
             self._failing(monkeypatch, exit_)
         if exit_ == "no_symbols":
             monkeypatch.setattr(_lapack, "_lib", {})
-        calls, grams = [], []
-        real_call, real_gram = _lapack._call, _lapack.gram
+        calls, grams, factors = [], [], []
+        real_call, real_gram, real_factors = _lapack._call, _lapack.gram, spectra._right_factors
         monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
-        monkeypatch.setattr(_lapack, "gram", lambda *args: grams.append(real_gram(*args)) or grams[-1])
+        monkeypatch.setattr(_lapack, "gram", lambda x: grams.append(real_gram(x)) or grams[-1])
+        monkeypatch.setattr(spectra, "_right_factors",
+                            lambda *args: factors.append(real_factors(*args)) or factors[-1])
         assert _fails_rule(x) == (exit_ in ("enclosure", "refinement", "floor", "near_tie"))
         exact = x.T @ x
-        caller = exact.copy()
-        res = full_svd(x, k_bottom=2, gram=caller if given else None)
-        assert res.method == method
-        assert len(grams) == 1 and np.array_equal(grams[0], exact)  # one G, and it came back
-        assert np.array_equal(caller, exact)
-        if method == "gram":
-            assert res.gram is grams[0]
+        if given:
+            # The caller's G[J, J], with J every column so that each exit is the one full_svd
+            # takes; the minor keeps no vector, but the enclosure still starts from one.
+            g = exact.copy()
+            spectra._minor_extremes(x, np.arange(x.shape[1]), g)
+            assert not grams and np.array_equal(g, exact)  # no G of its own; the caller's came back
         else:
-            assert res.gram is None
+            res = full_svd(x, k_bottom=2)
+            assert len(grams) == 1 and np.array_equal(grams[0], exact)  # one G, and it came back
+            g = grams[0]
+            assert res.gram is factors[0][4]
+        assert factors[0][3] == method
+        assert factors[0][4] is (g if method == "gram" else None)
         routes = {"refinement": "dpotrs", "floor": "dgeqrf", "near_tie": "dgeqrf"}
         assert exit_ not in routes or routes[exit_] in calls
         assert (exit_ == "floor") == ("dsytrd" not in calls and _lapack.available())
 
 
 class TestGivenGram:
-    """full_svd(X_J, gram=G[J, J]) takes the caller's Gram matrix instead of forming its own."""
+    """A caller's Gram matrix enters only as a column minor's G[J, J]: upper_certificate takes it
+    from spectrum.gram, whose shape it checks, and _minor_extremes reduces it in place."""
 
     @staticmethod
     def _x(n=12, seed=4):
@@ -609,12 +621,16 @@ class TestGivenGram:
 
     def test_wrong_shape_raises(self):
         x = self._x()
-        g = x.T @ x
+        res = full_svd(x)
+        g = res.gram
         for bad in (g[:-1], g[:-1, :-1], g.ravel()):
-            with pytest.raises(ValueError, match="gram must have shape"):
-                full_svd(x, gram=bad)
+            with pytest.raises(ValueError, match="a gram of shape"):
+                upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
+        with pytest.raises(ValueError, match="has 12 values"):  # X's spectrum, one column short
+            upper_certificate(x[:, :-1], 10.0, dataclasses.replace(res, gram=None))
 
     def test_minor_values_from_gram_without_einsum(self, monkeypatch):
+        # Both diagonal tests, X's and the minor's, read diag(G): no pass over X computes it.
         x = self._x()
         gram = full_svd(x).gram
         cols = np.array([0, 2, 3, 5, 8, 9, 11])
@@ -625,10 +641,9 @@ class TestGivenGram:
             raise AssertionError("einsum called")
 
         monkeypatch.setattr(np, "einsum", no_einsum)
-        res = full_svd(np.take(x, cols, axis=1), gram=g_jj)
-        assert res.method == "gram"
-        assert res.s_min == float(np.sqrt(w[0])) and res.s_top == float(np.sqrt(w[-1]))
-        assert np.array_equal(g_jj, gram[np.ix_(cols, cols)])  # the shifted diagonal is restored
+        assert spectra._minor_extremes(x, cols, g_jj) == (float(np.sqrt(w[0])), float(np.sqrt(w[-1])))
+        assert np.array_equal(g_jj, gram[np.ix_(cols, cols)])  # reduced in place, then restored
+        assert np.array_equal(full_svd(x).gram, gram)
 
     def test_eigensolver_failure_takes_gesdd(self, monkeypatch):
         # dsterf reports no convergence, so eigh of G stands in; when eigh does
@@ -735,9 +750,10 @@ class TestGesddFallback:
 
 class TestEnclosure:
     """The scaled Kato-Temple enclosure of lambda_min(X^T X) that keeps rule-failing matrices
-    on the gram route, called directly so it runs where the route does not take it too."""
+    on the gram route, called directly so it runs where the route does not take it too: on
+    matrices that pass the rule, and so never reach it, as on those that fail it."""
 
-    @given(alpha=st.floats(0.5, 1.5), n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    @given(alpha=st.floats(0.5, 5.0), n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
     def test_enclosure_holds(self, alpha, n, seed):
         mpmath = pytest.importorskip("mpmath")
         law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
