@@ -15,6 +15,7 @@ round-trips.
 """
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
 import json
@@ -272,6 +273,24 @@ def _trial_task(args: tuple[SweepConfig, float, int, int]):
         return ("fail", where | {"message": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()})
 
 
+# Kept from one pooled sweep for the next: (worker count, ProcessPoolExecutor), or None.
+_pool = None
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Shut the kept pool down, joining its workers, and empty the slot.
+
+    At exit this runs after concurrent.futures has joined the workers, and
+    frees the executor before the interpreter clears the module globals its
+    finalizer reads.
+    """
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
 def run_sweep(
     config: SweepConfig, workers: int = 1
 ) -> tuple[list[TrialRecord], list[dict], float]:
@@ -283,7 +302,16 @@ def run_sweep(
     run order, completion order or worker count; a trial raising any
     exception is collected as a failure ("Type: message" plus its
     traceback), not raised.
+
+    A pooled sweep keeps its worker processes for the next one: they persist
+    until the process exits (concurrent.futures joins them then) or a sweep
+    asks for another worker count, which replaces them. The workers are
+    forked at the first pooled sweep and see the module state of that
+    moment, so a monkeypatch made later does not reach them. A pool that
+    breaks (a worker died between or during sweeps) is replaced and the grid
+    run once more; trials are deterministic, so the records are the same.
     """
+    global _pool
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = [
@@ -298,12 +326,23 @@ def run_sweep(
         # Imported here, before the clock starts, so that only a pooled sweep
         # loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
     start = time.perf_counter()
     if workers <= 1:
         outcomes = [_trial_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=1))
+        for last_try in (False, True):
+            if _pool is not None and _pool[0] != workers:
+                _drop_pool()
+            if _pool is None:
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            try:
+                outcomes = list(_pool[1].map(_trial_task, tasks, chunksize=1))
+                break
+            except BrokenProcessPool:
+                _drop_pool()
+                if last_try:
+                    raise
     elapsed = time.perf_counter() - start
 
     records = [r for kind, r in outcomes if kind == "ok"]

@@ -1,7 +1,9 @@
 """End-to-end command line checks: exit codes, files written, determinism."""
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -429,12 +431,16 @@ class TestSweep:
         assert (d_int / "records.jsonl").read_bytes() == (d_float / "records.jsonl").read_bytes()
 
 
+def fresh_env(**env_vars) -> dict:
+    """This environment with env_vars set, and svlab importable from this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+                **env_vars)
+
+
 def run_fresh(args, cwd, **env_vars):
     """Run python with args in a fresh process that imports svlab from this checkout, with env_vars set."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-               **env_vars)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=fresh_env(**env_vars), capture_output=True,
+                          text=True, check=True, timeout=120)
 
 
 class TestColdStart:
@@ -473,6 +479,52 @@ class TestColdStart:
         serial = (tmp_path / "w1" / "records.jsonl").read_bytes()
         assert serial.count(b"\n") == 4
         assert (tmp_path / "w2" / "records.jsonl").read_bytes() == serial
+
+    def test_pooled_failures_collected(self, tmp_path):
+        # Patched before the first pooled sweep, so the forked workers inherit it.
+        code = ("import json\n"
+                "import svlab.experiments as ex\n"
+                "from svlab.spectra import SpectralError\n"
+                "real = ex.full_svd\n"
+                "def flaky(x, k_bottom=1):\n"
+                "    if x.shape[1] == 16:\n"
+                "        raise SpectralError('synthetic non-convergence', worst_residual=1.0)\n"
+                "    return real(x, k_bottom=k_bottom)\n"
+                "ex.full_svd = flaky\n"
+                "cfg = ex.SweepConfig(alphas=(1.2, 3.0), ns=(16, 24), aspect=2.0, trials_per_cell=3,"
+                " base_seed=99, c_grid=(1.0,), epsilons=(0.1,))\n"
+                "records, failures, _ = ex.run_sweep(cfg, workers=2)\n"
+                "print(json.dumps({'ns': [r.n for r in records], 'failures': failures}))\n")
+        out = json.loads(run_fresh(["-c", code], tmp_path).stdout)
+        assert out["ns"] == [24] * 6  # both alphas at n=24 survive
+        fails = out["failures"]
+        assert [(f["alpha"], f["n"], f["trial_index"]) for f in fails] == [
+            (alpha, 16, t) for alpha in (1.2, 3.0) for t in range(3)]
+        assert all(f["message"] == "SpectralError: synthetic non-convergence" for f in fails)
+        assert all("in flaky" in f["traceback"] for f in fails)
+
+    def test_pooled_sweeps_exit_cleanly(self, tmp_path):
+        # concurrent.futures joins the kept pool's workers at exit. The child
+        # leads its own session, so a worker left running would still be in
+        # its process group (and hold its output pipes open).
+        code = ("from svlab import SweepConfig, run_sweep\n"
+                "cfg = SweepConfig(alphas=(1.2, 3.0), ns=(12,), aspect=2.0, trials_per_cell=2, base_seed=11,"
+                " c_grid=(1.0,), epsilons=(0.1,))\n"
+                "for _ in range(2):\n"
+                "    records, failures, _ = run_sweep(cfg, workers=2)\n"
+                "    assert len(records) == 4 and not failures\n")
+        proc = subprocess.Popen([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+                                cwd=tmp_path, env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, out, err) == (0, "", "")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
 """Sweep harness: determinism, record coherence, scans on synthetic data."""
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -263,6 +266,11 @@ class TestRunTrial:
         assert rec.certificate["tau"] == pytest.approx(expected, rel=1e-12)
 
 
+def worker_pids() -> list[int]:
+    """Pids of this process's live multiprocessing children: the kept pool's workers."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
 class TestRunSweep:
     def test_deterministic_across_workers_and_reruns(self, tmp_path):
         rec1, fail1, _ = run_sweep(SMALL, workers=1)
@@ -277,26 +285,47 @@ class TestRunSweep:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """A ProcessPoolExecutor stand-in that runs in-process and logs what it is given."""
+        """A ProcessPoolExecutor stand-in that runs in-process and logs what it is given.
+
+        run_sweep keeps its pool between sweeps, so the kept one is dropped
+        before the test (a real pool would take the work) and after it (the
+        stand-in must not serve later tests).
+        """
         log = {"sizes": [], "submitted": []}
 
         class SerialPool:
             def __init__(self, max_workers):
                 log["sizes"].append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, tasks, chunksize=1):
                 tasks = list(tasks)
                 log["submitted"].extend((alpha, n, t) for _, alpha, n, t in tasks)
                 return map(fn, tasks)
 
+            def shutdown(self):
+                pass
+
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        return log
+        ex._drop_pool()
+        yield log
+        ex._drop_pool()
+
+    @pytest.fixture
+    def counted_pool(self, monkeypatch):
+        """The real ProcessPoolExecutor, logging the size of each one built; no pool kept before or after."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        sizes = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+        ex._drop_pool()
+        yield sizes
+        ex._drop_pool()
 
     def test_pool_capped_at_trial_count(self, serial_pool):
         sizes = serial_pool["sizes"]
@@ -318,6 +347,37 @@ class TestRunSweep:
         # Within one n the grid order stays: alpha, then trial index.
         assert submitted[:4] == [(1.2, 24, 0), (1.2, 24, 1), (3.0, 24, 0), (3.0, 24, 1)]
         assert fails == [] and recs == run_sweep(config, workers=1)[0]
+
+    @staticmethod
+    def records_bytes(records, path):
+        write_records(records, path)
+        return path.read_bytes()
+
+    def test_pool_kept_for_the_next_sweep(self, counted_pool, tmp_path):
+        serial = self.records_bytes(run_sweep(SMALL, workers=1)[0], tmp_path / "w1")
+        first, fails, _ = run_sweep(SMALL, workers=2)
+        pids = worker_pids()
+        second, fails2, _ = run_sweep(SMALL, workers=2)
+        assert counted_pool == [2] and len(pids) == 2 and worker_pids() == pids
+        assert fails == fails2 == []
+        assert self.records_bytes(first, tmp_path / "a") == serial
+        assert self.records_bytes(second, tmp_path / "b") == serial
+
+    def test_other_worker_count_replaces_pool(self, counted_pool):
+        run_sweep(SMALL, workers=2)
+        pids = worker_pids()
+        recs, fails, _ = run_sweep(SMALL, workers=3)
+        assert counted_pool == [2, 3]
+        assert len(worker_pids()) == 3 and not set(pids) & set(worker_pids())
+        assert fails == [] and recs == run_sweep(SMALL, workers=1)[0]
+
+    def test_killed_worker_does_not_fail_next_sweep(self, counted_pool, tmp_path):
+        serial = self.records_bytes(run_sweep(SMALL, workers=1)[0], tmp_path / "w1")
+        run_sweep(SMALL, workers=2)
+        os.kill(worker_pids()[0], signal.SIGKILL)
+        recs, fails, _ = run_sweep(SMALL, workers=2)
+        assert counted_pool == [2, 2]  # the broken pool was replaced and the grid run again
+        assert fails == [] and self.records_bytes(recs, tmp_path / "w2") == serial
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
