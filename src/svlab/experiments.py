@@ -307,9 +307,12 @@ def run_sweep(
     until the process exits (concurrent.futures joins them then) or a sweep
     asks for another worker count, which replaces them. The workers are
     forked at the first pooled sweep and see the module state of that
-    moment, so a monkeypatch made later does not reach them. A pool that
-    breaks (a worker died between or during sweeps) is replaced and the grid
-    run once more; trials are deterministic, so the records are the same.
+    moment, so a monkeypatch made later does not reach them. A kept pool
+    that turns out broken (a worker died since the last sweep) is replaced
+    and the grid run once more; trials are deterministic, so the records
+    are the same. A pool built for this sweep that breaks raises
+    BrokenProcessPool at once: its own trials killed the worker, and a rerun
+    would do so again.
     """
     global _pool
     if workers < 1:
@@ -331,17 +334,18 @@ def run_sweep(
     if workers <= 1:
         outcomes = [_trial_task(t) for t in tasks]
     else:
-        for last_try in (False, True):
+        while True:
             if _pool is not None and _pool[0] != workers:
                 _drop_pool()
-            if _pool is None:
+            kept = _pool is not None
+            if not kept:
                 _pool = (workers, ProcessPoolExecutor(max_workers=workers))
             try:
                 outcomes = list(_pool[1].map(_trial_task, tasks, chunksize=1))
                 break
             except BrokenProcessPool:
                 _drop_pool()
-                if last_try:
+                if not kept:
                     raise
     elapsed = time.perf_counter() - start
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import svlab.experiments
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -18,6 +20,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_pool():
+    """Join any pool a test's pooled sweeps kept, so idle workers do not outlive the test."""
+    yield
+    svlab.experiments._drop_pool()
 
 
 @pytest.fixture

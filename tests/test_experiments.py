@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -288,8 +289,8 @@ class TestRunSweep:
         """A ProcessPoolExecutor stand-in that runs in-process and logs what it is given.
 
         run_sweep keeps its pool between sweeps, so the kept one is dropped
-        before the test (a real pool would take the work) and after it (the
-        stand-in must not serve later tests).
+        before the test (a real pool would take the work); conftest's
+        autouse fixture drops the stand-in after it, so it serves no later test.
         """
         log = {"sizes": [], "submitted": []}
 
@@ -307,12 +308,11 @@ class TestRunSweep:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         ex._drop_pool()
-        yield log
-        ex._drop_pool()
+        return log
 
     @pytest.fixture
     def counted_pool(self, monkeypatch):
-        """The real ProcessPoolExecutor, logging the size of each one built; no pool kept before or after."""
+        """The real ProcessPoolExecutor, logging the size of each one built; no pool kept before."""
         from concurrent.futures import ProcessPoolExecutor
 
         sizes = []
@@ -324,8 +324,7 @@ class TestRunSweep:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
         ex._drop_pool()
-        yield sizes
-        ex._drop_pool()
+        return sizes
 
     def test_pool_capped_at_trial_count(self, serial_pool):
         sizes = serial_pool["sizes"]
@@ -378,6 +377,25 @@ class TestRunSweep:
         recs, fails, _ = run_sweep(SMALL, workers=2)
         assert counted_pool == [2, 2]  # the broken pool was replaced and the grid run again
         assert fails == [] and self.records_bytes(recs, tmp_path / "w2") == serial
+
+    def test_trial_killing_its_worker_runs_once(self, counted_pool, monkeypatch, tmp_path):
+        # Patched before the pool forks, so its workers inherit the patch. A
+        # pool built for this sweep that breaks is not retried: the rerun
+        # would kill a worker again.
+        calls, parent, real = tmp_path / "calls", os.getpid(), ex.run_trial
+
+        def deadly(config, alpha, n, trial_index):
+            if (alpha, n, trial_index) == (1.2, 24, 0) and os.getpid() != parent:
+                with open(calls, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, alpha, n, trial_index)
+
+        monkeypatch.setattr(ex, "run_trial", deadly)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(SMALL, workers=2)
+        assert counted_pool == [2] and ex._pool is None
+        assert len(calls.read_text().splitlines()) == 1
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):

@@ -1,4 +1,5 @@
 """perfbench/spans.py wraps svlab functions by module attribute; each must exist."""
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from svlab.ensemble import EnsembleConfig, sample_matrix
 from svlab.matrixio import save_matrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SESSION = SPANS.with_name("session.py")
 
 
 def _load_spans(monkeypatch):
@@ -63,3 +65,21 @@ def test_hooks_record_the_certificate_spans(monkeypatch, tmp_path, capsys):
     # recorded; likewise each vector's reports come from localization_reports.
     assert "spectra.full_svd.minor" not in by_name
     assert "localization.localization_report" not in by_name
+
+
+def test_traced_session_forks_its_pool_before_instrumenting():
+    # run_sweep keeps its pool's workers, which see svlab as it was when they
+    # were forked. measure_traced's pooled repetitions must therefore come
+    # before instrument_svlab wraps svlab; forked inside it, the workers would
+    # keep the wrappers for every later grid, after restore() too.
+    tree = ast.parse(SESSION.read_text(encoding="utf-8"))
+    method = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "measure_traced"
+                  and any(isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "reps"
+                          for c in ast.walk(node)))
+    calls = sorted((c.lineno, ast.unparse(c.func)) for c in ast.walk(method) if isinstance(c, ast.Call))
+    names = [name for _, name in calls]
+    assert names.index("self.reps") < names.index("instrument_svlab")
+    traced = next(node for node in ast.walk(method) if isinstance(node, ast.With))
+    sweeps = [c for c in ast.walk(traced) if isinstance(c, ast.Call) and ast.unparse(c.func) == "self.sweep"]
+    assert sweeps and all(ast.unparse(c.args[1]) == "1" for c in sweeps)
