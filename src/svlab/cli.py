@@ -7,43 +7,54 @@ failed; 3 I/O error (missing, unreadable, or malformed files).
 Every command emits its fully resolved configuration, either inside its
 JSON output, as a sidecar meta file, or on stderr when stdout carries the
 payload. Command line flags win over config file values.
+
+Each command imports only the svlab modules it runs: generate loads
+ensemble and matrixio; spectra loads matrixio, spectra and _lapack;
+localize adds localization (and svgplot with --plot), certify adds
+certificates, plot adds svgplot; sweep and report load experiments.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import TAU_PARAMS, certificate_cutoff, upper_certificate
-from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
-from .experiments import (
-    KthVectorRow,
-    SweepConfig,
-    TransitionRow,
-    _localization_entries,
-    baiyin_check,
-    bracket_check,
-    fit_scaling,
-    kth_vector_scan,
-    read_records,
-    run_sweep,
-    transition_scan,
-    write_csv,
-    write_fits,
-    write_manifest,
-    write_records,
-    write_summary,
-)
-from .localization import localization_report  # noqa: F401 (perfbench wraps it here)
-from .matrixio import MatrixFormatError, load_matrix, save_matrix, save_matrix_csv
-from .spectra import SpectralError, full_svd
-from .svgplot import line_chart, vector_profile
 
-_LAW_NAMES = {"pareto": LawKind.SYMMETRIC_PARETO, **{kind.value: kind for kind in LawKind}}
+
+def _forward(module: str, name: str):
+    """svlab.<module>.<name> behind a function that imports that module when first called."""
+
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(f"svlab.{module}"), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+# perfbench wraps these attributes of svlab.cli, so the commands call through
+# them. Every other svlab name a command needs, it imports where it runs.
+sample_matrix = _forward("ensemble", "sample_matrix")
+full_svd = _forward("spectra", "full_svd")
+localization_report = _forward("localization", "localization_report")
+upper_certificate = _forward("certificates", "upper_certificate")
+save_matrix = _forward("matrixio", "save_matrix")
+load_matrix = _forward("matrixio", "load_matrix")
+read_records = _forward("experiments", "read_records")
+transition_scan = _forward("experiments", "transition_scan")
+kth_vector_scan = _forward("experiments", "kth_vector_scan")
+fit_scaling = _forward("experiments", "fit_scaling")
+bracket_check = _forward("experiments", "bracket_check")
+line_chart = _forward("svgplot", "line_chart")
+vector_profile = _forward("svgplot", "vector_profile")
+
+# --law's choices: LawKind's values, and "pareto" for symmetric_pareto.
+_LAW_NAMES = {"gaussian": "gaussian", "pareto": "symmetric_pareto", "student_t": "student_t",
+              "symmetric_pareto": "symmetric_pareto"}
 
 
 class UsageError(Exception):
@@ -75,8 +86,10 @@ def _emit(obj: dict, path: str | None) -> None:
         print(text)
 
 
-def _law_from_args(args) -> TailLaw:
-    kind = _LAW_NAMES[args.law]
+def _law_from_args(args):
+    from .ensemble import LawKind, TailLaw
+
+    kind = LawKind(_LAW_NAMES[args.law])
     if kind is not LawKind.GAUSSIAN and not (args.alpha and args.alpha > 0):
         raise UsageError(f"law {args.law} needs --alpha > 0 (tail index)")
     return TailLaw(
@@ -88,6 +101,9 @@ def _law_from_args(args) -> TailLaw:
 
 
 def cmd_generate(args) -> int:
+    from .ensemble import EnsembleConfig
+    from .matrixio import save_matrix_csv
+
     law = _law_from_args(args)
     bounds = law.tail_bounds  # before any file is written: it raises where a constant overflows
     cfg = EnsembleConfig(n=args.n, aspect=args.aspect, law=law, seed=args.seed)
@@ -134,18 +150,22 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from .localization import C_GRID, EPSILONS, localization_entries
+
+    c_grid = C_GRID if args.c_grid is None else args.c_grid
+    epsilons = EPSILONS if args.epsilons is None else args.epsilons
     x = load_matrix(args.input)
     res = full_svd(x, k_bottom=args.k)
     config = {
         "command": "localize",
         "in": str(args.input),
         "k": args.k,
-        "c_grid": args.c_grid,
-        "epsilons": args.epsilons,
+        "c_grid": c_grid,
+        "epsilons": epsilons,
         "out": str(args.out) if args.out else None,
         "plot": str(args.plot) if args.plot else None,
     }
-    entries = _localization_entries(res, args.c_grid, args.epsilons)
+    entries = localization_entries(res, c_grid, epsilons)
     lines = [json.dumps(entry, separators=(",", ":")) for entry in entries]
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -163,6 +183,10 @@ def cmd_localize(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certificates import TAU_PARAMS, certificate_cutoff
+
+    b_frak = TAU_PARAMS[0] if args.b_frak is None else args.b_frak
+    a_frak = TAU_PARAMS[1] if args.a_frak is None else args.a_frak
     x = load_matrix(args.input)
     if args.tau is not None:
         tau, note = args.tau, ""
@@ -171,7 +195,7 @@ def cmd_certify(args) -> int:
         if args.alpha is None:
             raise UsageError("certify needs either --tau or --alpha (the tail index that sets the cutoff)")
         # The sweep's rule: the auto cutoff below alpha = 2, the census cutoff elsewhere.
-        tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (args.b_frak, args.a_frak))
+        tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (b_frak, a_frak))
         tau_source = "auto"
     res = full_svd(x)
     report = upper_certificate(x, tau, res).with_note(note)
@@ -182,8 +206,8 @@ def cmd_certify(args) -> int:
             "tau": tau,
             "tau_source": tau_source,
             "alpha": args.alpha,
-            "b_frak": args.b_frak,
-            "a_frak": args.a_frak,
+            "b_frak": b_frak,
+            "a_frak": a_frak,
             "c_upper": args.c_upper,
         },
         **dataclasses.asdict(report),
@@ -192,7 +216,10 @@ def cmd_certify(args) -> int:
     return 0 if report.valid else 2
 
 
-def _config_from_file(path: str, args) -> SweepConfig:
+def _config_from_file(path: str, args):
+    from .experiments import SweepConfig
+    from .matrixio import MatrixFormatError
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -209,7 +236,7 @@ def _config_from_file(path: str, args) -> SweepConfig:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
     if args.law:
-        merged["law_kind"] = _LAW_NAMES[args.law].value
+        merged["law_kind"] = _LAW_NAMES[args.law]
     try:
         return SweepConfig(**merged)
     except TypeError as exc:
@@ -217,6 +244,8 @@ def _config_from_file(path: str, args) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
+    from .experiments import run_sweep, write_fits, write_manifest, write_records, write_summary
+
     config = _config_from_file(args.config, args)
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
@@ -253,6 +282,8 @@ def _table(rows: list, row_type: type) -> tuple[list[str], list[tuple]]:
 
 
 def cmd_report(args) -> int:
+    from .experiments import KthVectorRow, TransitionRow, baiyin_check, write_csv
+
     records = read_records(args.records)
     if not records:
         raise ValueError(f"no records in {args.records}")
@@ -367,8 +398,10 @@ def build_parser() -> _Parser:
     l = sub.add_parser("localize", help="localization statistics of bottom vectors")
     l.add_argument("--in", dest="input", required=True)
     l.add_argument("--k", type=int, default=1)
-    l.add_argument("--c-grid", type=_number_list, default=list(SweepConfig.c_grid))
-    l.add_argument("--epsilons", type=_number_list, default=list(SweepConfig.epsilons))
+    # --c-grid, --epsilons, --b-frak and --a-frak default to None, so that building the parser
+    # loads no computing module; the command takes each default from the module that owns it.
+    l.add_argument("--c-grid", type=_number_list)
+    l.add_argument("--epsilons", type=_number_list)
     l.add_argument("--out", default=None, help="JSONL output path (stdout if omitted)")
     l.add_argument("--plot", default=None, help="optional SVG profile of the bottom vector")
     l.set_defaults(func=cmd_localize)
@@ -377,8 +410,8 @@ def build_parser() -> _Parser:
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--tau", type=float, default=None, help="explicit cutoff (wins over --alpha)")
     c.add_argument("--alpha", type=float, default=None, help="tail index: auto cutoff below 2, else census cutoff")
-    c.add_argument("--b-frak", type=float, default=TAU_PARAMS[0])
-    c.add_argument("--a-frak", type=float, default=TAU_PARAMS[1])
+    c.add_argument("--b-frak", type=float)
+    c.add_argument("--a-frak", type=float)
     c.add_argument("--c-upper", type=float, default=1.0)
     c.add_argument("--out", default=None, help="JSON output path (stdout if omitted)")
     c.set_defaults(func=cmd_certify)
@@ -418,6 +451,13 @@ def build_parser() -> _Parser:
     return p
 
 
+def _raised(module: str, name: str) -> tuple[type, ...]:
+    """(svlab.<module>.<name>,) for an except clause, or () while that module is not loaded,
+    since until then nothing can have raised that exception."""
+    loaded = sys.modules.get(f"svlab.{module}")
+    return () if loaded is None else (getattr(loaded, name),)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -426,10 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixFormatError, OSError) as exc:
+    except (*_raised("matrixio", "MatrixFormatError"), OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except SpectralError as exc:
+    except _raised("spectra", "SpectralError") as exc:
         print(f"numerical failure: {exc} (worst residual {exc.worst_residual:.3e})", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -31,9 +31,10 @@ import numpy as np
 from . import __version__, _lapack
 from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census, upper_certificate
 from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
-from .localization import localization_report, localization_reports  # noqa: F401 (perfbench wraps it here)
+from .localization import C_GRID, EPSILONS, localization_entries
+from .localization import localization_report  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError
-from .spectra import SpectralResult, full_svd
+from .spectra import full_svd
 
 __all__ = [
     "SweepConfig",
@@ -83,8 +84,8 @@ class SweepConfig:
     trials_per_cell: int
     base_seed: int
     k_vectors: int = 1
-    c_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    epsilons: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3)
+    c_grid: tuple[float, ...] = C_GRID
+    epsilons: tuple[float, ...] = EPSILONS
     tau_params: tuple[float, float] = TAU_PARAMS
     law_kind: LawKind = LawKind.SYMMETRIC_PARETO
     census_c: float = CENSUS_C
@@ -219,16 +220,6 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _localization_entries(res: SpectralResult, c_grid, epsilons) -> list[dict]:
-    """{"k": k, "c": c, **report} for each kept bottom vector k of res and each c in c_grid, in
-    that order: a trial record's localization, and the lines svlab localize prints."""
-    return [
-        {"k": k, "c": c, **_fields(rep)}
-        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
-        for c, rep in zip(c_grid, localization_reports(u, c_grid, epsilons, flag))
-    ]
-
-
 def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> TrialRecord:
     alpha, n, trial_index = float(alpha), int(n), int(trial_index)
     law = config.law_for(alpha)
@@ -257,7 +248,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         kth_values=res.singular_values[::-1][:config.k_vectors].tolist(),
         degenerate_flags=res.degenerate_flags,
         bottom_vectors=res.bottom_right_vectors.tolist(),
-        localization=_localization_entries(res, config.c_grid, config.epsilons),
+        localization=localization_entries(res, config.c_grid, config.epsilons),
         certificate=_fields(cert),
         heavy_count=heavy_census(x, config.census_c),
         census_c=config.census_c,

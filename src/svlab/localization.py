@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .spectra import SpectralResult
 
 __all__ = [
     "LocalizationReport",
@@ -22,7 +26,13 @@ __all__ = [
     "ipr",
     "localization_report",
     "localization_reports",
+    "localization_entries",
 ]
+
+# The default threshold constants and min-mass profile points of a sweep
+# (SweepConfig) and of `svlab localize`.
+C_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+EPSILONS = (0.05, 0.1, 0.2, 0.3)
 
 UNIT_TOL = 1e-10
 
@@ -192,3 +202,13 @@ def localization_report(
 ) -> LocalizationReport:
     """The LocalizationReport of u at the one threshold constant c."""
     return localization_reports(u, [c], epsilons, degenerate)[0]
+
+
+def localization_entries(res: SpectralResult, c_grid: list[float], epsilons: list[float]) -> list[dict]:
+    """{"k": k, "c": c, **report} for each kept bottom vector k of res and each c in c_grid, in
+    that order: a trial record's localization, and the lines svlab localize prints."""
+    return [
+        {"k": k, "c": c, **vars(rep)}  # a report's fields in field order, its lists shared
+        for k, (u, flag) in enumerate(zip(res.bottom_right_vectors, res.degenerate_flags), 1)
+        for c, rep in zip(c_grid, localization_reports(u, c_grid, epsilons, flag))
+    ]

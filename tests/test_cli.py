@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from svlab import cli
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, TailLaw, LawKind, sample_matrix
 from svlab.experiments import SweepConfig, run_sweep, write_records
 from svlab.matrixio import load_matrix, save_matrix
 from svlab.spectra import full_svd
 
+from test_csv_bytes import _grid_records
 from test_experiments import synth_record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -443,8 +445,80 @@ def run_fresh(args, cwd, **env_vars):
                           text=True, check=True, timeout=120)
 
 
+# The svlab modules each command loads besides the package and svlab.cli, in a fresh process.
+# sweep and report load experiments, and with it every module a sweep trial calls.
+_SPECTRA = {"matrixio", "spectra", "_lapack"}
+_EXPERIMENTS = _SPECTRA | {"experiments", "ensemble", "localization", "certificates"}
+COMMAND_MODULES = [
+    (["generate", "--n", "6", "--alpha", "1.5", "--seed", "1", "--out", "g.svlm"], {"ensemble", "matrixio"}),
+    (["spectra", "--in", "x.svlm", "--out", "s.json"], _SPECTRA),
+    (["localize", "--in", "x.svlm", "--out", "l.jsonl"], _SPECTRA | {"localization"}),
+    (["localize", "--in", "x.svlm", "--out", "l.jsonl", "--plot", "l.svg"], _SPECTRA | {"localization", "svgplot"}),
+    (["certify", "--in", "x.svlm", "--alpha", "1.2", "--out", "c.json"], _SPECTRA | {"certificates"}),
+    (["plot", "--in", "x.svlm", "--out", "p.svg"], _SPECTRA | {"svgplot"}),
+    (["sweep", "--config", "cfg.json", "--out-dir", "sw"], _EXPERIMENTS),
+    (["report", "--records", "r.jsonl", "--kind", "transition", "--out-dir", "rep"], _EXPERIMENTS | {"svgplot"}),
+]
+
+# A fresh `python -m svlab.cli` per command; x.svlm holds a Pareto matrix.
+EXIT_CODES = [
+    (["frobnicate"], 1, "usage error"),
+    (["certify", "--in", "x.svlm"], 1, "usage error"),
+    (["generate", "--n", "1", "--alpha", "1.0", "--seed", "1", "--out", "g.svlm"], 1, "invalid input"),
+    (["certify", "--in", "x.svlm", "--tau", "0.5"], 2, ""),  # vacuous: no Pareto column is below 0.5
+    (["spectra", "--in", "nope.svlm"], 3, "i/o error"),
+    (["spectra", "--in", "bad.svlm"], 3, "i/o error"),
+    (["sweep", "--config", "bad.json", "--out-dir", "sw"], 3, "i/o error"),
+]
+
+
 class TestColdStart:
-    """Each svlab command is its own process, so what `import svlab.cli` loads is paid on every call."""
+    """Each svlab command is its own process, so what it imports is paid on every call.
+
+    `import svlab` and `import svlab.cli` load no computing module, and each
+    command loads only the modules it runs (COMMAND_MODULES): the package
+    re-exports lazily, and svlab.cli imports each module where a command
+    first calls into it. Exit codes stay the same in a fresh process, where
+    an exception's module may not be loaded at all.
+    """
+
+    def test_import_loads_no_computing_module(self, tmp_path):
+        code = ("import sys, svlab; print(sorted(m for m in sys.modules if m.startswith('svlab')))\n"
+                "import svlab.cli; print(sorted(m for m in sys.modules if m.startswith('svlab')),"
+                " 'numpy' in sys.modules)\n")
+        assert run_fresh(["-c", code], tmp_path).stdout.splitlines() == [
+            "['svlab']", "['svlab', 'svlab.cli'] False"]
+
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                             ids=[a[0] + " --plot" * ("--plot" in a) for a, _ in COMMAND_MODULES])
+    def test_command_loads_only_its_modules(self, tmp_path, stored_matrix, argv, modules):
+        # stored_matrix is tmp_path / "x.svlm".
+        write_sweep_config(tmp_path / "cfg.json")
+        write_records(_grid_records(), tmp_path / "r.jsonl")
+        code = ("import json, sys\n"
+                "from svlab.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(json.dumps([code, sorted(m[6:] for m in sys.modules if m.startswith('svlab.'))]))\n")
+        out = run_fresh(["-c", code], tmp_path).stdout.splitlines()[-1]
+        assert json.loads(out) == [0, sorted(modules | {"cli"})]
+
+    def test_version_warns_nothing(self, tmp_path):
+        # runpy warns when `python -m svlab.cli` finds svlab.cli already imported by the package.
+        proc = run_fresh(["-W", "error", "-m", "svlab.cli", "--version"], tmp_path)
+        assert (proc.stdout, proc.stderr) == ("svlab 0.1.0\n", "")
+
+    @pytest.mark.parametrize("argv, code, message", EXIT_CODES, ids=[" ".join(a) for a, _, _ in EXIT_CODES])
+    def test_exit_codes(self, tmp_path, stored_matrix, argv, code, message):
+        (tmp_path / "bad.svlm").write_bytes(b"JUNKJUNKJUNKJUNK")
+        (tmp_path / "bad.json").write_text("{not json")
+        proc = subprocess.run([sys.executable, "-m", "svlab.cli", *argv], cwd=tmp_path, env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+    def test_law_choices_are_law_kinds(self):
+        # The parser names the laws without loading svlab.ensemble.
+        assert cli._LAW_NAMES == {"pareto": "symmetric_pareto", **{kind.value: kind.value for kind in LawKind}}
 
     def test_import_leaves_pool_random_and_scipy_unloaded(self, tmp_path):
         # ctypes is not on the list: numpy itself imports it. What svlab must not
