@@ -38,23 +38,22 @@ Golub-Kahan tridiagonal: order 2n, zero diagonal, off-diagonal d_1, e_1,
 d_2, ..., d_n (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965; dbdsvdx takes
 this route, but writes past its bounds on rank-deficient input, so is not called).
 
-* ``cholesky(g, scale, shift, lift)``: whether dpotrf finds S g S -
+* ``cholesky(g, scale, shift, lift, rhs)``: whether dpotrf finds S g S -
   diag(shift) + lift lift^T, S = diag(scale), positive definite in
-  floating point. The matrix is built in g's own lower triangle from its
-  upper one, a block of columns at a time, and g is restored the same way
-  afterwards, so no other n x n array is made; ``gram`` makes X^T X in a
-  buffer that these kernels may take. ``spectra`` turns a success into a
-  proof.
-  ``cholesky_solve(g, scale, shift, b)`` solves with that factor (dpotrs)
-  before g is restored.
+  floating point, with shift a scalar or an n-vector; where rhs is given,
+  dpotrs then solves with that factor in rhs. The matrix is built in g's
+  own lower triangle from its upper one, a block of columns at a time, and
+  g is restored the same way afterwards, so no other n x n array is made;
+  ``gram`` makes X^T X in a buffer that these kernels may take. ``spectra``
+  turns a success into a proof.
 
 Every kernel returns None (``cholesky`` False) where numpy's build does
 not export the routines (Accelerate or MKL builds, for example), a routine
 reports INFO != 0, or, for ``tridiagonal``, g is not finite; the caller
 then falls back to numpy's public calls. ``bidiagonal`` expects a finite
-x. Every array a kernel allocates for LAPACK comes from ``_array``; g is
-the caller's. ``core_name`` names the OpenBLAS kernel set the process runs
-on, for the sweep manifest.
+x. Every array a kernel allocates for LAPACK comes from ``_array``; g and
+rhs are the caller's. ``core_name`` names the OpenBLAS kernel set the
+process runs on, for the sweep manifest.
 """
 from __future__ import annotations
 
@@ -124,8 +123,9 @@ def _call(name: str, *args) -> int:
     """Run LAPACK routine name and return its INFO.
 
     args follow the Fortran signature up to INFO: a str is a CHARACTER*1, an
-    int an INTEGER, an array its data pointer. The hidden CHARACTER lengths
-    go last, as gfortran expects them.
+    int an INTEGER, an array its data pointer, which must be writeable, since
+    LAPACK writes through it past numpy's read-only flag. The hidden CHARACTER
+    lengths go last, as gfortran expects them.
     """
     count, chars = _SIGNATURES[name]
     if len(args) + 1 != count or sum(isinstance(a, str) for a in args) != chars:
@@ -136,11 +136,12 @@ def _call(name: str, *args) -> int:
             refs.append(ctypes.c_char_p(a.encode()))
         elif isinstance(a, (int, np.integer)):
             refs.append(ctypes.byref(ctypes.c_int64(int(a))))
-        elif isinstance(a, np.ndarray) and a.dtype in (np.float64, np.int64) and a.flags.f_contiguous:
+        elif (isinstance(a, np.ndarray) and a.dtype in (np.float64, np.int64) and a.flags.f_contiguous
+              and a.flags.writeable):
             refs.append(a.ctypes.data)
         else:
             got = getattr(a, "dtype", type(a).__name__)
-            raise TypeError(f"{name}: arrays must be column-major float64 or int64, got {got}")
+            raise TypeError(f"{name}: arrays must be writeable column-major float64 or int64, got {got}")
     info = _array(1, np.int64)
     _library()[name](*refs, info.ctypes.data, *[1] * chars)
     return int(info[0])
@@ -296,15 +297,20 @@ def _restore(a: np.ndarray, diagonal: np.ndarray) -> None:
     a.flat[::a.shape[0] + 1] = diagonal
 
 
-def _factored(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None, then=None):
-    """then(a, n) on the Cholesky factor of A = S g S - diag(shift) + lift lift^T, S = diag(scale),
-    built and factored in g's lower triangle (a, column-major), or False where dpotrf fails; g is
-    restored either way.
+def cholesky(g: np.ndarray, scale: np.ndarray, shift: float | np.ndarray, lift: np.ndarray | None = None,
+             rhs: np.ndarray | None = None) -> bool:
+    """Whether dpotrf finds A = S g S - diag(shift) + lift lift^T positive definite, S = diag(scale),
+    shift a scalar or an n-vector, for the symmetric g from gram; where it does and rhs is given,
+    dpotrs then overwrites rhs with A^{-1} rhs. False also where the routines are missing or dpotrs
+    fails; rhs is written only by dpotrs.
 
-    Each entry of A is built as (g_ij * scale_i) * scale_j, then plus lift_i * lift_j, and then
-    minus shift_i on the diagonal. dpotrf leaves the strict upper triangle alone, from which, and
-    a copy of the diagonal, the lower triangle is restored, so g ends bit for bit as it began.
+    A is built and factored in g's lower triangle, each entry as (g_ij * scale_i) * scale_j, then
+    plus lift_i * lift_j, and then minus shift_i on the diagonal. dpotrf leaves the strict upper
+    triangle alone, from which, and a copy of the diagonal, the lower triangle is restored on every
+    exit, so g ends bit for bit as it began.
     """
+    if not available():
+        return False
     n = g.shape[0]
     a = g if g.flags.f_contiguous else g.T  # g is symmetric: either order is g, and a column-major
     diagonal = _copy(np.diagonal(a))
@@ -319,21 +325,7 @@ def _factored(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndar
     _fill_lower(a, build)
     a.flat[::n + 1] -= shift
     try:
-        return not _call("dpotrf", "L", n, a, n) and (then is None or then(a, n))
+        return not (_call("dpotrf", "L", n, a, n)
+                    or rhs is not None and _call("dpotrs", "L", n, 1, a, n, rhs, n))
     finally:
         _restore(a, diagonal)
-
-
-def cholesky(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, lift: np.ndarray | None = None) -> bool:
-    """Whether dpotrf finds A = S g S - diag(shift) + lift lift^T positive definite, S = diag(scale),
-    for the symmetric g from gram, which ends as it began; False also where the routines are missing."""
-    return available() and _factored(g, scale, shift, lift)
-
-
-def cholesky_solve(g: np.ndarray, scale: np.ndarray, shift: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A^{-1} b for A = S g S - diag(shift) as cholesky builds it, from its factor (dpotrs), or None
-    where cholesky would be False or dpotrs fails."""
-    if not available():
-        return None
-    z = _copy(b)
-    return z if _factored(g, scale, shift, None, lambda a, n: not _call("dpotrs", "L", n, 1, a, n, z, n)) else None

@@ -151,8 +151,11 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
 
     spectrum must be full_svd's own result for this X; X itself is never
     decomposed here. ValueError where its shapes do not fit X: n values, and
-    an n x n gram where one is set. Its content is not checked against X
-    (diag(G[J, J]) against X_J's column norms would cost a pass over X).
+    an n x n gram where one is set. full_svd returns its gram read-only, so
+    an edit in place raises, but a hand-built spectrum (such as
+    dataclasses.replace(res, gram=bad)) reaches the minor unchecked: its
+    content is not checked against X (diag(G[J, J]) against X_J's column
+    norms would cost a pass over X).
     Both extremes of X_J come from one place: the column length when |J| =
     1, spectrum's s_min and s_top when J holds every column, since X_J is
     then X, and otherwise one values-only decomposition of X_J through

@@ -230,10 +230,10 @@ def _config_from_file(path: str, args):
     unknown = sorted(set(raw) - known)
     if unknown:
         raise UsageError(f"unknown sweep config keys: {', '.join(unknown)}")
-    # Flags win over file values.
+    # Flags win over file values: each sweep flag named by a SweepConfig field.
     merged = dict(raw)
-    for key in ("alphas", "ns", "aspect", "trials_per_cell", "base_seed", "k_vectors"):
-        if getattr(args, key) is not None:
+    for key in known:
+        if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
     if args.law:
         merged["law_kind"] = _LAW_NAMES[args.law]
@@ -276,13 +276,13 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
-def _table(rows: list, row_type: type) -> tuple[list[str], list[tuple]]:
-    """A report table whose columns are row_type's fields, in field order."""
-    return [f.name for f in dataclasses.fields(row_type)], [dataclasses.astuple(r) for r in rows]
+def _table(rows: list) -> tuple[list[str], list[tuple]]:
+    """A report table whose columns are the fields of its rows' dataclass, in field order."""
+    return [f.name for f in dataclasses.fields(rows[0])], [dataclasses.astuple(r) for r in rows]
 
 
 def cmd_report(args) -> int:
-    from .experiments import KthVectorRow, TransitionRow, baiyin_check, write_csv
+    from .experiments import baiyin_check, write_csv
 
     records = read_records(args.records)
     if not records:
@@ -293,7 +293,7 @@ def cmd_report(args) -> int:
     series, chart = [], {}
     if args.kind == "transition":
         table = transition_scan(records, args.c, args.epsilon, args.delta)
-        header, rows = _table(table.rows, TransitionRow)
+        header, rows = _table(table.rows)
         summary = {"rows": len(table.rows), "midpoint": table.midpoint,
                    "crossing_alpha": table.crossing_alpha}
         n_star = max(r.n for r in table.rows)
@@ -333,7 +333,9 @@ def cmd_report(args) -> int:
                  "x_label": "n", "y_label": "s_min / sqrt(N)"}
     else:  # kth; argparse choices admit no other kind
         scan = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
-        header, rows = _table(scan, KthVectorRow)
+        if not scan:  # records that keep no value have no kth row
+            raise ValueError(f"no kth_values in {args.records}")
+        header, rows = _table(scan)
         summary = {"rows": len(scan)}
     svg = line_chart(series, **chart) if series and len(series[0][1]) >= 2 else None
 

@@ -200,7 +200,7 @@ class SpectralResult:
     the factors: "gram" (the eigenvalues of X^T X and its kept eigenvectors,
     or its eigh) or "gesdd" (the SVD of X's R factor: its bidiagonal
     reduction, or gesdd itself).
-    gram is X^T X on the gram route and None on the gesdd route;
+    gram is X^T X on the gram route, read-only, and None on the gesdd route;
     upper_certificate takes a column minor's G[J, J] from it. It is left
     out of repr and equality.
     """
@@ -305,7 +305,7 @@ def _rayleigh(x: np.ndarray, u: np.ndarray):
 def _floor_terms(g: np.ndarray, rows: int):
     """(scale, nu, floor, c) for g = fl(X^T X) of an X with rows rows: scale the inverse column norms
     from diag(g), c the entrywise rounding constant of every scaled Cholesky, and lambda_min(S G S) >=
-    floor > 0 once dpotrf of S g S - nu I succeeds; None where a G_ii is below _NO_UNDERFLOW."""
+    floor > 0 once _lapack.cholesky(g, scale, nu) succeeds; None where a G_ii is below _NO_UNDERFLOW."""
     n = g.shape[0]
     d = np.diagonal(g)
     if not d.min() >= _NO_UNDERFLOW:
@@ -314,12 +314,6 @@ def _floor_terms(g: np.ndarray, rows: int):
     nu = n * c / math.sqrt(GRAM_COND_LIMIT)
     floor = nu - c * n * (1.02 + nu)
     return (1.0 / np.sqrt(d), nu, floor, c) if floor > 0.0 else None
-
-
-def _floor_holds(g: np.ndarray, terms) -> bool:
-    """Whether one Cholesky proves the floor of terms, g's _floor_terms (None proves nothing); g must
-    be one _lapack.cholesky may write."""
-    return terms is not None and _lapack.cholesky(g, terms[0], np.full(g.shape[0], terms[1]))
 
 
 def _kato_temple(terms, gap: float):
@@ -337,14 +331,15 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
     returned unit u, started from the kernel's bottom vector u, with w the eigenvalues of g =
     fl(X^T X), which _lapack.cholesky may write, and floor_terms its _floor_terms. Every check that
     needs no Cholesky runs first: the gap b' between w_1 and w_2, and the prediction that two
-    refinement steps would meet the limit. Then come the floor's Cholesky (unless floor_proven says
-    it has run), the gap's, and at most two refinement steps. The enclosure may be wider than
-    GRAM_COND_LIMIT where refinement fell short of its prediction; None where a check or a proof
-    step fails, or u or floor_terms is None.
+    refinement steps would meet the limit. Then _lapack.cholesky runs, for the floor at the scalar
+    shift nu (unless floor_proven says it has run), for the gap, and for at most two refinement
+    steps, each solving in place in a fresh S u. The enclosure may be wider than GRAM_COND_LIMIT
+    where refinement fell short of its prediction; None where a check or a proof step fails, or u
+    or floor_terms is None.
     """
     if u is None or floor_terms is None:
         return None
-    scale, _, floor, c = floor_terms
+    scale, nu, floor, c = floor_terms
     terms = _rayleigh(x, u)
     if terms is None:
         return None
@@ -363,7 +358,7 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
     sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
     q = (hi - sigma) / (gap - sigma)  # two steps shrink the residual by q^2 at best
     best = rho_lo - ((r_norm * q * q + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
-    if not (hi <= (1.0 + GRAM_COND_LIMIT) * best and (floor_proven or _floor_holds(g, floor_terms))
+    if not (hi <= (1.0 + GRAM_COND_LIMIT) * best and (floor_proven or _lapack.cholesky(g, scale, nu))
             and _lapack.cholesky(g, scale, shift, lift)):
         return None
     for _ in range(2):
@@ -371,8 +366,8 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
         if hi <= (1.0 + GRAM_COND_LIMIT) * lo:
             break
         sigma = max(lo, 0.0) * (1.0 - 2.0 * slop)
-        z = _lapack.cholesky_solve(g, scale, sigma * scale * scale, scale * terms[0])
-        if z is None or not np.isfinite(z).all():
+        z = scale * terms[0]
+        if not (_lapack.cholesky(g, scale, sigma * scale * scale, rhs=z) and np.isfinite(z).all()):
             return None
         terms = _rayleigh(x, scale * z)
         bounds = None if terms is None else _kato_temple(terms, gap)
@@ -393,7 +388,7 @@ def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray):
         return None
     resolves = _gram_resolves(d.max(), d.min())  # a diagonal that fails proves the eigenvalues fail
     floor_terms = _floor_terms(g, n_rows)
-    if not (resolves or _floor_holds(g, floor_terms)):
+    if not (resolves or floor_terms is not None and _lapack.cholesky(g, *floor_terms[:2])):
         return None  # the rule has failed already, and the floor with it, before g is reduced
     reduced = _lapack.tridiagonal(g)
     try:
@@ -492,6 +487,8 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     # which is bottom vector n itself when k = n.
     picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
     s, rows, residuals, method, gram = _right_factors(x, picks, None)
+    if gram is not None:
+        gram.flags.writeable = False  # restored by the route, and now only read
 
     # Each row's largest-magnitude component made positive; argmax takes the lowest index on ties.
     lead = np.take_along_axis(rows, np.abs(rows).argmax(axis=1)[:, None], axis=1)

@@ -707,6 +707,16 @@ class TestReport:
         assert main(["report", "--records", str(path), "--kind", "kth",
                      "--out-dir", str(tmp_path / "rep")]) == 1
 
+    def test_records_without_kth_values_rejected(self, sweep_records, tmp_path, capsys):
+        # Records edited to keep no value give no kth row: the report says so and, as for an
+        # empty file, writes nothing.
+        path = tmp_path / "records.jsonl"
+        recs = [json.loads(line) for line in sweep_records.read_text().splitlines()]
+        path.write_text("".join(json.dumps({**r, "kth_values": []}) + "\n" for r in recs))
+        dest = tmp_path / "rep"
+        assert main(["report", "--records", str(path), "--kind", "kth", "--out-dir", str(dest)]) == 1
+        assert "no kth_values" in capsys.readouterr().err and not dest.exists()
+
     @pytest.mark.parametrize("bad", [b"{not json\n", b'{"alpha": "\xc3\n'])
     def test_bad_json_line_is_io(self, sweep_records, tmp_path, capsys, bad):
         path = tmp_path / "records.jsonl"

@@ -117,26 +117,32 @@ class TestForeignMemory:
         # dpotrf factors the built matrix in g's lower triangle, and g is then restored;
         # n = 130 fills it in three blocks of columns. A negative shift adds to the
         # diagonal, so each kind is positive definite; a shift of 1e3 makes it indefinite.
+        # The shift is an n-vector with a lift, as the gap's call has it, and a scalar
+        # without one, as the floor's call has it.
         g = _lapack._copy(_inputs(n)[kind])
         before = g.copy()
         scale = 1.0 / np.sqrt(np.abs(np.diagonal(g)) + 1.0)
-        shift = np.full(n, -1.0 if definite else 1e3)
-        assert _lapack.cholesky(g, scale, shift, np.linspace(0.0, 1.0, n)) == definite
+        shift = -1.0 if definite else 1e3
+        assert _lapack.cholesky(g, scale, np.full(n, shift), np.linspace(0.0, 1.0, n)) == definite
+        assert np.array_equal(g, before)
+        assert _lapack.cholesky(g, scale, shift) == definite
         assert np.array_equal(g, before)
         assert len(padded) >= 2
 
     @pytest.mark.parametrize("kind", ["zero", "identity", "tied_diagonal", "rank_one", "block_diagonal"])
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 130])
     def test_cholesky_solve_stays_in_bounds(self, padded, n, kind):
-        # dpotrs solves in a copy of b with the factor in g's lower triangle, before g is restored.
+        # dpotrs solves in the caller's rhs, a padded buffer here too, with the factor in g's
+        # lower triangle, before g is restored; an indefinite matrix leaves rhs unsolved.
         g = _lapack._copy(_inputs(n)[kind])
         before = g.copy()
         scale = 1.0 / np.sqrt(np.abs(np.diagonal(g)) + 1.0)
         shift = np.full(n, -1.0)
-        z = _lapack.cholesky_solve(g, scale, shift, np.ones(n))
+        z = _lapack._copy(np.ones(n))
+        assert _lapack.cholesky(g, scale, shift, rhs=z)
         assert np.allclose((scale[:, None] * before * scale - np.diag(shift)) @ z, 1.0, atol=1e-10)
         assert np.array_equal(g, before)
-        assert _lapack.cholesky_solve(g, scale, np.full(n, 1e3), np.ones(n)) is None
+        assert _lapack.cholesky(g, scale, np.full(n, 1e3), rhs=z) is False
 
 
 def test_cholesky_decides_and_restores_g():

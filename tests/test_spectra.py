@@ -629,6 +629,20 @@ class TestGivenGram:
         with pytest.raises(ValueError, match="has 12 values"):  # X's spectrum, one column short
             upper_certificate(x[:, :-1], 10.0, dataclasses.replace(res, gram=None))
 
+    def test_returned_gram_is_read_only(self):
+        # The certificate takes a partial minor's values from spectrum.gram with no check
+        # against X, so an edit in place of full_svd's G would change minor_smin silently.
+        x = self._x()
+        res = full_svd(x)
+        report = upper_certificate(x, 4.0, res)
+        assert 2 <= report.column_count < x.shape[1]
+        with pytest.raises(ValueError, match="read-only"):
+            res.gram[5, 5] *= 1.5
+        with pytest.raises(TypeError, match="writeable"):  # LAPACK would write past the flag
+            spectra._minor_extremes(x, np.arange(x.shape[1]), res.gram)
+        assert np.array_equal(res.gram, x.T @ x)
+        assert upper_certificate(x, 4.0, res) == report
+
     def test_minor_values_from_gram_without_einsum(self, monkeypatch):
         # Both diagonal tests, X's and the minor's, read diag(G): no pass over X computes it.
         x = self._x()
@@ -774,7 +788,7 @@ class TestEnclosure:
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((12, 6)))
         x = q * np.array([1e5, 7.0, 5.0, 3.0, 1.0 + 1e-12, 1.0])
         g = _lapack.gram(x)
-        assert spectra._floor_holds(g, spectra._floor_terms(g, x.shape[0]))
+        assert _lapack.cholesky(g, *spectra._floor_terms(g, x.shape[0])[:2])
         assert _enclose(x, floor_proven=True) is None
         res = full_svd(x)
         assert res.method == "gesdd"
