@@ -32,8 +32,10 @@ __all__ = [
 
 # Slack factor for laws whose tail constant is only asymptotic (Student t).
 _TAIL_SLACK = 1.1
-# Entries per block of the Pareto sampler: its (block, 2) uniform buffer is 256 KiB.
+# Entries per block of the Pareto sampler: its uniform buffer is 128 KiB.
 _PARETO_BLOCK = 16384
+# u - _PARETO_CENTRE is exact for every double u in [0, 1) that the stream draws, and never 0.
+_PARETO_CENTRE = 0.5 - 2.0**-54
 
 
 class LawKind(str, Enum):
@@ -160,28 +162,33 @@ class TailLaw:
     def sample(self, stream: Generator, size: tuple[int, ...] | int) -> np.ndarray:
         """Draw samples, consuming the stream deterministically.
 
-        The Pareto path consumes two uniforms per entry (magnitude, sign)
-        in C order, so a (N, n) draw fills the matrix row by row. It fills
-        the C-order output in flat blocks of _PARETO_BLOCK entries from one
-        reused (block, 2) uniform buffer; the stream continues from one
-        block to the next, so the bytes do not depend on the block size.
+        The Pareto path consumes one uniform u per entry in C order, so a
+        (N, n) draw fills the matrix row by row. t = u - (1/2 - 2^-54) is
+        exact and an odd multiple of 2^-54, so never 0; its sign is the
+        entry's, and 2|t| in (0, 1) is uniform and independent of that sign.
+        |x| = m (2|t|)^(-1/alpha), clamped to |x| >= m since exp and log
+        round. It fills the C-order output in flat blocks of _PARETO_BLOCK
+        entries from one reused uniform buffer; the stream continues from
+        one block to the next, so the bytes do not depend on the block size.
         """
         m = self.multiplier
         if self.kind is LawKind.SYMMETRIC_PARETO:
             shape = (size,) if isinstance(size, int) else tuple(size)
             out = np.empty(shape)
             flat = out.reshape(-1)
-            buf = np.empty((min(_PARETO_BLOCK, flat.size), 2))
+            buf = np.empty(min(_PARETO_BLOCK, flat.size))
             for lo in range(0, flat.size, _PARETO_BLOCK):
                 mag = flat[lo:lo + _PARETO_BLOCK]
-                u = stream.random(out=buf[: mag.size])
-                # m * (1 - u)^(-1/alpha) >= m > 0, so copysign negates it exactly
-                # where the sign uniform is below 1/2 (u - 1/2 = +0.0 keeps it).
-                np.subtract(1.0, u[:, 0], out=mag)
-                np.power(mag, -1.0 / self.alpha, out=mag)
+                t = stream.random(out=buf[: mag.size])
+                t -= _PARETO_CENTRE
+                np.abs(t, out=mag)
+                mag *= 2.0
+                np.log(mag, out=mag)
+                mag *= -1.0 / self.alpha
+                np.exp(mag, out=mag)
                 mag *= m
-                np.subtract(u[:, 1], 0.5, out=u[:, 1])
-                np.copysign(mag, u[:, 1], out=mag)
+                np.maximum(mag, m, out=mag)
+                np.copysign(mag, t, out=mag)
             return out
         if self.kind is LawKind.GAUSSIAN:
             return m * stream.standard_normal(size)
@@ -212,11 +219,14 @@ class EnsembleConfig:
 
 
 def derive_stream(seed: int, trial_index: int) -> Generator:
-    """Independent, reproducible stream for (seed, trial_index).
+    """Reproducible stream for (seed, trial_index): PCG64DXSM seeded by
+    SeedSequence([seed, trial_index]).
 
-    Counter-based generator keyed by the pair, so streams for different
-    trial indices never overlap and any trial can be regenerated in
-    isolation.
+    Any trial can be regenerated in isolation from its pair. Unlike a
+    counter-based generator's, the streams of different pairs are not
+    disjoint by construction: they rest on SeedSequence hashing each pair
+    into its own 128-bit state and increment (sweep seeds are themselves
+    SHA-256 hashes of the trial's cell and index).
     """
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be in [0, 2**64)")
@@ -224,17 +234,30 @@ def derive_stream(seed: int, trial_index: int) -> Generator:
         raise ValueError("trial_index must be in [0, 2**64)")
     # Imported here so that commands that sample nothing (spectra, certify,
     # plot, ...) do not load numpy.random.
-    from numpy.random import Generator, Philox
+    from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-    key = np.array([seed, trial_index], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Generator(PCG64DXSM(SeedSequence([seed, trial_index])))
+
+
+def simd_target() -> str | None:
+    """numpy's dispatch target for the float64 log and exp loops that the
+    Pareto sampler runs (such as "X86_V4"), or None where numpy (before 2.0)
+    does not say. The targets round differently in the last bit, so Pareto
+    matrices are bitwise-identical only within one target."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(log|exp)$", signature="float64")
+    return "+".join(sorted({loops["dd"]["current"] for loops in info.values()})) or None
 
 
 def sample_matrix(config: EnsembleConfig) -> np.ndarray:
     """Sample the full matrix for a config, row-major entry order.
 
-    Identical configs produce bitwise-identical matrices on any platform;
-    the stream is keyed by (config.seed, 0).
+    The stream is keyed by (config.seed, 0). Identical configs produce
+    bitwise-identical matrices on one numpy version and one simd_target();
+    the Gaussian and Student-t draws do not depend on the target.
     """
     stream = derive_stream(config.seed, 0)
     return config.law.sample(stream, (config.rows, config.n))

@@ -4,10 +4,12 @@ Determinism contract: every trial's stream is keyed by a hash of
 (base_seed, law, cell, trial index), so any single trial can be
 regenerated in isolation, runs can be parallelized trial-wise, and
 records.jsonl is byte-identical across reruns and worker counts at one
-BLAS thread setting and on one OpenBLAS kernel set, which `manifest.json`
-records as `blas_core` (another thread count or kernel set can change the
-last bits of the decompositions). Wall times and other nondeterministic
-metadata live in the run manifest, never in the records.
+BLAS thread setting, on one OpenBLAS kernel set and on one numpy SIMD
+target, which `manifest.json` records as `blas_core` and `numpy_simd`
+(another thread count or kernel set can change the last bits of the
+decompositions, and another SIMD target those of Pareto entries). Wall
+times and other nondeterministic metadata live in the run manifest, never
+in the records.
 
 Gaussian cells use alpha = inf as their grid label (the law ignores it);
 JSON output then carries the Infinity literal, which Python's json module
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__, _lapack
 from .certificates import CENSUS_C, TAU_PARAMS, certificate_cutoff, heavy_census, upper_certificate
-from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
+from .ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix, simd_target
 from .localization import C_GRID, EPSILONS, localization_entries
 from .localization import localization_report  # noqa: F401 (perfbench wraps it here)
 from .matrixio import MatrixFormatError
@@ -552,6 +554,9 @@ def write_manifest(
         "lapack_kernels": _lapack.available(),
         # The OpenBLAS kernel set: records are byte-identical only within one. None: the build does not say.
         "blas_core": _lapack.core_name(),
+        # numpy's SIMD target for the Pareto sampler's log and exp: records are byte-identical
+        # only within one, too. None: numpy (before 2.0) does not say.
+        "numpy_simd": simd_target(),
         "record_count": len(records),
         "failures": failures,
         "elapsed_seconds": elapsed,

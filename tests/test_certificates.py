@@ -222,7 +222,7 @@ class TestAllColumnsMinor:
         # alpha = 5, n = 24: trial 1 keeps every column below the census cutoff;
         # trial 0 drops one, and its minor's values come from G[J, J].
         config = SweepConfig(alphas=(5.0,), ns=(24,), aspect=2.0, trials_per_cell=2,
-                             base_seed=7, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
+                             base_seed=4, k_vectors=2, c_grid=(1.0,), epsilons=(0.1,))
         for trial, exact in [(1, True), (0, False)]:
             minor_svds.clear()
             rec = run_trial(config, 5.0, 24, trial)

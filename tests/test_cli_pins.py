@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from svlab.cli import main
+from svlab.ensemble import simd_target
 from svlab.experiments import bracket_check, fit_scaling, write_records
 from svlab.matrixio import save_matrix
 
 from test_csv_bytes import _baiyin_records, _grid_records, _scaling_records
+from test_ensemble import _pareto, _pinned
 from test_experiments import synth_record
 
 
@@ -56,6 +58,8 @@ def _generate_meta(seed, law, tail_bounds, out, csv):
     }
 
 
+# A Pareto matrix's last bits follow numpy's float64 log and exp loops, so its sha256 is
+# keyed by ensemble.simd_target() (as in test_ensemble's SAMPLE_PINS); a Gaussian one is not.
 @pytest.mark.parametrize("flags, meta, matrix_sha", [
     (
         ["--alpha", "1.5", "--seed", "1", "--out", "g.svlm"],
@@ -63,7 +67,10 @@ def _generate_meta(seed, law, tail_bounds, out, csv):
             1, {"kind": "symmetric_pareto", "alpha": 1.5, "scale": 1.0, "normalize_variance": False},
             {"alpha": 1.5, "c_lower": 1.0, "c_upper": 1.0, "t_zero": 1.0}, "g.svlm", None,
         ),
-        "7ed797b9460481953ff5cd5f85041f00534f656c5f80876c416c8b414bf6f792",
+        _pareto(
+            "d53accc32e9d79e3498d57494a089787d030174819df0034738f383034e2e0b3",
+            "10548349964d74dc77bb0b1e6b15fc689b23adc4b84d927888aa9a12e650ae82",
+        ),
     ),
     (
         ["--law", "gaussian", "--seed", "2", "--out", "g.svlm", "--csv", "g.csv"],
@@ -71,13 +78,13 @@ def _generate_meta(seed, law, tail_bounds, out, csv):
             2, {"kind": "gaussian", "alpha": math.inf, "scale": 1.0, "normalize_variance": False},
             None, "g.svlm", "g.csv",
         ),
-        "9ea7563c4c76e09b1baf938fa044bcc368bf1e0ccb170df92f49a09557c2b70d",
+        "69f26c474e6c1e4d9ab7da33394be9ae824452e32e974429cd5e10f436210f8b",
     ),
-])
+], ids=["pareto", "gaussian"])
 def test_generate(run, flags, meta, matrix_sha):
     assert run("generate", "--n", "4", *flags) == (0, json.dumps(meta) + "\n", "")
     assert _text("g.svlm.meta.json") == json.dumps(meta, indent=2) + "\n"
-    assert _sha256("g.svlm") == matrix_sha
+    assert _sha256("g.svlm") == _pinned(matrix_sha), f"simd target {simd_target()}: sha256 {_sha256('g.svlm')}"
 
 
 SPECTRA = {

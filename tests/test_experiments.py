@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import svlab.experiments as ex
 from svlab import _lapack
-from svlab.ensemble import LawKind
+from svlab.ensemble import LawKind, simd_target
 from svlab.experiments import (
     SweepConfig,
     TrialRecord,
@@ -252,7 +253,7 @@ class TestRunTrial:
          "b_frak*ln(N)/(a_frak*c_upper) = 0.8958 <= 1 at N=6; increase n or b_frak); census cutoff used"),
     ])
     def test_cutoff_branches(self, law_kind, alpha, n, note):
-        cfg = SweepConfig(alphas=(alpha,), ns=(n,), aspect=2.0, trials_per_cell=1, base_seed=99,
+        cfg = SweepConfig(alphas=(alpha,), ns=(n,), aspect=2.0, trials_per_cell=1, base_seed=0,
                           law_kind=law_kind)
         rec = run_trial(cfg, alpha, n, 0)
         n_rows = 2 * n
@@ -497,6 +498,14 @@ class TestWriters:
         write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
         man = json.loads((tmp_path / "m.json").read_text())
         assert man["lapack_kernels"] is False and man["blas_core"] is None
+
+    def test_manifest_numpy_simd(self, tmp_path, monkeypatch):
+        write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
+        man = json.loads((tmp_path / "m.json").read_text())
+        assert man["numpy_simd"] == simd_target() and man["numpy_simd"] is not None
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # numpy before 2.0
+        write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["numpy_simd"] is None
 
 
 class TestFitScaling:

@@ -3,10 +3,11 @@
 The records hold the same Python objects run_trial puts there: dicts of a
 LocalizationReport's and a CertificateReport's fields, with the report's own
 lists and tuples inside. Every float is a literal, so the text is the same
-on every platform. The sweeps' floats come from numpy's bundled OpenBLAS,
-and each sweep's sha256 pins them there, one hash per kernel set: one sweep
-whose trials take the R route, and one whose trials fail the GRAM_COND_LIMIT
-rule and keep the gram route through the scaled enclosure.
+on every platform. The sweeps' floats come from numpy's bundled OpenBLAS
+and its SIMD loops, and each sweep's sha256 pins them there, one hash per
+kernel set and SIMD target: one sweep whose trials take the R route, and one
+whose trials fail the GRAM_COND_LIMIT rule and keep the gram route through
+the scaled enclosure.
 """
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ import numpy as np
 
 from svlab import _lapack
 from svlab.certificates import CertificateReport
-from svlab.ensemble import EnsembleConfig, sample_matrix
+from svlab.ensemble import EnsembleConfig, sample_matrix, simd_target
 from svlab.experiments import (
     SweepConfig,
     TrialRecord,
@@ -124,23 +125,25 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
     assert path.read_text(encoding="ascii") == deep
 
 
-# Each pinned sweep's sha256 on each OpenBLAS kernel set, as _lapack.core_name()
-# names it, each measured in a fresh process under OPENBLAS_CORETYPE on one
-# machine. OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set,
-# and Prescott and Core2 the Katmai set.
+# Each pinned sweep's sha256 on each pair of OpenBLAS kernel set, as _lapack.core_name()
+# names it, and numpy SIMD target for float64 log and exp, as ensemble.simd_target() names
+# it: the pair a CPU of that class gets. Each was measured in a fresh process under
+# OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES on one machine with AVX-512.
+# OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set, and Prescott
+# and Core2 the Katmai set. The AVX2 (X86_V3) and baseline loops wrote the same bytes.
 R_ROUTE_SHA256 = {
-    "SkylakeX": "6eaf9e3c476a3577369fb2a67090d3d6667adae331b5f14db16a30d672092635",
-    "Haswell": "4b56a7a91cb7ee6a936967272a276569d4a2c7fcab883d870185ac1b533f49ae",
-    "Sandybridge": "fec3162a790d4f2f6fdb9560d75a1deca8cb0ed56c037451c96c094223242fa5",
-    "Nehalem": "4b8cd1692e82880ba10062619873f87ac6de9a078f5ce9bdea8c2e94d60b6118",
-    "Katmai": "982eac1f3c92e4f4de34d8fc2d68043829d92d391599bc77a0741d1785ff131e",
+    ("SkylakeX", "X86_V4"): "a16a688b7a76a43c45e07cb5732161c532875fbcb3362c37eb2516f097d9b92e",
+    ("Haswell", "X86_V3"): "c103066eab51e6f38a7fe1231bad73c0a0c23e005c3417368e9a30c042e801cf",
+    ("Sandybridge", "baseline(X86_V2)"): "f8f8475a0d5248a4e1db5e97b387c660efa29d333a7bef6f22dda55f031704b3",
+    ("Nehalem", "baseline(X86_V2)"): "b4da5a204c2af70515ab5374dcbb45aebe9f9876e4bc579eef06218fdb257494",
+    ("Katmai", "baseline(X86_V2)"): "d4e31fa5120bd2bc011b9aff5ede644ea2ed666d94693a3c2b8986568d35fe0a",
 }
 VERIFIED_GRAM_SHA256 = {
-    "SkylakeX": "dc591b95179ac22eee97bdf14f3e3819d71098eb7b31206e2006aa270371abb7",
-    "Haswell": "7ca686a8d7eb0c9f35796a342d88f82ab3baa1c7dc7fa581a1c5be317c9081fe",
-    "Sandybridge": "ab0e6860a88c77222ec8002a1e1c4ca47947672c4576690f679dc365c5cc613f",
-    "Nehalem": "c1627fc754ee5e35b923aef1bb4289b3a05c99289b43b9e10178c5e827179907",
-    "Katmai": "4f7996d89296870587791bf479534c482184430a22da6ae24dd3638e112897e6",
+    ("SkylakeX", "X86_V4"): "28bf543b175daf5ff759dfd6fc3835ccbde0c6b5c4a9496ee316ee8a3638ced2",
+    ("Haswell", "X86_V3"): "12c2d741a309651c03b0bb618de9488467008241a141d7c9c5b8eee9ed4ca5a6",
+    ("Sandybridge", "baseline(X86_V2)"): "1fc280b2530b5bcac29f75dd5dfd1f65d25416885d36601782726ec1aa869c3c",
+    ("Nehalem", "baseline(X86_V2)"): "2c7079c3caf72a8425781cc0f859bd97c42a6acad0ff907e4d955c1a5df34b20",
+    ("Katmai", "baseline(X86_V2)"): "159c96af4a532e63a93d2b4e6c3c0b27bf4e5136208970da498e0e1c1d927767",
 }
 
 
@@ -159,7 +162,7 @@ def _sweep_digest(config, tmp_path, route):
     assert failures == []
     path = tmp_path / "records.jsonl"
     write_records(records, path)
-    return _lapack.core_name(), hashlib.sha256(path.read_bytes()).hexdigest()
+    return (_lapack.core_name(), simd_target()), hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_r_route_sweep_bytes(tmp_path):
@@ -167,18 +170,18 @@ def test_r_route_sweep_bytes(tmp_path):
     # enclosure, so X is decomposed through its R factor (QR, then the bidiagonal
     # form of R); any change to that route must keep every byte. n = 40 keeps
     # OpenBLAS single-threaded, so the bytes hold at any thread count. The kernel
-    # set moves the last bits, so each set has its own hash, and a set with none
-    # fails with the hash it wrote.
+    # set and the SIMD target move the last bits, so each pair has its own hash,
+    # and a pair with none fails with the hash it wrote.
     config = SweepConfig(alphas=(0.1, 0.3), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
-    core, digest = _sweep_digest(config, tmp_path, lambda x: full_svd(x, k_bottom=2).method == "gesdd")
-    assert digest == R_ROUTE_SHA256.get(core), f"kernel set {core}: records.jsonl sha256 {digest}"
+    key, digest = _sweep_digest(config, tmp_path, lambda x: full_svd(x, k_bottom=2).method == "gesdd")
+    assert digest == R_ROUTE_SHA256.get(key), f"kernel set, SIMD target {key}: records.jsonl sha256 {digest}"
 
 
 def test_verified_gram_sweep_bytes(tmp_path):
     # Each trial's eigenvalues fail the GRAM_COND_LIMIT rule, and the scaled
     # enclosure keeps it on the gram route: s_min and bottom vector 1 come from
     # the proven Rayleigh quotient and its vector, the rest from dsterf and dstein.
-    config = SweepConfig(alphas=(0.8,), ns=(40,), aspect=2.0, trials_per_cell=2, base_seed=15, k_vectors=2)
-    core, digest = _sweep_digest(
+    config = SweepConfig(alphas=(0.8,), ns=(40,), aspect=2.0, trials_per_cell=2, base_seed=23, k_vectors=2)
+    key, digest = _sweep_digest(
         config, tmp_path, lambda x: _eigenvalues_fail_rule(x) and full_svd(x, k_bottom=2).method == "gram")
-    assert digest == VERIFIED_GRAM_SHA256.get(core), f"kernel set {core}: records.jsonl sha256 {digest}"
+    assert digest == VERIFIED_GRAM_SHA256.get(key), f"kernel set, SIMD target {key}: records.jsonl sha256 {digest}"
