@@ -167,7 +167,9 @@ class TailLaw:
         exact and an odd multiple of 2^-54, so never 0; its sign is the
         entry's, and 2|t| in (0, 1) is uniform and independent of that sign.
         |x| = m (2|t|)^(-1/alpha), clamped to |x| >= m since exp and log
-        round. It fills the C-order output in flat blocks of _PARETO_BLOCK
+        round. Taken as exp(log(2|t|) (-1/alpha)), |x| is within about
+        1 + |ln 2|t||/alpha ulps (at most 1 + 37/alpha), where np.power keeps
+        about 1 ulp; the law does not move at that scale. It fills the C-order output in flat blocks of _PARETO_BLOCK
         entries from one reused uniform buffer; the stream continues from
         one block to the next, so the bytes do not depend on the block size.
         """
@@ -239,17 +241,25 @@ def derive_stream(seed: int, trial_index: int) -> Generator:
     return Generator(PCG64DXSM(SeedSequence([seed, trial_index])))
 
 
-def simd_target() -> str | None:
-    """numpy's dispatch target for the float64 log and exp loops that the
-    Pareto sampler runs (such as "X86_V4"), or None where numpy (before 2.0)
-    does not say. The targets round differently in the last bit, so Pareto
-    matrices are bitwise-identical only within one target."""
+def simd_target() -> str:
+    """Which class of numpy's float64 log and exp loops, the ones the Pareto
+    sampler runs, this process gets: "avx512" where numpy dispatches them to
+    its AVX-512 loops, else "generic". The AVX-512 loops round differently in
+    the last bit, so Pareto matrices are bitwise-identical only within one
+    class. numpy >= 2.0 names the loop that runs (X86_V4 on numpy 2.4,
+    AVX512F or AVX512_SKX before); numpy 1.x runs its AVX512F or AVX512_SKX
+    loop wherever it was built with one and the CPU has it."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
-        return None
-    info = opt_func_info(func_name="^(log|exp)$", signature="float64")
-    return "+".join(sorted({loops["dd"]["current"] for loops in info.values()})) or None
+        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+        built = set(__cpu_baseline__) | set(__cpu_dispatch__)
+        targets = [f for f in ("AVX512F", "AVX512_SKX") if f in built and __cpu_features__.get(f)]
+    else:
+        info = opt_func_info(func_name="^(log|exp)$", signature="float64")
+        targets = [loops["dd"]["current"] for loops in info.values()]
+    return "avx512" if any("AVX512" in t or "X86_V4" in t for t in targets) else "generic"
 
 
 def sample_matrix(config: EnsembleConfig) -> np.ndarray:

@@ -4,10 +4,10 @@ Determinism contract: every trial's stream is keyed by a hash of
 (base_seed, law, cell, trial index), so any single trial can be
 regenerated in isolation, runs can be parallelized trial-wise, and
 records.jsonl is byte-identical across reruns and worker counts at one
-BLAS thread setting, on one OpenBLAS kernel set and on one numpy SIMD
-target, which `manifest.json` records as `blas_core` and `numpy_simd`
+BLAS thread setting, on one OpenBLAS kernel set and on one class of numpy
+SIMD loops, which `manifest.json` records as `blas_core` and `numpy_simd`
 (another thread count or kernel set can change the last bits of the
-decompositions, and another SIMD target those of Pareto entries). Wall
+decompositions, and another SIMD class those of Pareto entries). Wall
 times and other nondeterministic metadata live in the run manifest, never
 in the records.
 
@@ -554,8 +554,8 @@ def write_manifest(
         "lapack_kernels": _lapack.available(),
         # The OpenBLAS kernel set: records are byte-identical only within one. None: the build does not say.
         "blas_core": _lapack.core_name(),
-        # numpy's SIMD target for the Pareto sampler's log and exp: records are byte-identical
-        # only within one, too. None: numpy (before 2.0) does not say.
+        # The class of numpy's loops for the Pareto sampler's log and exp ("avx512" or
+        # "generic"): records are byte-identical only within one, too.
         "numpy_simd": simd_target(),
         "record_count": len(records),
         "failures": failures,

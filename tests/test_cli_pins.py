@@ -59,7 +59,7 @@ def _generate_meta(seed, law, tail_bounds, out, csv):
 
 
 # A Pareto matrix's last bits follow numpy's float64 log and exp loops, so its sha256 is
-# keyed by ensemble.simd_target() (as in test_ensemble's SAMPLE_PINS); a Gaussian one is not.
+# keyed by ensemble.simd_target()'s class (as in test_ensemble's SAMPLE_PINS); a Gaussian one is not.
 @pytest.mark.parametrize("flags, meta, matrix_sha", [
     (
         ["--alpha", "1.5", "--seed", "1", "--out", "g.svlm"],
@@ -84,7 +84,7 @@ def _generate_meta(seed, law, tail_bounds, out, csv):
 def test_generate(run, flags, meta, matrix_sha):
     assert run("generate", "--n", "4", *flags) == (0, json.dumps(meta) + "\n", "")
     assert _text("g.svlm.meta.json") == json.dumps(meta, indent=2) + "\n"
-    assert _sha256("g.svlm") == _pinned(matrix_sha), f"simd target {simd_target()}: sha256 {_sha256('g.svlm')}"
+    assert _sha256("g.svlm") == _pinned(matrix_sha), f"simd class {simd_target()}: sha256 {_sha256('g.svlm')}"
 
 
 SPECTRA = {

@@ -1,6 +1,8 @@
 """Entry law contracts: exact tails, certified constants, stream determinism."""
 import hashlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ class TestParetoLaw:
         assert (4.0 / 2.0) ** -1.5 == pytest.approx(b.c_upper * 4.0**-1.5, rel=1e-14)
 
     def test_frozen_draws(self):
-        # The same on every SIMD target measured (see SAMPLE_PINS).
+        # The same in both SIMD classes (see SAMPLE_PINS).
         got = [float(v) for v in PARETO_15.sample(derive_stream(42, 0), 4)]
         assert got == [
             2.065779403906992,
@@ -296,28 +298,28 @@ class TestSampleMatrix:
 
 # sha256 of the sampled bytes, so any rewrite of a sampler must keep every bit. A Pareto
 # draw's last bits follow numpy's float64 log and exp loops, so each Pareto pin is keyed by
-# simd_target(), each made in a fresh process under NPY_DISABLE_CPU_FEATURES on one machine;
-# the AVX2 loops (X86_V3) and the baseline ones wrote the same bytes there. The Gaussian and
-# Student-t draws run neither loop, and one pin serves every target.
-def _pareto(avx512, other):
-    return {"X86_V4": avx512, "X86_V3": other, "baseline(X86_V2)": other}
+# simd_target()'s class, each made in a fresh process on one machine with AVX-512, the
+# "generic" one under NPY_DISABLE_CPU_FEATURES (its AVX2 loops and its baseline ones wrote
+# the same bytes there). A pin that is one digest holds in both classes: the Gaussian and
+# Student-t draws run neither loop.
+def _pareto(avx512, generic):
+    return {"avx512": avx512, "generic": generic}
 
 
 def _pinned(pin):
-    """The digest that pin holds for this process's SIMD target."""
-    return pin if isinstance(pin, str) else pin.get(simd_target())
+    """The digest that pin holds for this process's SIMD class."""
+    return pin if isinstance(pin, str) else pin[simd_target()]
 
 
 def _assert_pinned(v, pin):
     got = hashlib.sha256(v.tobytes()).hexdigest()
-    assert got == _pinned(pin), f"simd target {simd_target()}: sha256 {got}"
+    assert got == _pinned(pin), f"simd class {simd_target()}: sha256 {got}"
 
 
 SAMPLE_PINS = {
     # (kind, alpha, scale, normalize, n, aspect, seed): digest
-    (LawKind.SYMMETRIC_PARETO, 0.5, 1.0, False, 3, 2.0, 11): _pareto(
-        "d164ade69822c3dd72d6e385d3a6ae51961d62687cc28f6dac35979bd37e6a0a",
-        "d164ade69822c3dd72d6e385d3a6ae51961d62687cc28f6dac35979bd37e6a0a",
+    (LawKind.SYMMETRIC_PARETO, 0.5, 1.0, False, 3, 2.0, 11): (
+        "d164ade69822c3dd72d6e385d3a6ae51961d62687cc28f6dac35979bd37e6a0a"
     ),
     (LawKind.SYMMETRIC_PARETO, 1.0, 1.0, False, 40, 2.0, 12): _pareto(
         "fd1daa4e3c74a09c15b0732cb7c971cced4b10abe97ce1c45f10d430522febc8",
@@ -374,6 +376,35 @@ SIZE_PINS = {
 }
 
 
+class TestSimdTarget:
+    # The names numpy gives its float64 log and exp loops: 2.4's x86-64 levels, and the
+    # feature groups of 2.0-2.3 (numpy/lib/introspect.py's docstring there).
+    @pytest.mark.parametrize("current, expected", [
+        ("X86_V4", "avx512"), ("AVX512F", "avx512"), ("AVX512_SKX", "avx512"),
+        ("X86_V3", "generic"), ("FMA3__AVX2", "generic"), ("baseline(X86_V2)", "generic"),
+        ("baseline(SSE SSE2 SSE3)", "generic"), ("baseline(NEON NEON_FP16 NEON_VFPV4 ASIMD)", "generic"),
+    ])
+    def test_numpy_2_loop_names(self, monkeypatch, current, expected):
+        stub = types.ModuleType("numpy.lib.introspect")
+        stub.opt_func_info = lambda func_name, signature: {
+            f: {"dd": {"current": current}} for f in ("exp", "log")}
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", stub)
+        assert simd_target() == expected
+
+    @pytest.mark.parametrize("built, on, expected", [
+        (["AVX512F", "AVX512_SKX"], {"AVX512F": True, "AVX512_SKX": True}, "avx512"),
+        (["AVX512F"], {"AVX512F": True, "AVX512_SKX": False}, "avx512"),
+        (["AVX512F", "AVX512_SKX"], {"AVX512F": False, "AVX512_SKX": False}, "generic"),  # disabled
+        (["AVX2", "FMA3"], {"AVX512F": True, "AVX512_SKX": True}, "generic"),  # not built
+    ])
+    def test_numpy_1_features(self, monkeypatch, built, on, expected):
+        stub = types.ModuleType("numpy.core._multiarray_umath")
+        stub.__cpu_baseline__, stub.__cpu_dispatch__, stub.__cpu_features__ = ["SSE", "SSE2", "SSE3"], built, on
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # no such module before 2.0
+        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", stub)
+        assert simd_target() == expected
+
+
 class TestSamplerBytes:
     @pytest.mark.parametrize("kind, alpha, scale, normalize, n, aspect, seed", list(SAMPLE_PINS))
     def test_matrix_bytes_pinned(self, kind, alpha, scale, normalize, n, aspect, seed):
@@ -383,7 +414,7 @@ class TestSamplerBytes:
         _assert_pinned(x, SAMPLE_PINS[kind, alpha, scale, normalize, n, aspect, seed])
 
     def test_integer_size_bytes_pinned(self):
-        # Seven entries, the same on every SIMD target measured.
+        # Seven entries, the same in both SIMD classes.
         v = PARETO_15.sample(derive_stream(19, 0), 7)
         assert v.shape == (7,) and v.dtype == np.float64
         _assert_pinned(v, "b0bc2840f236a5460f3ec493bc760a28dc993a28c475a1107f452ef3e205d301")

@@ -5,7 +5,6 @@ import multiprocessing
 import os
 import re
 import signal
-import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -502,10 +501,10 @@ class TestWriters:
     def test_manifest_numpy_simd(self, tmp_path, monkeypatch):
         write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
         man = json.loads((tmp_path / "m.json").read_text())
-        assert man["numpy_simd"] == simd_target() and man["numpy_simd"] is not None
-        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # numpy before 2.0
+        assert man["numpy_simd"] == simd_target() and man["numpy_simd"] in ("avx512", "generic")
+        monkeypatch.setattr(ex, "simd_target", lambda: "generic")
         write_manifest(SMALL, [], [], 0.1, tmp_path / "m.json")
-        assert json.loads((tmp_path / "m.json").read_text())["numpy_simd"] is None
+        assert json.loads((tmp_path / "m.json").read_text())["numpy_simd"] == "generic"
 
 
 class TestFitScaling:

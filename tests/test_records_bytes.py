@@ -5,7 +5,7 @@ LocalizationReport's and a CertificateReport's fields, with the report's own
 lists and tuples inside. Every float is a literal, so the text is the same
 on every platform. The sweeps' floats come from numpy's bundled OpenBLAS
 and its SIMD loops, and each sweep's sha256 pins them there, one hash per
-kernel set and SIMD target: one sweep whose trials take the R route, and one
+kernel set and SIMD class: one sweep whose trials take the R route, and one
 whose trials fail the GRAM_COND_LIMIT rule and keep the gram route through
 the scaled enclosure.
 """
@@ -126,24 +126,25 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
 
 
 # Each pinned sweep's sha256 on each pair of OpenBLAS kernel set, as _lapack.core_name()
-# names it, and numpy SIMD target for float64 log and exp, as ensemble.simd_target() names
-# it: the pair a CPU of that class gets. Each was measured in a fresh process under
-# OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES on one machine with AVX-512.
-# OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set, and Prescott
-# and Core2 the Katmai set. The AVX2 (X86_V3) and baseline loops wrote the same bytes.
+# names it, and class of numpy's float64 log and exp loops, as ensemble.simd_target()
+# names it: the pair a CPU of that class gets. Each was measured in a fresh process under
+# OPENBLAS_CORETYPE, and NPY_DISABLE_CPU_FEATURES for the "generic" class, on one machine
+# with AVX-512. OPENBLAS_CORETYPE=Zen selects the Haswell set, Atom the Nehalem set, and
+# Prescott and Core2 the Katmai set. numpy's AVX2 loops and its baseline ones wrote the
+# same bytes.
 R_ROUTE_SHA256 = {
-    ("SkylakeX", "X86_V4"): "a16a688b7a76a43c45e07cb5732161c532875fbcb3362c37eb2516f097d9b92e",
-    ("Haswell", "X86_V3"): "c103066eab51e6f38a7fe1231bad73c0a0c23e005c3417368e9a30c042e801cf",
-    ("Sandybridge", "baseline(X86_V2)"): "f8f8475a0d5248a4e1db5e97b387c660efa29d333a7bef6f22dda55f031704b3",
-    ("Nehalem", "baseline(X86_V2)"): "b4da5a204c2af70515ab5374dcbb45aebe9f9876e4bc579eef06218fdb257494",
-    ("Katmai", "baseline(X86_V2)"): "d4e31fa5120bd2bc011b9aff5ede644ea2ed666d94693a3c2b8986568d35fe0a",
+    ("SkylakeX", "avx512"): "a16a688b7a76a43c45e07cb5732161c532875fbcb3362c37eb2516f097d9b92e",
+    ("Haswell", "generic"): "c103066eab51e6f38a7fe1231bad73c0a0c23e005c3417368e9a30c042e801cf",
+    ("Sandybridge", "generic"): "f8f8475a0d5248a4e1db5e97b387c660efa29d333a7bef6f22dda55f031704b3",
+    ("Nehalem", "generic"): "b4da5a204c2af70515ab5374dcbb45aebe9f9876e4bc579eef06218fdb257494",
+    ("Katmai", "generic"): "d4e31fa5120bd2bc011b9aff5ede644ea2ed666d94693a3c2b8986568d35fe0a",
 }
 VERIFIED_GRAM_SHA256 = {
-    ("SkylakeX", "X86_V4"): "28bf543b175daf5ff759dfd6fc3835ccbde0c6b5c4a9496ee316ee8a3638ced2",
-    ("Haswell", "X86_V3"): "12c2d741a309651c03b0bb618de9488467008241a141d7c9c5b8eee9ed4ca5a6",
-    ("Sandybridge", "baseline(X86_V2)"): "1fc280b2530b5bcac29f75dd5dfd1f65d25416885d36601782726ec1aa869c3c",
-    ("Nehalem", "baseline(X86_V2)"): "2c7079c3caf72a8425781cc0f859bd97c42a6acad0ff907e4d955c1a5df34b20",
-    ("Katmai", "baseline(X86_V2)"): "159c96af4a532e63a93d2b4e6c3c0b27bf4e5136208970da498e0e1c1d927767",
+    ("SkylakeX", "avx512"): "28bf543b175daf5ff759dfd6fc3835ccbde0c6b5c4a9496ee316ee8a3638ced2",
+    ("Haswell", "generic"): "12c2d741a309651c03b0bb618de9488467008241a141d7c9c5b8eee9ed4ca5a6",
+    ("Sandybridge", "generic"): "1fc280b2530b5bcac29f75dd5dfd1f65d25416885d36601782726ec1aa869c3c",
+    ("Nehalem", "generic"): "2c7079c3caf72a8425781cc0f859bd97c42a6acad0ff907e4d955c1a5df34b20",
+    ("Katmai", "generic"): "159c96af4a532e63a93d2b4e6c3c0b27bf4e5136208970da498e0e1c1d927767",
 }
 
 
@@ -170,11 +171,11 @@ def test_r_route_sweep_bytes(tmp_path):
     # enclosure, so X is decomposed through its R factor (QR, then the bidiagonal
     # form of R); any change to that route must keep every byte. n = 40 keeps
     # OpenBLAS single-threaded, so the bytes hold at any thread count. The kernel
-    # set and the SIMD target move the last bits, so each pair has its own hash,
+    # set and the SIMD class move the last bits, so each pair has its own hash,
     # and a pair with none fails with the hash it wrote.
     config = SweepConfig(alphas=(0.1, 0.3), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=15, k_vectors=2)
     key, digest = _sweep_digest(config, tmp_path, lambda x: full_svd(x, k_bottom=2).method == "gesdd")
-    assert digest == R_ROUTE_SHA256.get(key), f"kernel set, SIMD target {key}: records.jsonl sha256 {digest}"
+    assert digest == R_ROUTE_SHA256.get(key), f"kernel set, SIMD class {key}: records.jsonl sha256 {digest}"
 
 
 def test_verified_gram_sweep_bytes(tmp_path):
@@ -184,4 +185,4 @@ def test_verified_gram_sweep_bytes(tmp_path):
     config = SweepConfig(alphas=(0.8,), ns=(40,), aspect=2.0, trials_per_cell=2, base_seed=23, k_vectors=2)
     key, digest = _sweep_digest(
         config, tmp_path, lambda x: _eigenvalues_fail_rule(x) and full_svd(x, k_bottom=2).method == "gram")
-    assert digest == VERIFIED_GRAM_SHA256.get(key), f"kernel set, SIMD target {key}: records.jsonl sha256 {digest}"
+    assert digest == VERIFIED_GRAM_SHA256.get(key), f"kernel set, SIMD class {key}: records.jsonl sha256 {digest}"
