@@ -17,7 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("ensemble", "matrixio", "spectra", "localization", "certificates", "svgplot", "experiments")
+_MODULES = ("ensemble", "matrixio", "records", "spectra", "localization", "certificates", "svgplot", "experiments")
 
 
 def __getattr__(name: str):

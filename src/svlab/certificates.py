@@ -41,6 +41,7 @@ __all__ = [
 CERT_SLACK = 1e-9
 TAU_PARAMS = (0.5, 1.0001)  # default (b_frak, a_frak) of the auto cutoff
 CENSUS_C = 0.1  # default c of the census cutoff N**(1/2 - c)
+C_UPPER = 1.0  # default tail constant c_upper of the auto cutoff
 
 
 @dataclass
@@ -76,7 +77,7 @@ def default_tau_for_rows(
     alpha: float,
     b_frak: float = TAU_PARAMS[0],
     a_frak: float = TAU_PARAMS[1],
-    c_upper: float = 1.0,
+    c_upper: float = C_UPPER,
 ) -> float:
     """Cutoff tau = (N * a_frak * c_upper / (b_frak * ln N))**(1/alpha).
 

@@ -11,7 +11,9 @@ payload. Command line flags win over config file values.
 Each command imports only the svlab modules it runs: generate loads
 ensemble and matrixio; spectra loads matrixio, spectra and _lapack;
 localize adds localization (and svgplot with --plot), certify adds
-certificates, plot adds svgplot; sweep and report load experiments.
+certificates, plot adds svgplot; sweep loads experiments, with records
+and every module a trial calls; report loads records and matrixio, adds
+svgplot when it draws a chart, and ensemble for the baiyin kind.
 """
 from __future__ import annotations
 
@@ -44,11 +46,11 @@ localization_report = _forward("localization", "localization_report")
 upper_certificate = _forward("certificates", "upper_certificate")
 save_matrix = _forward("matrixio", "save_matrix")
 load_matrix = _forward("matrixio", "load_matrix")
-read_records = _forward("experiments", "read_records")
-transition_scan = _forward("experiments", "transition_scan")
-kth_vector_scan = _forward("experiments", "kth_vector_scan")
-fit_scaling = _forward("experiments", "fit_scaling")
-bracket_check = _forward("experiments", "bracket_check")
+read_records = _forward("records", "read_records")
+transition_scan = _forward("records", "transition_scan")
+kth_vector_scan = _forward("records", "kth_vector_scan")
+fit_scaling = _forward("records", "fit_scaling")
+bracket_check = _forward("records", "bracket_check")
 line_chart = _forward("svgplot", "line_chart")
 vector_profile = _forward("svgplot", "vector_profile")
 
@@ -183,10 +185,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .certificates import TAU_PARAMS, certificate_cutoff
+    from .certificates import C_UPPER, TAU_PARAMS, certificate_cutoff
 
     b_frak = TAU_PARAMS[0] if args.b_frak is None else args.b_frak
     a_frak = TAU_PARAMS[1] if args.a_frak is None else args.a_frak
+    c_upper = C_UPPER if args.c_upper is None else args.c_upper
     x = load_matrix(args.input)
     if args.tau is not None:
         tau, note = args.tau, ""
@@ -195,7 +198,7 @@ def cmd_certify(args) -> int:
         if args.alpha is None:
             raise UsageError("certify needs either --tau or --alpha (the tail index that sets the cutoff)")
         # The sweep's rule: the auto cutoff below alpha = 2, the census cutoff elsewhere.
-        tau, note = certificate_cutoff(x.shape[0], args.alpha, args.c_upper, (b_frak, a_frak))
+        tau, note = certificate_cutoff(x.shape[0], args.alpha, c_upper, (b_frak, a_frak))
         tau_source = "auto"
     res = full_svd(x)
     report = upper_certificate(x, tau, res).with_note(note)
@@ -208,7 +211,7 @@ def cmd_certify(args) -> int:
             "alpha": args.alpha,
             "b_frak": b_frak,
             "a_frak": a_frak,
-            "c_upper": args.c_upper,
+            "c_upper": c_upper,
         },
         **dataclasses.asdict(report),
     }
@@ -244,7 +247,7 @@ def _config_from_file(path: str, args):
 
 
 def cmd_sweep(args) -> int:
-    from .experiments import run_sweep, write_fits, write_manifest, write_records, write_summary
+    from .experiments import run_sweep, write_outputs
 
     config = _config_from_file(args.config, args)
     if args.workers < 1:
@@ -253,16 +256,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     print(json.dumps({"command": "sweep", "resolved_config": config.as_dict(), "workers": args.workers}))
     records, failures, elapsed = run_sweep(config, workers=args.workers)
-    write_records(records, out_dir / "records.jsonl")
-    write_summary(records, out_dir / "summary.csv")
-    fits = []
-    for alpha in config.alphas:
-        try:
-            fits.append(fit_scaling(records, alpha))
-        except ValueError:
-            continue  # not enough grid for this alpha; fits.csv just omits it
-    write_fits(fits, out_dir / "fits.csv")
-    write_manifest(config, records, failures, elapsed, out_dir / "manifest.json")
+    write_outputs(config, records, failures, elapsed, out_dir)
     print(
         json.dumps(
             {
@@ -282,8 +276,11 @@ def _table(rows: list) -> tuple[list[str], list[tuple]]:
 
 
 def cmd_report(args) -> int:
-    from .experiments import baiyin_check, write_csv
+    from .records import BRACKET_SLACK, FLOOR_COEFF, REGIME_B, baiyin_check, write_csv
 
+    floor = FLOOR_COEFF if args.floor is None else args.floor
+    slack = BRACKET_SLACK if args.slack is None else args.slack
+    regime_b = REGIME_B if args.regime_b is None else args.regime_b
     records = read_records(args.records)
     if not records:
         raise ValueError(f"no records in {args.records}")
@@ -312,7 +309,7 @@ def cmd_report(args) -> int:
         header = ["n", "median_s_min"]
         rows = [[n, m] for n, m in zip(fit.ns, fit.medians)]
         if 0 < fit.alpha < 2:
-            bracket = bracket_check(fit, floor_coeff=args.floor, slack=args.slack)
+            bracket = bracket_check(fit, floor_coeff=floor, slack=slack)
             summary["bracket"] = dataclasses.asdict(bracket)
             header.append("envelope_ratio")
             for row, (_, ratio) in zip(rows, bracket.envelope_ratios):
@@ -332,7 +329,7 @@ def cmd_report(args) -> int:
         chart = {"title": f"finite-variance limit check, aspect={rep.aspect:g}",
                  "x_label": "n", "y_label": "s_min / sqrt(N)"}
     else:  # kth; argparse choices admit no other kind
-        scan = kth_vector_scan(records, args.c, args.epsilon, regime_b=args.regime_b)
+        scan = kth_vector_scan(records, args.c, args.epsilon, regime_b=regime_b)
         if not scan:  # records that keep no value have no kth row
             raise ValueError(f"no kth_values in {args.records}")
         header, rows = _table(scan)
@@ -349,9 +346,9 @@ def cmd_report(args) -> int:
         "epsilon": args.epsilon,
         "delta": args.delta,
         "alpha": args.alpha,
-        "floor": args.floor,
-        "slack": args.slack,
-        "regime_b": args.regime_b,
+        "floor": floor,
+        "slack": slack,
+        "regime_b": regime_b,
         "out_dir": str(out_dir),
     }
     print(json.dumps(config))
@@ -400,8 +397,9 @@ def build_parser() -> _Parser:
     l = sub.add_parser("localize", help="localization statistics of bottom vectors")
     l.add_argument("--in", dest="input", required=True)
     l.add_argument("--k", type=int, default=1)
-    # --c-grid, --epsilons, --b-frak and --a-frak default to None, so that building the parser
-    # loads no computing module; the command takes each default from the module that owns it.
+    # --c-grid, --epsilons, --b-frak, --a-frak, --c-upper, --floor, --slack and --regime-b default to
+    # None, so that building the parser loads no computing module; the command takes each default
+    # from the module that owns it.
     l.add_argument("--c-grid", type=_number_list)
     l.add_argument("--epsilons", type=_number_list)
     l.add_argument("--out", default=None, help="JSONL output path (stdout if omitted)")
@@ -414,7 +412,7 @@ def build_parser() -> _Parser:
     c.add_argument("--alpha", type=float, default=None, help="tail index: auto cutoff below 2, else census cutoff")
     c.add_argument("--b-frak", type=float)
     c.add_argument("--a-frak", type=float)
-    c.add_argument("--c-upper", type=float, default=1.0)
+    c.add_argument("--c-upper", type=float)
     c.add_argument("--out", default=None, help="JSON output path (stdout if omitted)")
     c.set_defaults(func=cmd_certify)
 
@@ -439,9 +437,9 @@ def build_parser() -> _Parser:
     r.add_argument("--epsilon", type=float, default=0.1, help="min-mass profile point")
     r.add_argument("--delta", type=float, default=0.25, help="theorem mass level 1 - delta")
     r.add_argument("--alpha", type=float, default=None, help="tail index (scaling report)")
-    r.add_argument("--floor", type=float, default=0.3, help="root-n floor coefficient")
-    r.add_argument("--slack", type=float, default=0.05, help="exponent bracket slack")
-    r.add_argument("--regime-b", type=float, default=0.2, help="k-range exponent for kth report")
+    r.add_argument("--floor", type=float, help="root-n floor coefficient")
+    r.add_argument("--slack", type=float, help="exponent bracket slack")
+    r.add_argument("--regime-b", type=float, help="k-range exponent for kth report")
     r.add_argument("--out-dir", required=True)
     r.set_defaults(func=cmd_report)
 

@@ -15,15 +15,8 @@ import numpy as np
 from svlab.certificates import default_tau_for_rows, upper_certificate
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, derive_stream, sample_matrix
-from svlab.experiments import (
-    SweepConfig,
-    TrialRecord,
-    baiyin_check,
-    bracket_check,
-    fit_scaling,
-    run_sweep,
-    transition_scan,
-)
+from svlab.experiments import SweepConfig, run_sweep
+from svlab.records import TrialRecord, baiyin_check, bracket_check, fit_scaling, transition_scan
 from svlab.localization import localization_report, min_mass_profile, subset_mass, top_mass
 from svlab.spectra import full_svd
 

@@ -14,11 +14,12 @@ import pytest
 from svlab import cli
 from svlab.cli import main
 from svlab.ensemble import EnsembleConfig, TailLaw, LawKind, sample_matrix
-from svlab.experiments import SweepConfig, run_sweep, write_records
+from svlab.experiments import SweepConfig, run_sweep
 from svlab.matrixio import load_matrix, save_matrix
+from svlab.records import write_records
 from svlab.spectra import full_svd
 
-from test_csv_bytes import _grid_records
+from test_csv_bytes import _baiyin_records, _grid_records, _scaling_records
 from test_experiments import synth_record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -446,9 +447,11 @@ def run_fresh(args, cwd, **env_vars):
 
 
 # The svlab modules each command loads besides the package and svlab.cli, in a fresh process.
-# sweep and report load experiments, and with it every module a sweep trial calls.
+# sweep loads experiments, and with it every module a sweep trial calls; report loads records
+# and none of the trial path, apart from ensemble for the baiyin kind's law check.
 _SPECTRA = {"matrixio", "spectra", "_lapack"}
-_EXPERIMENTS = _SPECTRA | {"experiments", "ensemble", "localization", "certificates"}
+_EXPERIMENTS = _SPECTRA | {"experiments", "records", "ensemble", "localization", "certificates"}
+_RECORDS = {"records", "matrixio"}
 COMMAND_MODULES = [
     (["generate", "--n", "6", "--alpha", "1.5", "--seed", "1", "--out", "g.svlm"], {"ensemble", "matrixio"}),
     (["spectra", "--in", "x.svlm", "--out", "s.json"], _SPECTRA),
@@ -457,8 +460,19 @@ COMMAND_MODULES = [
     (["certify", "--in", "x.svlm", "--alpha", "1.2", "--out", "c.json"], _SPECTRA | {"certificates"}),
     (["plot", "--in", "x.svlm", "--out", "p.svg"], _SPECTRA | {"svgplot"}),
     (["sweep", "--config", "cfg.json", "--out-dir", "sw"], _EXPERIMENTS),
-    (["report", "--records", "r.jsonl", "--kind", "transition", "--out-dir", "rep"], _EXPERIMENTS | {"svgplot"}),
+    (["report", "--records", "r.jsonl", "--kind", "transition", "--out-dir", "rep"], _RECORDS | {"svgplot"}),
+    (["report", "--records", "r.jsonl", "--kind", "kth", "--out-dir", "rep"], _RECORDS),
+    (["report", "--records", "s.jsonl", "--kind", "scaling", "--alpha", "1.2", "--out-dir", "rep"],
+     _RECORDS | {"svgplot"}),
+    (["report", "--records", "b.jsonl", "--kind", "baiyin", "--out-dir", "rep"], _RECORDS | {"svgplot", "ensemble"}),
 ]
+
+
+def _command_id(argv: list[str]) -> str:
+    """The command, then what picks its modules: --plot, or the report's kind."""
+    kind = argv[argv.index("--kind") + 1:][:1] if "--kind" in argv else []
+    return " ".join(argv[:1] + ["--plot"] * ("--plot" in argv) + kind)
+
 
 # A fresh `python -m svlab.cli` per command; x.svlm holds a Pareto matrix.
 EXIT_CODES = [
@@ -489,12 +503,13 @@ class TestColdStart:
         assert run_fresh(["-c", code], tmp_path).stdout.splitlines() == [
             "['svlab']", "['svlab', 'svlab.cli'] False"]
 
-    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
-                             ids=[a[0] + " --plot" * ("--plot" in a) for a, _ in COMMAND_MODULES])
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[_command_id(a) for a, _ in COMMAND_MODULES])
     def test_command_loads_only_its_modules(self, tmp_path, stored_matrix, argv, modules):
         # stored_matrix is tmp_path / "x.svlm".
         write_sweep_config(tmp_path / "cfg.json")
         write_records(_grid_records(), tmp_path / "r.jsonl")
+        write_records(_scaling_records(), tmp_path / "s.jsonl")
+        write_records(_baiyin_records(), tmp_path / "b.jsonl")
         code = ("import json, sys\n"
                 "from svlab.cli import main\n"
                 f"code = main({argv!r})\n"
@@ -734,6 +749,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"i/o error: {path}:1:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("alpha", "1.2", "transition"), ("alpha", "1.2", "kth"), ("alpha", "1.2", "scaling"),
+        ("kth_values", None, "kth"), ("s_min", "x", "scaling"),
+    ])
+    def test_mistyped_field_is_io(self, tmp_path, capsys, field, value, kind):
+        # One edited line of a good file: a field of the wrong JSON type is a malformed record.
+        path = tmp_path / "records.jsonl"
+        write_records(_scaling_records(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value}) + "\n"
+        path.write_text("".join(lines))
+        dest = tmp_path / "rep"
+        assert main(["report", "--records", str(path), "--kind", kind, "--alpha", "1.2",
+                     "--out-dir", str(dest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {path}:2: ") and f"field {field} " in err
+        assert not dest.exists()
 
 
 class TestPlot:

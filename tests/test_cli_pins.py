@@ -18,7 +18,7 @@ import pytest
 
 from svlab.cli import main
 from svlab.ensemble import simd_target
-from svlab.experiments import bracket_check, fit_scaling, write_records
+from svlab.records import bracket_check, fit_scaling, write_records
 from svlab.matrixio import save_matrix
 
 from test_csv_bytes import _baiyin_records, _grid_records, _scaling_records

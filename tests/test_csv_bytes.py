@@ -5,7 +5,7 @@ arithmetic only (no LAPACK), so the expected text is the same on every
 platform. The scaling table's envelope ratio also calls pow and log.
 """
 from svlab.cli import main
-from svlab.experiments import ScalingFit, write_fits, write_records, write_summary
+from svlab.records import ScalingFit, write_fits, write_records, write_summary
 
 from test_experiments import synth_record
 

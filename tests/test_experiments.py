@@ -13,20 +13,16 @@ import pytest
 import svlab.experiments as ex
 from svlab import _lapack
 from svlab.ensemble import LawKind, simd_target
-from svlab.experiments import (
-    SweepConfig,
+from svlab.experiments import SweepConfig, derive_trial_seed, run_sweep, run_trial, write_manifest
+from svlab.records import (
     TrialRecord,
     baiyin_check,
     bracket_check,
-    derive_trial_seed,
     fit_scaling,
     kth_vector_scan,
     read_records,
-    run_sweep,
-    run_trial,
     transition_scan,
     write_fits,
-    write_manifest,
     write_records,
     write_summary,
 )

@@ -9,7 +9,7 @@ import pytest
 
 import svlab
 
-MODULES = ["ensemble", "matrixio", "spectra", "localization", "certificates", "svgplot", "experiments"]
+MODULES = ["ensemble", "matrixio", "records", "spectra", "localization", "certificates", "svgplot", "experiments"]
 
 # What `import svlab` offered before the package took its names from the modules' __all__.
 EARLIER_EXPORTS = """

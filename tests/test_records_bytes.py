@@ -19,15 +19,8 @@ import numpy as np
 from svlab import _lapack
 from svlab.certificates import CertificateReport
 from svlab.ensemble import EnsembleConfig, sample_matrix, simd_target
-from svlab.experiments import (
-    SweepConfig,
-    TrialRecord,
-    derive_trial_seed,
-    read_records,
-    run_sweep,
-    run_trial,
-    write_records,
-)
+from svlab.experiments import SweepConfig, derive_trial_seed, run_sweep, run_trial
+from svlab.records import TrialRecord, read_records, write_records
 from svlab.localization import LocalizationReport
 from svlab.spectra import GRAM_COND_LIMIT, full_svd
 
