@@ -151,8 +151,8 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
     """Certified upper bound on s_min(X) from the small-column minor.
 
     spectrum must be full_svd's own result for this X; X itself is never
-    decomposed here. ValueError where its shapes do not fit X: n values, and
-    an n x n gram where one is set. full_svd returns its gram read-only, so
+    decomposed here. ValueError where its shapes do not fit X: vectors of
+    length n, and an n x n gram where one is set. full_svd returns its gram read-only, so
     an edit in place raises, but a hand-built spectrum (such as
     dataclasses.replace(res, gram=bad)) reaches the minor unchecked: its
     content is not checked against X (diag(G[J, J]) against X_J's column
@@ -168,9 +168,9 @@ def upper_certificate(x: np.ndarray, tau: float, spectrum: SpectralResult) -> Ce
     x = np.asarray(x, dtype=np.float64)
     cols = small_column_set(x, tau)
     n, gram = x.shape[1], spectrum.gram
-    if spectrum.singular_values.size != n or (gram is not None and np.shape(gram) != (n, n)):
-        raise ValueError(f"spectrum has {spectrum.singular_values.size} values and a gram of shape "
-                         f"{np.shape(gram)}, not full_svd's of an X with {n} columns")
+    if spectrum.top_right_vector.size != n or (gram is not None and np.shape(gram) != (n, n)):
+        raise ValueError(f"spectrum has vectors of length {spectrum.top_right_vector.size} and a gram of "
+                         f"shape {np.shape(gram)}, not full_svd's of an X with {n} columns")
     if cols.size == 0:
         norm_xj = smin_xj = math.inf
     elif cols.size == 1:  # single column: both extremes equal its length

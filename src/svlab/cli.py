@@ -157,7 +157,7 @@ def cmd_localize(args) -> int:
     c_grid = C_GRID if args.c_grid is None else args.c_grid
     epsilons = EPSILONS if args.epsilons is None else args.epsilons
     x = load_matrix(args.input)
-    res = full_svd(x, k_bottom=args.k)
+    res = full_svd(x, k_bottom=args.k, all_values=False)
     config = {
         "command": "localize",
         "in": str(args.input),
@@ -200,7 +200,7 @@ def cmd_certify(args) -> int:
         # The sweep's rule: the auto cutoff below alpha = 2, the census cutoff elsewhere.
         tau, note = certificate_cutoff(x.shape[0], args.alpha, c_upper, (b_frak, a_frak))
         tau_source = "auto"
-    res = full_svd(x)
+    res = full_svd(x, all_values=False)
     report = upper_certificate(x, tau, res).with_note(note)
     out = {
         "command": "certify",
@@ -361,10 +361,10 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     x = load_matrix(args.input)
-    res = full_svd(x, k_bottom=args.k)
+    res = full_svd(x, k_bottom=args.k, all_values=False)
     svg = vector_profile(
         res.bottom_right_vectors[args.k - 1],
-        title=f"bottom vector k={args.k} (s={res.singular_values[x.shape[1] - args.k]:.6g})",
+        title=f"bottom vector k={args.k} (s={res.bottom_values[args.k - 1]:.6g})",
     )
     Path(args.out).write_text(svg, encoding="ascii")
     print(json.dumps({"command": "plot", "in": str(args.input), "k": args.k, "out": str(args.out)}))

@@ -172,7 +172,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         config.base_seed, config.law_kind.value, alpha, n, config.aspect, trial_index
     )
     x = sample_matrix(EnsembleConfig(n=n, aspect=config.aspect, law=law, seed=seed))
-    res = full_svd(x, k_bottom=config.k_vectors)
+    res = full_svd(x, k_bottom=config.k_vectors, all_values=False)
 
     bounds = law.tail_bounds
     tau, note = certificate_cutoff(
@@ -190,7 +190,7 @@ def run_trial(config: SweepConfig, alpha: float, n: int, trial_index: int) -> Tr
         n_rows=x.shape[0],
         s_min=res.s_min,
         s_top=res.s_top,
-        kth_values=res.singular_values[::-1][:config.k_vectors].tolist(),
+        kth_values=res.bottom_values.tolist(),
         degenerate_flags=res.degenerate_flags,
         bottom_vectors=res.bottom_right_vectors.tolist(),
         localization=localization_entries(res, config.c_grid, config.epsilons),

@@ -96,18 +96,43 @@ def write_records(records: list[TrialRecord], path: str | Path) -> None:
 # The JSON values a TrialRecord field takes, by the outer name of its annotation.
 _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,), "list": (list,),
                "dict": (dict,)}
+# The entries the scans and the summary read inside a localization entry and the certificate.
+_ENTRY_TYPES = {"k": "int", "c": "float", "threshold_mass": "float", "ipr": "float", "degenerate": "bool",
+                "min_mass_profile": "list"}
+_CERTIFICATE_TYPES = {"valid": "bool", "certified_upper": "float"}
+
+
+def _require(value, kind: str, name: str, *where) -> None:
+    """TypeError, naming the value as name.format(*where), unless value is a JSON value of kind,
+    an annotation such as "float" or "list[float]": a float takes any number and an int an
+    integer, and neither takes a bool."""
+    types = _JSON_TYPES[kind.partition("[")[0]]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise TypeError(f"{name.format(*where)} must be {kind}, got {type(value).__name__}")
 
 
 def _check_types(rec: TrialRecord) -> None:
-    """Raise TypeError at the first field whose JSON value its annotation does not admit.
-
-    A float field takes any number, Infinity included, and an int field an integer;
-    neither takes a bool. The entries of a list or dict field are not checked.
+    """Raise TypeError at the first field, or entry a scan reads, whose JSON value its type does
+    not admit: each field by its annotation, each kth_values item, each localization entry's
+    _ENTRY_TYPES with its min_mass_profile pairs of numbers, and the certificate's
+    _CERTIFICATE_TYPES. A missing entry reads as null, which no type admits.
     """
     for f in dataclasses.fields(rec):
-        value, types = getattr(rec, f.name), _JSON_TYPES[f.type.partition("[")[0]]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise TypeError(f"field {f.name} must be {f.type}, got {type(value).__name__}")
+        _require(getattr(rec, f.name), f.type, "field {}", f.name)
+    for i, value in enumerate(rec.kth_values):
+        _require(value, "float", "kth_values[{}]", i)
+    for i, entry in enumerate(rec.localization):
+        _require(entry, "dict", "localization[{}]", i)
+        for key, kind in _ENTRY_TYPES.items():
+            _require(entry.get(key), kind, "localization[{}].{}", i, key)
+        for j, pair in enumerate(entry["min_mass_profile"]):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                name = f"localization[{i}].min_mass_profile[{j}]"
+                raise TypeError(f"{name} must be a pair of numbers, got {pair!r}")
+            for value in pair:
+                _require(value, "float", "localization[{}].min_mass_profile[{}]", i, j)
+    for key, kind in _CERTIFICATE_TYPES.items():
+        _require(rec.certificate.get(key), kind, "certificate.{}", key)
 
 
 def read_records(path: str | Path) -> list[TrialRecord]:

@@ -2,17 +2,24 @@
 
 Two routes produce the factors, and the matrix itself picks one. Each runs
 one Householder reduction through numpy's own LAPACK (``svlab._lapack``),
-takes all values from it, and then computes only the kept vectors: one
-inverse iteration on the reduced matrix, at the value the reduction gave,
-and one back-transform each, about 2n^2 flops a vector on top of it.
+takes from it the values its caller reads, and then computes only the kept
+vectors: one inverse iteration on the reduced matrix, at the value the
+reduction gave, and one back-transform each, about 2n^2 flops a vector on
+top of it.
 
 * ``gram``: G = X^T X is formed once and reduced to tridiagonal form
-  (dsytrd, 4n^3/3 flops) in its own lower triangle; dsterf gives all its
-  eigenvalues, bit for bit what numpy's ``eigvalsh`` gives, and s_i =
-  sqrt(lambda_i) in descending order. Once the kept vectors are
-  back-transformed, G is restored from its strict upper triangle, which
-  dsytrd never touches, and a copy of its diagonal. ``eigh`` (syevd)
-  builds all n vectors for about 9n^3.
+  (dsytrd, 4n^3/3 flops) in its own lower triangle. lambda_min, lambda_2
+  and lambda_max each come from one bisection of the tridiagonal (dstebz
+  for that value alone, Barth, Martin & Wilkinson, Numer. Math. 9, 1967;
+  O(n) a step), each when it is first read; these are all that the rule,
+  the enclosure's gap, bottom vector 1's flag, s_min and s_top read. dsterf
+  (an O(n^2) loop) gives the other values, bit for bit what numpy's
+  ``eigvalsh`` gives, only where a caller reads one: a flag of k >= 2, a
+  third kept vector, or all values; the three bisected values stay as
+  they are, so none of them depends on what else was read. s_i =
+  sqrt(lambda_i). Once the kept vectors are back-transformed, G is restored
+  from its strict upper triangle, which dsytrd never touches, and a copy
+  of its diagonal. ``eigh`` (syevd) builds all n vectors for about 9n^3.
 * ``gesdd``: for every matrix whose G resolves s_min neither by the rule
   nor by the enclosure (both below), X = QR by
   Householder QR (dgeqrf) in one column-major copy of X, then the n x n
@@ -38,8 +45,9 @@ holds more copies of X; the route keeps its label). Where the reduction
 gave the values and only a vector's routine fails, the reduced matrix
 splits into blocks only in part, or the kept vectors fail the check below,
 the fallback supplies the vectors alone, checked at the reduction's values,
-so no value depends on how many vectors are kept. Where the reduction fails
-or numpy's build lacks the routines, it supplies the values too.
+so no value depends on how many vectors are kept. Where the reduction fails,
+a bisection or dsterf fails, or numpy's build lacks the routines, it supplies
+the values too.
 
 One check covers the vectors of every source, kernel or fallback: each
 kept u must satisfy ||X^T(X u) - lambda u|| <= RESIDUAL_TOL * s_1^2, with
@@ -58,7 +66,13 @@ and its absolute error near sqrt(eps * GRAM_COND_LIMIT) / 2 * s_1, about
 column norms, read from G before it is reduced; they lie in [lambda_min,
 lambda_max], so a diagonal that fails proves the eigenvalues fail without
 an eigensolve. Then it is applied to the eigenvalues themselves. A matrix
-that passes takes the gram route as above.
+that passes takes the gram route as above. Bisection puts each value within
+about eps * lambda_max too, where lambda_max lies in [sqrt(tiny / eps),
+sqrt(eps / tiny)], about [1e-146, 1e146], the range syevd scales into: there
+the squared off-diagonals its Sturm counts use neither underflow nor
+overflow, and its absolute floors, 2 safe_min and safe_min * max e_i^2, stay
+below eps * lambda_max. A G whose diagonal cannot place lambda_max in that
+range (max(G_ii) below it or trace(G) above it) takes the R route at once.
 
 The enclosure. A matrix that fails the rule (at its diagonal or at its
 eigenvalues) still takes the gram route where one matrix-specific proof
@@ -111,7 +125,7 @@ section 3.1):
   before either Cholesky. Where the diagonal has already failed the rule,
   this Cholesky runs before the tridiagonal reduction, so a matrix it
   rejects never reaches dsytrd.
-* The gap. With b = hi + (w_2 - hi) / 2, w_2 dsterf's second value, a
+* The gap. With b = hi + (w_2 - hi) / 2, w_2 the bisected lambda_2, a
   dpotrf of G_s + b (S u)(S u)^T - b S^2 that succeeds gives lambda_min of
   that matrix > -delta >= -(delta / floor) G_s, so G + b' v v^T - b' I is
   positive definite for some v and b' = b (1 - eps) / (1 + delta / floor);
@@ -128,10 +142,10 @@ section 3.1):
   sampled Pareto matrices (aspect 2, n = 400 and 800), 3 of 7 enclosed at
   alpha = 0.5 took one step, and none of 43 at alpha in {0.8, 1.2, 1.5}.
 
-The other values on an enclosed matrix are dsterf's, each off by about eps
-* lambda_max, so s_j for j >= 2 carries a relative error near eps *
-kappa_j^2 / 2, kappa_j = s_1 / s_j: the rule bounds that by GRAM_COND_LIMIT
-/ 2, and the enclosure does not bound it at all. Against gesvd, s_2 and s_3
+The other values on an enclosed matrix, s_2 and s_top bisected and the rest
+dsterf's, are each off by about eps * lambda_max, so s_j for j >= 2 carries
+a relative error near eps * kappa_j^2 / 2, kappa_j = s_1 / s_j: the rule
+bounds that by GRAM_COND_LIMIT / 2, and the enclosure does not bound it at all. Against gesvd, s_2 and s_3
 of enclosed Pareto matrices (aspect 2, n = 400 and 800, 8 trials each) came
 within 2.5e-8 at alpha = 0.8 and 1.2e-11 at alpha = 1.2, and within 2.7e-7
 (n = 400) and 3.9e-5 (n = 800, on a trial that took a refinement step) at
@@ -176,6 +190,11 @@ ORTHO_TOL = 1e-10
 DEGENERATE_GAP_TOL = 1e-8
 GRAM_COND_LIMIT = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
+_NO_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS  # G_ii and rho below this get no enclosure
+# The range of lambda_max, [sqrt(tiny / eps), sqrt(eps / tiny)] (syevd's own), in which bisection
+# keeps each eigenvalue within about eps * lambda_max: its squared off-diagonals neither underflow
+# nor overflow there, and its absolute floors stay below eps * lambda_max.
+_BISECTABLE = (math.sqrt(_NO_UNDERFLOW), 1.0 / math.sqrt(_NO_UNDERFLOW))
 
 
 class SpectralError(RuntimeError):
@@ -190,8 +209,10 @@ class SpectralError(RuntimeError):
 class SpectralResult:
     """Verified spectral data for one matrix.
 
-    bottom_right_vectors[k-1] is the unit right singular vector for the
-    k-th smallest singular value. residuals holds
+    bottom_values[k-1] is the k-th smallest singular value and
+    bottom_right_vectors[k-1] its unit right singular vector; s_top is
+    the largest value, and singular_values all n in descending order
+    where full_svd was asked for them (None otherwise). residuals holds
     ||X^T(X u) - s^2 u||_2 for each stored vector, bottom vectors first
     and the top vector last. degenerate_flags[k-1] marks bottom vector k
     whose singular value sits within DEGENERATE_GAP_TOL * s_1 of a
@@ -205,7 +226,9 @@ class SpectralResult:
     out of repr and equality.
     """
 
-    singular_values: np.ndarray
+    singular_values: np.ndarray | None
+    bottom_values: np.ndarray
+    s_top: float
     bottom_right_vectors: np.ndarray
     top_right_vector: np.ndarray
     residuals: np.ndarray
@@ -216,11 +239,7 @@ class SpectralResult:
 
     @property
     def s_min(self) -> float:
-        return float(self.singular_values[-1])
-
-    @property
-    def s_top(self) -> float:
-        return float(self.singular_values[0])
+        return float(self.bottom_values[0])
 
 
 def _validate_tall(x: np.ndarray) -> np.ndarray:
@@ -277,7 +296,6 @@ def _kept(x: np.ndarray, vectors: Iterable[np.ndarray | None], lam: np.ndarray, 
 
 
 _ROWS = 64  # rows of |X| made at a time for the rounding bound of the residual
-_NO_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS  # G_ii and rho below this get no enclosure
 
 
 def _rayleigh(x: np.ndarray, u: np.ndarray):
@@ -325,12 +343,12 @@ def _kato_temple(terms, gap: float):
     return rho_lo, hi, rho_lo - ((r_norm + e_r) * (1.0 + eta)) ** 2 / (gap - rho_lo)
 
 
-def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None, floor_terms,
+def _enclosure(x: np.ndarray, g: np.ndarray, w2: float, u: np.ndarray | None, floor_terms,
                floor_proven: bool):
     """(lo, hi, rho, u) with lo <= lambda_min(X^T X) <= hi proven and rho = fl(||X u||^2) for the
-    returned unit u, started from the kernel's bottom vector u, with w the eigenvalues of g =
+    returned unit u, started from the kernel's bottom vector u, with w2 the second eigenvalue of g =
     fl(X^T X), which _lapack.cholesky may write, and floor_terms its _floor_terms. Every check that
-    needs no Cholesky runs first: the gap b' between w_1 and w_2, and the prediction that two
+    needs no Cholesky runs first: the gap b' between lambda_min and w2, and the prediction that two
     refinement steps would meet the limit. Then _lapack.cholesky runs, for the floor at the scalar
     shift nu (unless floor_proven says it has run), for the gap, and for at most two refinement
     steps, each solving in place in a fresh S u. The enclosure may be wider than GRAM_COND_LIMIT
@@ -345,9 +363,9 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
         return None
     u, rho, r_norm, e_r, eta = terms
     hi = rho * (1.0 + eta) ** 2
-    if not w[1] > hi:  # lambda_2 > gap, once proven, holds whatever u becomes
+    if not w2 > hi:  # lambda_2 > gap, once proven, holds whatever u becomes
         return None
-    b = hi + (w[1] - hi) / 2.0
+    b = hi + (w2 - hi) / 2.0
     lift, shift = math.sqrt(b) * scale * u, b * scale * scale
     slop = c * float(np.sum(1.02 + lift * lift + shift)) / floor
     gap = b * (1.0 - _EPS) / (1.0 + slop)
@@ -376,15 +394,17 @@ def _enclosure(x: np.ndarray, g: np.ndarray, w: np.ndarray, u: np.ndarray | None
     return bounds[2], bounds[1], terms[1], terms[0]
 
 
-def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray):
-    """(w, rows, residuals) from g = fl(X^T X) of an X with n_rows rows: w ascending, rows[j] the
-    vector for w[picks[j]]; picks is empty (values only) or starts at 0. matrix() returns X, and
-    only the enclosure and the vectors' checks call it. g is this call's own: it is reduced in
-    place and restored before any Cholesky runs in it. None where a diagonal entry of g is zero
-    or not finite, neither the GRAM_COND_LIMIT rule nor the enclosure resolves s_min, or eigh
-    does not converge."""
+def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray, need: np.ndarray):
+    """(w, rows, residuals) from g = fl(X^T X) of an X with n_rows rows: w[j] the eigenvalue at
+    ascending position need[j], rows[j] the vector for position picks[j]; need holds 0, picks and
+    n - 1, ascending, and picks is empty (values only) or starts at 0. matrix() returns X, and only
+    the enclosure and the vectors' checks call it. g is this call's own: it is reduced in place and
+    restored before any Cholesky runs in it. None where a diagonal entry of g is zero or not
+    finite, lambda_max may lie outside _BISECTABLE, neither the GRAM_COND_LIMIT rule nor the
+    enclosure resolves s_min, or eigh does not converge."""
     d = np.diagonal(g)  # the squared column norms, which the reduction overwrites
-    if not (0.0 < d.min() and d.max() < math.inf):  # a zero column leaves s_min no relative enclosure
+    # A zero column leaves s_min no relative enclosure. lambda_max lies in [max(d), sum(d)].
+    if not (0.0 < d.min() and _BISECTABLE[0] <= d.max() and d.sum() <= _BISECTABLE[1]):
         return None
     resolves = _gram_resolves(d.max(), d.min())  # a diagonal that fails proves the eigenvalues fail
     floor_terms = _floor_terms(g, n_rows)
@@ -392,32 +412,49 @@ def _gram_factors(matrix, n_rows: int, g: np.ndarray, picks: np.ndarray):
         return None  # the rule has failed already, and the floor with it, before g is reduced
     reduced = _lapack.tridiagonal(g)
     try:
-        if reduced is None:  # no kernel: eigh's values and vectors, and only the rule
-            w, v = np.linalg.eigh(g)
-            if not (resolves and _gram_resolves(w[-1], w[0])):
-                return None
-            return (w, *_verified(matrix(), v[:, picks].T, w[picks], w[-1]))
-        w, vector, restore = reduced
-        enclose = not (resolves and _gram_resolves(w[-1], w[0]))
-        try:
-            # The enclosure starts from bottom vector 1, so it is computed even where none is kept.
-            first = vector(0) if enclose or picks.size else None
-            rest = [vector(p) for p in picks[1:]]
-        finally:
-            restore()  # g again, for the Choleskys, eigh and the caller
-        if enclose:  # where the diagonal failed the rule, the floor was proven above
-            found = _enclosure(matrix(), g, w, first, floor_terms, not resolves)
-            if found is None or not found[1] <= (1.0 + GRAM_COND_LIMIT) * found[0]:
-                return None
-            w[0], first = found[2], found[3]
-        if not picks.size:  # no vector to check, so X itself is not read
-            return w, np.empty((0, g.shape[0])), np.empty(0)
-        kept = _kept(matrix(), [first, *rest], w[picks], w[-1])
-        if kept is None:  # a kernel vector failed: eigh supplies the vectors, at w
-            kept = _verified(matrix(), np.linalg.eigh(g)[1][:, picks].T, w[picks], w[-1])
-        return (w, *kept)
+        if reduced is not None:
+            try:
+                return _tridiagonal_factors(matrix, g, reduced, picks, need, resolves, floor_terms)
+            except _lapack.LapackError:  # a value's routine failed, and g is restored
+                pass
+        # No kernel, or no value from it: eigh's values and vectors, and only the rule.
+        w, v = np.linalg.eigh(g)
+        if not (resolves and _gram_resolves(w[-1], w[0])):
+            return None
+        return (w[need], *_verified(matrix(), v[:, picks].T, w[picks], w[-1]))
     except np.linalg.LinAlgError:  # eigh did not converge: the R route instead
         return None
+
+
+def _tridiagonal_factors(matrix, g: np.ndarray, reduced, picks: np.ndarray, need: np.ndarray,
+                         resolves: bool, floor_terms):
+    """_gram_factors' result from reduced, _lapack.tridiagonal(g), where the diagonal of g resolves
+    s_min by the rule or floor_terms' floor is proven. Reads lambda_min and lambda_max for the rule,
+    lambda_2 where the enclosure runs, and the values at need."""
+    eigenvalues, vector, restore = reduced
+    last = g.shape[0] - 1
+    try:
+        lo, hi = eigenvalues([0, last])
+        enclose = not (resolves and _gram_resolves(hi, lo))
+        # The enclosure starts from bottom vector 1, so it is computed even where none is kept.
+        first = vector(0) if enclose or picks.size else None
+        rest = [vector(p) for p in picks[1:]]
+    finally:
+        restore()  # g again, for the Choleskys, eigh and the caller
+    if enclose:  # where the diagonal failed the rule, the floor was proven above
+        found = _enclosure(matrix(), g, eigenvalues([1])[0], first, floor_terms, not resolves)
+        if found is None or not found[1] <= (1.0 + GRAM_COND_LIMIT) * found[0]:
+            return None
+        lo, first = found[2], found[3]
+    w = eigenvalues(need)
+    w[0] = lo  # lambda_min, or on an enclosed matrix the proven Rayleigh quotient
+    if not picks.size:  # no vector to check, so X itself is not read
+        return w, np.empty((0, g.shape[0])), np.empty(0)
+    lam = w[np.searchsorted(need, picks)]
+    kept = _kept(matrix(), [first, *rest], lam, hi)
+    if kept is None:  # a kernel vector failed: eigh supplies the vectors, at w
+        kept = _verified(matrix(), np.linalg.eigh(g)[1][:, picks].T, lam, hi)
+    return (w, *kept)
 
 
 def _r_factors(x: np.ndarray, picks: np.ndarray):
@@ -441,10 +478,11 @@ def _r_factors(x: np.ndarray, picks: np.ndarray):
     return (s, *_verified(x, vt[last - picks], s[last - picks] ** 2, s[0] ** 2))
 
 
-def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None,
+def _right_factors(x: np.ndarray, picks: np.ndarray, need: np.ndarray, g: np.ndarray | None,
                    cols: np.ndarray | None = None):
-    """Descending singular values, the right vectors at ascending positions picks as rows,
-    their residuals, the route and G on the gram route, of x or, where cols is given, of the
+    """The singular values at ascending positions need (position p is the (p+1)-th smallest; need
+    holds 0, picks and the last, ascending), the right vectors at ascending positions picks as
+    rows, their residuals, the route and G on the gram route, of x or, where cols is given, of the
     column minor X_J = x[:, cols], which is copied only where a step reads it. g is G[J, J] for
     the minor, which this call reduces in place and restores, or None, and then this call forms
     X^T X itself. SpectralError where the R route's fallback does not converge."""
@@ -452,27 +490,33 @@ def _right_factors(x: np.ndarray, picks: np.ndarray, g: np.ndarray | None,
     matrix = (lambda: x) if cols is None else functools.cache(lambda: np.take(x, cols, axis=1))
     if g is None:
         g = _lapack.gram(matrix())
-    found = _gram_factors(matrix, x.shape[0], g, picks)
+    found = _gram_factors(matrix, x.shape[0], g, picks, need)
     if found is not None:
         w, rows, residuals = found
-        return np.sqrt(w[::-1]), rows, residuals, "gram", g
+        return np.sqrt(w), rows, residuals, "gram", g
     del g  # release G before the R route's copy of X
     try:
-        return (*_r_factors(matrix(), picks), "gesdd", None)
+        s, rows, residuals = _r_factors(matrix(), picks)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD backend failed to converge: {exc}") from exc
+    return s[s.size - 1 - need], rows, residuals, "gesdd", None
 
 
-def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
-    """All singular values of X, keeping the bottom k right vectors and the top one.
+def full_svd(x: np.ndarray, k_bottom: int = 1, all_values: bool = True) -> SpectralResult:
+    """The bottom k singular values with their right vectors, the top value and its vector, and,
+    where all_values is set, all n values.
 
     Where the module's GRAM_COND_LIMIT rule says X^T X resolves s_min, or its
     enclosure proves s_min to the same limit, the values come from the
     tridiagonal reduction of X^T X (4n^3/3 flops), otherwise from the
     bidiagonal reduction of X's R factor (QR, then 8n^3/3 flops); each stored
     vector then costs about 2n^2 flops, and SpectralResult.method records the
-    route. On an enclosed matrix only s_min keeps the rule's accuracy; the
-    module docstring gives the other values' error. The stored vectors must satisfy
+    route. On the gram route, s_min, s_2 and s_top come from one bisection
+    each, and the other values, read where k_bottom >= 2 (bottom vector k's
+    flag reads the (k+1)-th smallest value) or all_values is set, from one
+    dsterf; no value depends on k_bottom or all_values, and singular_values is
+    None where all_values is not set. On an enclosed matrix only s_min keeps the rule's
+    accuracy; the module docstring gives the other values' error. The stored vectors must satisfy
     ||X^T(X u) - s^2 u|| <= RESIDUAL_TOL * s_1^2 and be orthonormal to
     ORTHO_TOL. eigh of X^T X or gesdd of R stands in where a kernel fails or
     its vectors fail that check; SpectralError (with the worst residual
@@ -486,7 +530,11 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     # Ascending positions of the stored vectors: bottom 1..k, then the top,
     # which is bottom vector n itself when k = n.
     picks = np.arange(k_bottom) if k_bottom == n else np.append(np.arange(k_bottom), n - 1)
-    s, rows, residuals, method, gram = _right_factors(x, picks, None)
+    # Ascending positions of the values read: the bottom k and the one above them (the flags'
+    # neighbour), and the top; or all n.
+    low = min(k_bottom + 1, n)
+    need = np.arange(n) if all_values or low == n else np.append(np.arange(low), n - 1)
+    s, rows, residuals, method, gram = _right_factors(x, picks, need, None)
     if gram is not None:
         gram.flags.writeable = False  # restored by the route, and now only read
 
@@ -494,13 +542,14 @@ def full_svd(x: np.ndarray, k_bottom: int = 1) -> SpectralResult:
     lead = np.take_along_axis(rows, np.abs(rows).argmax(axis=1)[:, None], axis=1)
     stored = np.where(lead < 0, -rows, rows)
     # Each bottom value's distance to its nearer spectral neighbour.
-    pos = n - np.arange(1, k_bottom + 1)  # descending-order positions of the k smallest
-    gaps = np.concatenate([[math.inf], np.abs(np.diff(s)), [math.inf]])
-    flags = (np.minimum(gaps[pos], gaps[pos + 1]) < DEGENERATE_GAP_TOL * s[0]).tolist()
+    gaps = np.concatenate([[math.inf], np.abs(np.diff(s[:low])), [math.inf]])
+    flags = (np.minimum(gaps[:k_bottom], gaps[1:k_bottom + 1]) < DEGENERATE_GAP_TOL * s[-1]).tolist()
 
     keep = np.append(np.arange(k_bottom), picks.size - 1)  # the top repeats bottom n when k = n
     return SpectralResult(
-        singular_values=s,
+        singular_values=s[::-1] if all_values else None,
+        bottom_values=s[:k_bottom].copy(),
+        s_top=float(s[-1]),
         bottom_right_vectors=stored[:k_bottom],
         top_right_vector=stored[-1],
         residuals=residuals[keep],
@@ -516,8 +565,8 @@ def _minor_extremes(x: np.ndarray, cols: np.ndarray, gram: np.ndarray | None) ->
     vector kept, so no residual checks them: on gram = G[J, J], which is reduced in place and
     restored, or, where gram is None, on X_J^T X_J formed as full_svd forms it, and then bit
     for bit full_svd's of X_J. cols is sorted and unique, 2 <= |J| <= rows, and x is finite."""
-    s = _right_factors(x, np.empty(0, np.intp), gram, cols)[0]
-    return float(s[-1]), float(s[0])
+    s = _right_factors(x, np.empty(0, np.intp), np.array([0, cols.size - 1]), gram, cols)[0]
+    return float(s[0]), float(s[-1])
 
 
 def operator_norm(x: np.ndarray) -> float:

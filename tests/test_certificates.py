@@ -21,6 +21,7 @@ from svlab.certificates import (
 from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.experiments import SweepConfig, run_trial
 from svlab.spectra import SpectralError, full_svd
+from test_lapack import contract_values
 
 
 def _certify(x, tau):
@@ -29,13 +30,13 @@ def _certify(x, tau):
 
 def _minor_factors(x, cols, g_jj):
     """(s, rows, residuals, route, G) of X_J = x[:, cols] through full_svd's routes on a copy of
-    g_jj = G[J, J], keeping bottom vector 1 and the top one as full_svd does. No value depends on
-    how many vectors are kept, so s is bit for bit the minor's values-only s. G[J, J] sliced from
-    X's G need not be bit for bit fl(X_J^T X_J), so full_svd of X_J, which forms its own, is no
-    reference for it."""
+    g_jj = G[J, J], keeping bottom vector 1 and the top one as full_svd does, with all values s in
+    ascending order. No value depends on how many vectors or values are read, so s[0] and s[-1]
+    are bit for bit the minor's values-only extremes. G[J, J] sliced from X's G need not be bit
+    for bit fl(X_J^T X_J), so full_svd of X_J, which forms its own, is no reference for it."""
     cols = np.asarray(cols)
     picks = np.array([0, cols.size - 1])
-    return spectra._right_factors(np.take(x, cols, axis=1), picks, g_jj.copy())
+    return spectra._right_factors(np.take(x, cols, axis=1), picks, np.arange(cols.size), g_jj.copy())
 
 
 def _heavy(n, alpha, seed, aspect=2.0):
@@ -309,7 +310,7 @@ class TestGramMinor:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh called"))
         s, rows, _, route, _ = _minor_factors(x, [0, 1], res.gram[:2, :2])
         assert route == "gram"
-        assert s.tolist() == [4.0, 3.0]
+        assert s.tolist() == [3.0, 4.0]
         assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         rep = self._certify_minor(x, 5.0, res.gram, minor_svds)
         assert (rep.minor_smin, rep.minor_op_norm) == (3.0, 4.0)
@@ -330,7 +331,7 @@ class TestGramMinor:
             _minor_factors(x, cols, bad[np.ix_(cols, cols)])
         rep = upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
         assert minor_svds == [((40, 9), True)]
-        assert rep.minor_smin == float(np.sqrt(np.linalg.eigvalsh(bad[np.ix_(cols, cols)])[0]))
+        assert rep.minor_smin == float(np.sqrt(contract_values(bad[np.ix_(cols, cols)])[0]))
 
 
 class TestValuesOnlyMinor:
@@ -358,10 +359,10 @@ class TestValuesOnlyMinor:
             if not 2 <= cols.size < n:
                 continue
             if spectrum.gram is None:
-                ref = full_svd(np.take(x, cols, axis=1)).singular_values
+                ref = full_svd(np.take(x, cols, axis=1)).singular_values[::-1]
             else:
                 ref = _minor_factors(x, cols, spectrum.gram[np.ix_(cols, cols)])[0]
-            assert (rep.minor_smin, rep.minor_op_norm) == (ref[-1], ref[0])
+            assert (rep.minor_smin, rep.minor_op_norm) == (ref[0], ref[-1])
             assert rep.certified_upper == rep.minor_smin
         if alpha > 2.0:
             assert res.method == "gram" and 2 <= upper_certificate(x, tau, res).column_count < n
@@ -388,7 +389,7 @@ class TestValuesOnlyMinor:
         assert peak <= 8 * m * 256 < 8 * rows * m
         assert np.array_equal(gram, before)  # reduced in place, then restored
         s = _minor_factors(x, cols, before)[0]
-        assert got == (s[-1], s[0])
+        assert got == (s[0], s[-1])
 
     @staticmethod
     def _lapack_calls(monkeypatch):
@@ -401,7 +402,9 @@ class TestValuesOnlyMinor:
         # The minor is the first four columns, rotated so their norms agree (the diagonal
         # passes the rule) with singular values 5, 3, 2 and 1e-4 (its eigenvalues fail it);
         # column 4 exceeds tau. The enclosure proves the minor's s_min from bottom vector 1
-        # alone, after one reduction of G[J, J]: no other vector is back-transformed.
+        # alone, after one reduction of G[J, J]: no other vector is back-transformed. Its
+        # extremes for the rule, then lambda_2 for the enclosure's gap, each take one
+        # bisection, and no dsterf runs.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.zeros((7, 5))
         x[:4, :4] = np.diag([5.0, 3.0, 2.0, 1e-4]) @ h
@@ -412,8 +415,9 @@ class TestValuesOnlyMinor:
         calls = self._lapack_calls(monkeypatch)
         rep = upper_certificate(x, 10.0, dataclasses.replace(full_svd(x), gram=gram))
         assert minor_svds == [((7, 4), True)]
-        assert calls[-7:] == ["dsytrd", "dsytrd", "dsterf", "dstein", "dormtr", "dpotrf", "dpotrf"]
-        assert (rep.minor_smin, rep.minor_op_norm) == (s[-1], s[0])
+        assert calls[-9:] == ["dsytrd", "dsytrd", "dstebz", "dstebz", "dstein", "dormtr", "dstebz", "dpotrf",
+                              "dpotrf"]
+        assert (rep.minor_smin, rep.minor_op_norm) == (s[0], s[-1])
 
     def test_rule_failing_minor_reaches_r_route(self, monkeypatch, minor_svds):
         # Columns 0 and 1 differ by 1e-7: G[J, J] is reduced once, its eigenvalues fail the
@@ -429,7 +433,7 @@ class TestValuesOnlyMinor:
         rep = upper_certificate(x, 10.0, spectrum)
         assert minor_svds == [((10, 2), True)]
         assert calls.count("dsytrd") == 2 and "dgeqrf" in calls
-        assert (rep.minor_smin, rep.minor_op_norm) == (s[-1], s[0])
+        assert (rep.minor_smin, rep.minor_op_norm) == (s[0], s[-1])
 
 
 class TestHeavyCensus:

@@ -575,10 +575,10 @@ class TestColdStart:
                 "import svlab.experiments as ex\n"
                 "from svlab.spectra import SpectralError\n"
                 "real = ex.full_svd\n"
-                "def flaky(x, k_bottom=1):\n"
+                "def flaky(x, **kwargs):\n"
                 "    if x.shape[1] == 16:\n"
                 "        raise SpectralError('synthetic non-convergence', worst_residual=1.0)\n"
-                "    return real(x, k_bottom=k_bottom)\n"
+                "    return real(x, **kwargs)\n"
                 "ex.full_svd = flaky\n"
                 "cfg = ex.SweepConfig(alphas=(1.2, 3.0), ns=(16, 24), aspect=2.0, trials_per_cell=3,"
                 " base_seed=99, c_grid=(1.0,), epsilons=(0.1,))\n"
@@ -767,6 +767,26 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"i/o error: {path}:2: ") and f"field {field} " in err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("where, change", [
+        ("kth_values[0]", lambda r: r.update(kth_values=["x", 1.0])),
+        ("localization[0].threshold_mass", lambda r: r["localization"][0].update(threshold_mass="x")),
+    ])
+    def test_mistyped_entry_is_io(self, tmp_path, capsys, where, change):
+        # An entry a scan reads, of the wrong JSON type inside one record's list or dict, is a
+        # malformed record too, not a TypeError from np.median.
+        path = tmp_path / "records.jsonl"
+        write_records(_scaling_records(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        change(rec)
+        lines[1] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        dest = tmp_path / "rep"
+        assert main(["report", "--records", str(path), "--kind", "kth", "--out-dir", str(dest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {path}:2: ") and f"{where} must be float" in err
+        assert err.count("\n") == 1 and not dest.exists()
 
 
 class TestPlot:

@@ -406,10 +406,10 @@ class TestRunSweep:
     def test_failures_collected_not_raised(self, monkeypatch):
         real = ex.full_svd
 
-        def flaky(x, k_bottom=1):
+        def flaky(x, **kwargs):
             if x.shape[1] == 16:
                 raise SpectralError("synthetic non-convergence", worst_residual=1.0)
-            return real(x, k_bottom=k_bottom)
+            return real(x, **kwargs)
 
         monkeypatch.setattr(ex, "full_svd", flaky)
         recs, fails, _ = run_sweep(SMALL, workers=1)

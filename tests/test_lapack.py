@@ -33,6 +33,29 @@ def _tall_inputs(n, rows):
     }
 
 
+def contract_values(g):
+    """The eigenvalues of the symmetric g as _lapack.tridiagonal gives them, built here from
+    LAPACK's own calls: eigvalsh's values, bit for bit, except at positions 0, 1 and n - 1, where
+    each is a standalone one-value dstebz (RANGE = 'I', IL = IU, ABSTOL = 2 safe_min) on dsytrd's
+    tridiagonal of a copy of g, reduced as the kernel reduces g."""
+    n = g.shape[0]
+    a = np.array(g, dtype=np.float64, order="F")
+    d, e, tau, query = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(1)
+    assert _lapack._call("dsytrd", "L", n, a, n, d, e, tau, query, -1) == 0
+    work = np.empty(int(query[0]))
+    assert _lapack._call("dsytrd", "L", n, a, n, d, e, tau, work, work.size) == 0
+    w = np.linalg.eigvalsh(g)
+    for p in {0, 1, n - 1}:
+        bounds, abstol = np.zeros(1), np.array([2.0 * np.finfo(np.float64).tiny])
+        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        one, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+        info = _lapack._call("dstebz", "I", "E", n, bounds, bounds, p + 1, p + 1, abstol, d, e, m, nsplit,
+                             one, iblock, isplit, np.empty(4 * n), np.empty(3 * n, np.int64))
+        assert info == 0 and m[0] == 1
+        w[p] = one[0]
+    return w
+
+
 def _matrix(alpha, n=30, seed=4):
     law = TailLaw(LawKind.SYMMETRIC_PARETO, alpha=alpha)
     return sample_matrix(EnsembleConfig(n=n, aspect=2.0, law=law, seed=seed))
@@ -74,6 +97,8 @@ class TestForeignMemory:
         a = _lapack._copy(_inputs(n)[kind])
         before = a.copy()
         values, vector, *restore = getattr(_lapack, kernel)(a)
+        if kernel == "tridiagonal":  # each bisection, then dsterf for the rest
+            values = np.concatenate([values([p]) for p in range(n)])
         assert np.all(np.isfinite(values))
         for p in range(n):
             vector(p)  # None is allowed; writing past an array is not
@@ -163,15 +188,18 @@ def test_tridiagonal_reduces_and_restores_g():
     # At n = 600 dsytrd runs blocked (dlatrd panels, then dsyr2k on the trailing lower
     # triangle), on several threads where OpenBLAS has them. It must leave g's strict
     # upper triangle alone, so that restore() gives g back bit for bit, and its values
-    # must be eigvalsh's bit for bit, as they were when it reduced a copy of g.
+    # must be those of the same calls on a copy of g: a one-value bisection each at
+    # positions 0, 1 and n - 1, read after restore() as the enclosure reads lambda_2,
+    # and eigvalsh's bit for bit elsewhere.
     g = _lapack.gram(np.random.default_rng(3).standard_normal((700, 600)))
     before = g.copy()
-    w, vector, restore = _lapack.tridiagonal(g)
+    eigenvalues, vector, restore = _lapack.tridiagonal(g)
     assert not np.array_equal(g, before)  # the reduction ran in g
     u = vector(0)
     restore()
     assert np.array_equal(g, before)
-    assert np.array_equal(w, np.linalg.eigvalsh(before))
+    w = eigenvalues(np.arange(600))
+    assert np.array_equal(w, contract_values(before))
     assert np.linalg.norm(before @ u - w[0] * u) <= 1e-10 * w[-1]
 
 

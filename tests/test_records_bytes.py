@@ -126,18 +126,18 @@ def test_run_trial_line_matches_deep_copy(tmp_path):
 # Prescott and Core2 the Katmai set. numpy's AVX2 loops and its baseline ones wrote the
 # same bytes.
 R_ROUTE_SHA256 = {
-    ("SkylakeX", "avx512"): "a16a688b7a76a43c45e07cb5732161c532875fbcb3362c37eb2516f097d9b92e",
-    ("Haswell", "generic"): "c103066eab51e6f38a7fe1231bad73c0a0c23e005c3417368e9a30c042e801cf",
-    ("Sandybridge", "generic"): "f8f8475a0d5248a4e1db5e97b387c660efa29d333a7bef6f22dda55f031704b3",
-    ("Nehalem", "generic"): "b4da5a204c2af70515ab5374dcbb45aebe9f9876e4bc579eef06218fdb257494",
-    ("Katmai", "generic"): "d4e31fa5120bd2bc011b9aff5ede644ea2ed666d94693a3c2b8986568d35fe0a",
+    ("SkylakeX", "avx512"): "489de9248cba50c05e5e7906d54047a6fa3e2afbe48689c86d4d06967d0ac237",
+    ("Haswell", "generic"): "b61d38dea4e43a945f0edbf4694d7d3a8b1e1931b5515f0765176d031f834b76",
+    ("Sandybridge", "generic"): "b7e22c5b3c18cd92d9c440494e591950ee53045dfb3474e592f0482114463d5d",
+    ("Nehalem", "generic"): "8840779d8983412906ec25df628b0e7912cba3f49f63c104ad6de157b8efbae2",
+    ("Katmai", "generic"): "6169ddccb818ec5b51f608988c60a8874b5ef980315e42c8801549cff36033c0",
 }
 VERIFIED_GRAM_SHA256 = {
-    ("SkylakeX", "avx512"): "28bf543b175daf5ff759dfd6fc3835ccbde0c6b5c4a9496ee316ee8a3638ced2",
-    ("Haswell", "generic"): "12c2d741a309651c03b0bb618de9488467008241a141d7c9c5b8eee9ed4ca5a6",
-    ("Sandybridge", "generic"): "1fc280b2530b5bcac29f75dd5dfd1f65d25416885d36601782726ec1aa869c3c",
-    ("Nehalem", "generic"): "2c7079c3caf72a8425781cc0f859bd97c42a6acad0ff907e4d955c1a5df34b20",
-    ("Katmai", "generic"): "159c96af4a532e63a93d2b4e6c3c0b27bf4e5136208970da498e0e1c1d927767",
+    ("SkylakeX", "avx512"): "88b653682a4043a1e8d2b67bf3e1e4b5de7c9b04f1222616ae78b835cacbf0ed",
+    ("Haswell", "generic"): "d09885e93df4a68e05b8a4b823290a904d6f251de5aa168c0272eab39953a578",
+    ("Sandybridge", "generic"): "353a46bb92f626f8904462b8ca56855320be564d1b2da331c634fcf2c05f7e72",
+    ("Nehalem", "generic"): "78ef412e71c784a3012bc84688e84da4840a953df3d80124a4e4589edca19f59",
+    ("Katmai", "generic"): "f5340b56b88bcf234a8bd23412c414a76108039847aff4e5a9dd28ca36e4b4cb",
 }
 
 
@@ -162,7 +162,9 @@ def _sweep_digest(config, tmp_path, route):
 def test_r_route_sweep_bytes(tmp_path):
     # Each trial's X^T X resolves s_min neither by the rule nor by the scaled
     # enclosure, so X is decomposed through its R factor (QR, then the bidiagonal
-    # form of R); any change to that route must keep every byte. n = 40 keeps
+    # form of R); any change to that route must keep every byte. Each trial's
+    # certificate minor is partial and takes the gram route, so its s_min and s_top
+    # are bisected values of G[J, J] (one dstebz each). n = 40 keeps
     # OpenBLAS single-threaded, so the bytes hold at any thread count. The kernel
     # set and the SIMD class move the last bits, so each pair has its own hash,
     # and a pair with none fails with the hash it wrote.
@@ -174,7 +176,9 @@ def test_r_route_sweep_bytes(tmp_path):
 def test_verified_gram_sweep_bytes(tmp_path):
     # Each trial's eigenvalues fail the GRAM_COND_LIMIT rule, and the scaled
     # enclosure keeps it on the gram route: s_min and bottom vector 1 come from
-    # the proven Rayleigh quotient and its vector, the rest from dsterf and dstein.
+    # the proven Rayleigh quotient and its vector, s_2 and s_top from one bisection
+    # each, the third smallest value (bottom vector 2's flag reads it) from dsterf,
+    # and vector 2 and the top one from dstein.
     config = SweepConfig(alphas=(0.8,), ns=(40,), aspect=2.0, trials_per_cell=2, base_seed=23, k_vectors=2)
     key, digest = _sweep_digest(
         config, tmp_path, lambda x: _eigenvalues_fail_rule(x) and full_svd(x, k_bottom=2).method == "gram")

@@ -1,5 +1,6 @@
 """Spectral contracts: residuals, ordering, sign convention, minors, norms."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from svlab.ensemble import EnsembleConfig, LawKind, TailLaw, sample_matrix
 from svlab.experiments import derive_trial_seed
 from svlab.matrixio import save_matrix
 from svlab.spectra import GRAM_COND_LIMIT, SpectralError, full_svd, operator_norm
+from test_lapack import contract_values
 
 
 def _random_matrices(count=20, seed=5150):
@@ -72,10 +74,10 @@ def _enclose(x, floor_proven=False):
     once G is restored."""
     g = _lapack.gram(x)
     terms = spectra._floor_terms(g, x.shape[0])
-    w, vector, restore = _lapack.tridiagonal(g)
+    eigenvalues, vector, restore = _lapack.tridiagonal(g)
     u = vector(0)
     restore()
-    return spectra._enclosure(x, g, w, u, terms, floor_proven)
+    return spectra._enclosure(x, g, eigenvalues([1])[0], u, terms, floor_proven)
 
 
 def _fails_rule(x):
@@ -396,10 +398,11 @@ class TestRoute:
     def _equal_norm_calls(monkeypatch, second):
         # An orthogonal rotation with +-1/2 entries gives every column the same
         # norm, so the diagonal passes; the eigenvalues (kappa = 5e4) do not.
-        # Bottom vector 1 comes first, then the other kept vectors; then G is
-        # restored, and every check of the enclosure that needs no Cholesky runs
-        # before either Cholesky. Returns full_svd's result and the LAPACK calls
-        # after bottom vector 1's.
+        # lambda_min and lambda_max come first, one bisection each, then bottom
+        # vector 1, then the other kept vectors; then G is restored, lambda_2 is
+        # bisected for the enclosure's gap, and every check of the enclosure that
+        # needs no Cholesky runs before either Cholesky. Returns full_svd's result
+        # and the LAPACK calls after bottom vector 1's.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, second, 1e-4]) @ h, np.zeros((2, 4))])
         assert np.ptp(np.linalg.norm(x, axis=0)) < 1e-12
@@ -412,25 +415,26 @@ class TestRoute:
 
         monkeypatch.setattr(_lapack, "_call", counting)
         res = full_svd(x)
-        assert calls[:5] == ["dsytrd", "dsytrd", "dsterf", "dstein", "dormtr"]
+        assert calls[:6] == ["dsytrd", "dsytrd", "dstebz", "dstebz", "dstein", "dormtr"]
         assert res.s_min == pytest.approx(1e-4, rel=1e-10)
-        return res, calls[5:]
+        return res, calls[6:]
 
     def test_equal_column_norms_fall_back_after_eigenvalues(self, monkeypatch):
         # s_min's neighbour is 2, so the enclosure proves it, and no QR runs. The top
         # vector is back-transformed while G holds its reflectors; then G is restored,
         # and once the checks that need no Cholesky pass, the Choleskys for the floor
-        # and the gap run in it.
+        # and the gap run in it. full_svd was asked for all values, so dsterf runs last,
+        # for position 2, the one value no bisection gave.
         res, rest = self._equal_norm_calls(monkeypatch, 2.0)
-        assert rest == ["dstein", "dormtr", "dpotrf", "dpotrf"]
+        assert rest == ["dstein", "dormtr", "dstebz", "dpotrf", "dpotrf", "dsterf"]
         assert res.method == "gram"
 
     def test_equal_column_norms_near_tie_takes_r_route(self, monkeypatch):
         # A planted near-tie, lambda_2 / lambda_1 - 1 = 4e-12, leaves no gap to
-        # prove, so after the top vector's back-transform the R route runs without
-        # a Cholesky.
+        # prove, so after the top vector's back-transform and lambda_2's bisection the R
+        # route runs without a Cholesky.
         res, rest = self._equal_norm_calls(monkeypatch, 1e-4 * (1.0 + 2e-12))
-        assert rest[:6] == ["dstein", "dormtr", "dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
+        assert rest[:7] == ["dstein", "dormtr", "dstebz", "dgeqrf", "dgeqrf", "dgebrd", "dgebrd"]
         assert "dpotrf" not in rest
         assert res.method == "gesdd"
 
@@ -458,13 +462,14 @@ class TestShiftedSolves:
         res = full_svd(x, k_bottom=2)
         _, vecs = self._from_eigh(x, 2)
         assert res.method == "gram"
-        # eigh supplies the vectors only: the values stay dsterf's, which are eigvalsh's.
-        assert np.array_equal(res.singular_values, np.sqrt(np.linalg.eigvalsh(x.T @ x)[::-1]))
+        # eigh supplies the vectors only: the values stay the kernel's.
+        values = np.sqrt(contract_values(x.T @ x)[::-1])
+        assert np.array_equal(res.singular_values, values)
         assert np.array_equal(res.bottom_right_vectors, np.array(vecs[:2]))
         assert np.array_equal(res.top_right_vector, vecs[2])
         monkeypatch.undo()
         clean = full_svd(x, k_bottom=2)
-        assert np.array_equal(clean.singular_values, np.sqrt(np.linalg.eigvalsh(x.T @ x)[::-1]))
+        assert np.array_equal(clean.singular_values, values)
         assert np.abs(clean.bottom_right_vectors - res.bottom_right_vectors).max() < 1e-10
 
     def test_all_vectors_kept_solves_each_once(self, monkeypatch):
@@ -575,7 +580,8 @@ class TestGramRestored:
 
     @pytest.mark.parametrize("exit_, method", [
         ("rule", "gram"), ("enclosure", "gram"), ("refinement", "gram"), ("floor", "gesdd"),
-        ("near_tie", "gesdd"), ("dsytrd", "gram"), ("dsterf", "gram"), ("no_symbols", "gram"),
+        ("near_tie", "gesdd"), ("dsytrd", "gram"), ("dstebz", "gram"), ("dsterf", "gram"),
+        ("no_symbols", "gram"),
     ])
     @pytest.mark.parametrize("given", [False, True])
     def test_every_exit_restores_g(self, monkeypatch, exit_, method, given):
@@ -589,7 +595,7 @@ class TestGramRestored:
             x = _near_tie_matrix()
         else:
             x = TestShiftedSolves._x(n=40, seed=2)
-        if exit_ in ("dsytrd", "dsterf"):
+        if exit_ in ("dsytrd", "dstebz", "dsterf"):
             self._failing(monkeypatch, exit_)
         if exit_ == "no_symbols":
             monkeypatch.setattr(_lapack, "_lib", {})
@@ -616,6 +622,8 @@ class TestGramRestored:
         assert factors[0][4] is (g if method == "gram" else None)
         routes = {"refinement": "dpotrs", "floor": "dgeqrf", "near_tie": "dgeqrf"}
         assert exit_ not in routes or routes[exit_] in calls
+        # The minor reads its extremes alone, so no dsterf runs there to fail.
+        assert exit_ != "dsterf" or ("dsterf" in calls) != given
         assert (exit_ == "floor") == ("dsytrd" not in calls and _lapack.available())
 
 
@@ -635,7 +643,7 @@ class TestGivenGram:
         for bad in (g[:-1], g[:-1, :-1], g.ravel()):
             with pytest.raises(ValueError, match="a gram of shape"):
                 upper_certificate(x, 10.0, dataclasses.replace(res, gram=bad))
-        with pytest.raises(ValueError, match="has 12 values"):  # X's spectrum, one column short
+        with pytest.raises(ValueError, match="vectors of length 12"):  # X's spectrum, one column short
             upper_certificate(x[:, :-1], 10.0, dataclasses.replace(res, gram=None))
 
     def test_returned_gram_is_read_only(self):
@@ -658,7 +666,7 @@ class TestGivenGram:
         gram = full_svd(x).gram
         cols = np.array([0, 2, 3, 5, 8, 9, 11])
         g_jj = gram[np.ix_(cols, cols)]
-        w = np.linalg.eigvalsh(g_jj)
+        w = contract_values(g_jj)
 
         def no_einsum(*args, **kwargs):
             raise AssertionError("einsum called")
@@ -667,6 +675,25 @@ class TestGivenGram:
         assert spectra._minor_extremes(x, cols, g_jj) == (float(np.sqrt(w[0])), float(np.sqrt(w[-1])))
         assert np.array_equal(g_jj, gram[np.ix_(cols, cols)])  # reduced in place, then restored
         assert np.array_equal(full_svd(x).gram, gram)
+
+    def test_bisection_failure_takes_eigh(self, monkeypatch):
+        # A one-value dstebz reports failure, here lambda_min's, the first value read: eigh
+        # of G then stands in for the values and the vectors alike, as where dsterf fails.
+        x = self._x()
+        real_call = _lapack._call
+        calls = []
+
+        def call(name, *args):
+            calls.append(name)
+            return 1 if name == "dstebz" else real_call(name, *args)
+
+        monkeypatch.setattr(_lapack, "_call", call)
+        res = full_svd(x, k_bottom=2, all_values=False)
+        assert res.method == "gram" and calls == ["dsytrd", "dsytrd", "dstebz"]
+        w, v = np.linalg.eigh(x.T @ x)
+        assert np.array_equal(res.bottom_values, np.sqrt(w[:2])) and res.s_top == np.sqrt(w[-1])
+        want = [u if u[np.abs(u).argmax()] > 0 else -u for u in v[:, :2].T]
+        assert np.array_equal(res.bottom_right_vectors, want)
 
     def test_eigensolver_failure_takes_gesdd(self, monkeypatch):
         # dsterf reports no convergence, so eigh of G stands in; when eigh does
@@ -688,6 +715,75 @@ class TestGivenGram:
         s = np.linalg.svd(x, compute_uv=False)
         assert np.abs(res.singular_values - s).max() <= 1e-12 * s[0]
         assert res.residuals.max() <= 1e-10 * s[0] ** 2
+
+
+class TestValueContract:
+    """No value a record reads depends on k_bottom or all_values. On the gram route, lambda_min,
+    lambda_2 and lambda_max each come from their own one-value bisection, and dsterf runs only
+    where a caller reads another position."""
+
+    @staticmethod
+    def _log(monkeypatch):
+        calls = []
+        real_call = _lapack._call
+        monkeypatch.setattr(_lapack, "_call", lambda name, *args: (calls.append(name), real_call(name, *args))[1])
+        return calls
+
+    @pytest.mark.parametrize("kind, method", [("rule", "gram"), ("enclosure", "gram"), ("r_route", "gesdd")])
+    def test_bottom_and_top_independent_of_request(self, kind, method):
+        x = {"rule": TestShiftedSolves._x(n=40, seed=2), "enclosure": _enclosed_matrix(),
+             "r_route": _r_route_matrix()}[kind]
+        assert _fails_rule(x) == (kind != "rule")
+        base = full_svd(x, k_bottom=1, all_values=False)
+        for k in (1, 2, 5):
+            for every in (True, False):
+                res = full_svd(x, k_bottom=k, all_values=every)
+                assert res.method == base.method == method
+                assert res.s_min == base.s_min == res.bottom_values[0]
+                assert res.s_top == base.s_top
+                assert np.array_equal(res.bottom_right_vectors[0], base.bottom_right_vectors[0])
+                assert res.degenerate_flags[0] == base.degenerate_flags[0]
+                assert res.bottom_values.size == k
+                if every:
+                    assert np.array_equal(res.singular_values[::-1][:k], res.bottom_values)
+                    assert res.singular_values[0] == res.s_top
+                else:
+                    assert res.singular_values is None
+
+    @pytest.mark.parametrize("scale, method", [(1e-100, "gesdd"), (1e-60, "gram"), (1e60, "gram"),
+                                               (1e80, "gesdd")])
+    def test_values_keep_their_accuracy_at_any_scale(self, scale, method):
+        # Bisection squares the tridiagonal's off-diagonals, so a G outside about [1e-146,
+        # 1e146] would lose them to underflow or overflow: s_top read 18% low at 1e-150.
+        # Such a G takes the R route before any reduction.
+        x = np.random.default_rng(1).standard_normal((12, 6)) * scale
+        res = full_svd(x, k_bottom=2, all_values=False)
+        s = scipy.linalg.svd(x, compute_uv=False, lapack_driver="gesvd")
+        assert res.method == method
+        got = [res.s_min, res.bottom_values[1], res.s_top]
+        assert np.allclose(got, s[[-1, -2, 0]], rtol=1e-13, atol=0)
+
+    def test_trial_runs_no_dsterf(self, monkeypatch):
+        # k_vectors = 1: X's rule reads lambda_min and lambda_max, bottom vector 1's flag reads
+        # lambda_2, and the minor's values-only call reads its two extremes, each by bisection.
+        from svlab.experiments import SweepConfig, run_trial
+
+        config = SweepConfig(alphas=(3.0,), ns=(40,), aspect=2.0, trials_per_cell=1, base_seed=3, k_vectors=1)
+        calls = self._log(monkeypatch)
+        rec = run_trial(config, 3.0, 40, 0)
+        assert 2 <= rec.certificate["column_count"] < 40  # the minor was decomposed
+        assert calls.count("dsytrd") == 4  # a query and the reduction, for X and for G[J, J]
+        assert "dsterf" not in calls and calls.count("dstebz") == 5
+        assert rec.kth_values == [rec.s_min]
+
+    def test_spectra_command_runs_one_dsterf(self, monkeypatch, tmp_path, capsys):
+        # svlab spectra prints all n values: one dsterf, beside the three bisections.
+        path = tmp_path / "x.svlm"
+        save_matrix(TestShiftedSolves._x(n=40, seed=2), path)
+        calls = self._log(monkeypatch)
+        assert main(["spectra", "--in", str(path), "--k", "2"]) == 0
+        assert calls.count("dsterf") == 1 and calls.count("dstebz") == 3
+        assert len(json.loads(capsys.readouterr().out)["singular_values"]) == 40
 
 
 class TestGesddFallback:
@@ -806,8 +902,9 @@ class TestEnclosure:
     def test_underflow_takes_r_route(self, monkeypatch, scales):
         # Below tiny / eps, a product that underflows can miss the rounding bounds, so
         # no Cholesky runs. First a column of norm 1e-150 (G_11 near 1e-300): the
-        # diagonal fails the rule. Then every column scaled alike, kappa = 5e4: the
-        # diagonal passes, the eigenvalues fail, and rho is near 1e-308.
+        # diagonal fails the rule, and the floor is not tried. Then every column scaled
+        # alike, kappa = 5e4: G near 1e-300 lies below the range in which bisection
+        # keeps its accuracy, so no reduction runs either.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
         x = np.vstack([np.diag([5.0, 3.0, 2.0, 1e-4]) @ h, np.zeros((2, 4))]) * scales
         calls = []
